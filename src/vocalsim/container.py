@@ -46,21 +46,23 @@ class LayerDesc:
         return self.tensors[1]
 
 
-def _pack_tensor(arr: np.ndarray) -> bytes:
+def _pack_tensor(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Header and float32 data of one tensor; the data is written straight
+    from the array's buffer."""
     arr = np.asarray(arr, dtype="<f4")
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
     head = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.tobytes()
+    return head, arr
 
 
 class _Reader:
     def __init__(self, buf: bytes, path: str):
-        self.buf = buf
+        self.buf = memoryview(buf)  # slices share the file bytes, no copies
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise DataError(f"{self.path}: truncated container")
         out = self.buf[self.pos : self.pos + n]
@@ -93,16 +95,16 @@ def write_container(
     for layer in layers:
         parts.append(struct.pack("<II", KIND_TO_CODE[layer.kind], len(layer.tensors)))
         for arr in layer.tensors:
-            parts.append(_pack_tensor(np.asarray(arr)))
+            parts.extend(_pack_tensor(np.asarray(arr)))
     parts.append(struct.pack("<I", len(named)))
     for name in sorted(named):
         raw = name.encode("utf-8")
         if not raw or len(raw) > _MAX_NAME:
             raise ValueError(f"bad tensor name {name!r}")
         parts.append(struct.pack("<I", len(raw)) + raw)
-        parts.append(_pack_tensor(np.asarray(named[name])))
+        parts.extend(_pack_tensor(np.asarray(named[name])))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
 
 
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
@@ -130,7 +132,7 @@ def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
         name_len = r.u32()
         if name_len == 0 or name_len > _MAX_NAME:
             raise DataError(f"{path}: implausible tensor name length {name_len}")
-        name = r.take(name_len).decode("utf-8")
+        name = bytes(r.take(name_len)).decode("utf-8")
         named[name] = r.tensor()
     if r.pos != len(buf):
         raise DataError(f"{path}: {len(buf) - r.pos} trailing bytes after container")

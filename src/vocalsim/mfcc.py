@@ -1,18 +1,23 @@
 """Per-segment MFCC extraction: 60 ms Hamming frames at a 20 ms hop, 1024-point
 magnitude spectra, 60 mel power bands, log10 + cosine transform, 60
-coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix."""
+coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix.
+
+All 378 windowed frames go through one batched real FFT. The filter bank
+and the cosine transform then run as one matrix-vector product per frame,
+which keeps every row bit-identical to the per-frame
+dft_magnitude -> apply_filterbank -> log_dct chain of `dsp` (a single
+matrix-matrix product rounds differently)."""
 
 import numpy as np
 
 from .dsp import (
+    LOG_FLOOR,
     MelFilterBank,
     Signal,
     WindowSpec,
-    apply_filterbank,
-    dft_magnitude,
+    dct_basis,
     frame_signal,
     hamming_window,
-    log_dct,
     mel_filterbank,
 )
 
@@ -25,16 +30,18 @@ NUM_FILTERS = 60
 NUM_COEFFS = 60
 NUM_FRAMES = 1 + (SEGMENT_SAMPLES - FRAME_LENGTH) // HOP_LENGTH  # 378
 
-_window: np.ndarray | None = None
-_bank: MelFilterBank | None = None
+_tables: tuple[np.ndarray, MelFilterBank, np.ndarray] | None = None
 
 
-def _analysis_tables() -> tuple[np.ndarray, MelFilterBank]:
-    global _window, _bank
-    if _window is None:
-        _window = hamming_window(WindowSpec(FRAME_LENGTH))
-        _bank = mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE)
-    return _window, _bank
+def _analysis_tables() -> tuple[np.ndarray, MelFilterBank, np.ndarray]:
+    global _tables
+    if _tables is None:
+        _tables = (
+            hamming_window(WindowSpec(FRAME_LENGTH)),
+            mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE),
+            dct_basis(NUM_COEFFS, NUM_FILTERS),
+        )
+    return _tables
 
 
 def extract_mfcc(segment: Signal) -> np.ndarray:
@@ -50,11 +57,14 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
         raise ValueError(
             f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
         )
-    window, bank = _analysis_tables()
+    window, bank, basis = _analysis_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
+    power = np.abs(np.fft.rfft(frames * window, n=N_FFT, axis=1)) ** 2
+    energies = np.empty((frames.shape[0], NUM_FILTERS))
+    for t in range(frames.shape[0]):
+        energies[t] = bank.weights @ power[t]
+    logs = np.log10(np.maximum(energies, LOG_FLOOR))
     out = np.empty((frames.shape[0], NUM_COEFFS))
     for t in range(frames.shape[0]):
-        spectrum = dft_magnitude(frames[t] * window, N_FFT)
-        energies = apply_filterbank(spectrum**2, bank)
-        out[t] = log_dct(energies, NUM_COEFFS)
+        out[t] = basis @ logs[t]
     return out

@@ -22,6 +22,7 @@ MFCC_INPUT = (60, 378)  # channels x length
 VGGISH_INPUT = (128, 14)
 TEXT_FLAT = 540
 SIMILAR_INDEX = 0
+ENCODE_BATCH = 100  # rows per encode call when scoring many sets
 
 
 @dataclass
@@ -85,12 +86,14 @@ class SiameseModel:
     """Shared-weight encoder pair with a distance head.
 
     Both inputs of forward() run through the same layer objects, so one
-    optimizer step moves both twins identically.
+    optimizer step moves both twins identically. Weights are Glorot draws
+    from rng, which defaults to one seeded by spec.init_seed.
     """
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, rng=None):
         self.spec = spec
-        rng = np.random.default_rng(spec.init_seed)
+        if rng is None:
+            rng = np.random.default_rng(spec.init_seed)
         self.mfcc_branch = None
         self.vggish_branch = None
         if spec.variant in ("mfcc", "fusion"):
@@ -170,6 +173,15 @@ class SiameseModel:
         h = ad.tanh(self.dense1(h))
         return ad.tanh(self.dense2(h))
 
+    def score(self, left_enc: Tensor, right_enc: Tensor) -> Tensor:
+        """Head output for paired encodings: the Euclidean distance of each
+        row pair through the head, so (B, 2) sigmoid probabilities or (B, 25)."""
+        distance = ad.unsqueeze(ad.euclidean_distance(left_enc, right_enc))
+        out = self.head(distance)
+        if self.spec.head == "binary":
+            out = ad.sigmoid(out)
+        return out
+
     def forward(
         self,
         left: dict[str, Tensor],
@@ -181,25 +193,43 @@ class SiameseModel:
         rng = rng or np.random.default_rng(0)
         left_enc = self.encode(left, training, rng)
         right_enc = self.encode(right, training, rng)
-        distance = ad.unsqueeze(ad.euclidean_distance(left_enc, right_enc))
-        out = self.head(distance)
-        if self.spec.head == "binary":
-            out = ad.sigmoid(out)
-        return out
+        return self.score(left_enc, right_enc)
 
     def encode_sets(self, feature_sets: list[FeatureSet]) -> np.ndarray:
         return self.encode(self.stack_inputs(feature_sets)).data
 
-    def predict_similarity(self, left: FeatureSet, right: FeatureSet) -> float:
-        """Probability that the two feature sets belong to the same class.
+    def similarities(
+        self, left_sets: list[FeatureSet], right_sets: list[FeatureSet]
+    ) -> np.ndarray:
+        """(N, M) probabilities that left set i and right set j belong to the
+        same class.
 
-        Binary head only; dropout is off, so the score is deterministic and
-        symmetric in its arguments.
+        Each of the N+M sets is encoded once, in encode calls of at most
+        ENCODE_BATCH rows, and all N*M pairs are scored in one score() call.
+        Binary head only; dropout is off, so the scores are deterministic.
         """
         if self.spec.head != "binary":
             raise ValueError("similarity scores require the binary head")
-        out = self.forward(self.stack_inputs([left]), self.stack_inputs([right]))
-        return float(out.data[0, SIMILAR_INDEX])
+        if not left_sets or not right_sets:
+            raise ValueError("need at least one feature set on each side")
+        sets = list(left_sets) + list(right_sets)
+        encodings = np.concatenate(
+            [
+                self.encode_sets(sets[i : i + ENCODE_BATCH])
+                for i in range(0, len(sets), ENCODE_BATCH)
+            ]
+        )
+        n, m = len(left_sets), len(right_sets)
+        out = self.score(
+            Tensor(np.repeat(encodings[:n], m, axis=0)),
+            Tensor(np.tile(encodings[n:], (n, 1))),
+        )
+        return out.data[:, SIMILAR_INDEX].reshape(n, m)
+
+    def predict_similarity(self, left: FeatureSet, right: FeatureSet) -> float:
+        """Probability that the two feature sets belong to the same class: the
+        1x1 case of similarities(), symmetric in its arguments."""
+        return float(self.similarities([left], [right])[0, 0])
 
 
 def build_model(spec: ModelSpec) -> SiameseModel:
@@ -220,18 +250,17 @@ def detect_relapse(
     threshold: float = 0.5,
 ) -> RelapseDecision:
     """Average the similarity of every (segment, depressed reference) pair and
-    flag relapse when the mean reaches the threshold."""
+    flag relapse when the mean reaches the threshold.
+
+    Each segment and reference is encoded once; the N*M pairs share those
+    encodings."""
     if not subject_segments:
         raise ValueError("subject has no segments to score")
     if not references:
         raise ValueError("need at least one depressed reference segment")
-    scores = [
-        model.predict_similarity(seg, ref)
-        for seg in subject_segments
-        for ref in references
-    ]
+    scores = model.similarities(subject_segments, references)
     mean = float(np.mean(scores))
-    return RelapseDecision(mean >= threshold, mean, len(scores))
+    return RelapseDecision(mean >= threshold, mean, int(scores.size))
 
 
 # ---- checkpoint io -----------------------------------------------------
@@ -277,6 +306,15 @@ def save_checkpoint(path, model: SiameseModel, optimizer=None) -> None:
     write_container(path, [], named)
 
 
+class _Unfilled:
+    """Init rng for a model whose weights are about to be replaced by stored
+    tensors: hands out uninitialised arrays instead of drawing them."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def load_checkpoint(path) -> SiameseModel:
     _, named = read_container(path)
     try:
@@ -295,7 +333,7 @@ def load_checkpoint(path) -> SiameseModel:
         raise DataError(f"{path}: checkpoint lacks spec tensor {exc}") from exc
     except (IndexError, ValueError) as exc:
         raise DataError(f"{path}: invalid checkpoint spec: {exc}") from exc
-    model = SiameseModel(spec)
+    model = SiameseModel(spec, rng=_Unfilled())
     for i, p in enumerate(model.params()):
         key = f"param/{i}"
         if key not in named:
@@ -305,5 +343,5 @@ def load_checkpoint(path) -> SiameseModel:
             raise DataError(
                 f"{path}: tensor {key} has shape {stored.shape}, expected {p.data.shape}"
             )
-        p.data = stored.astype(np.float64)
+        p.data = stored  # read_container already returns float64
     return model

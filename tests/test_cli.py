@@ -270,6 +270,27 @@ class TestPredictRelapse:
         )
         assert code == 3
 
+    def test_score25_checkpoint_is_usage_error(self, tmp_path):
+        from vocalsim.models import ModelSpec, build_model, save_checkpoint
+
+        checkpoint = tmp_path / "score25.oswt"
+        spec = ModelSpec(variant="mfcc", head="score25", filters=4, dense_width=16)
+        save_checkpoint(checkpoint, build_model(spec))
+        probe = tmp_path / "probe.wav"
+        reference = tmp_path / "ref.wav"
+        tone_wav(probe, 880, seconds=7.6, seed=31)
+        tone_wav(reference, 880, seconds=7.6, seed=32)
+        code = main(
+            [
+                "predict-relapse",
+                "--model", str(checkpoint),
+                "--audio", str(probe),
+                "--reference-audio", str(reference),
+                "--no-strip",
+            ]
+        )
+        assert code == 2
+
 
 class TestRun:
     def test_run_emits_report_and_confusion(self, trained, capsys):

@@ -187,14 +187,16 @@ class TestCheckpoint:
 
 
 class _ScriptedModel:
+    """Stands in for SiameseModel.similarities: the scripted scores, cycled,
+    in row-major (segment, reference) order."""
+
     def __init__(self, scores):
         self.scores = list(scores)
-        self.calls = 0
 
-    def predict_similarity(self, left, right):
-        value = self.scores[self.calls % len(self.scores)]
-        self.calls += 1
-        return value
+    def similarities(self, left_sets, right_sets):
+        n, m = len(left_sets), len(right_sets)
+        cycled = [self.scores[k % len(self.scores)] for k in range(n * m)]
+        return np.array(cycled).reshape(n, m)
 
 
 class TestRelapse:
@@ -225,3 +227,40 @@ class TestRelapse:
             detect_relapse(model, [], [features(1)])
         with pytest.raises(ValueError):
             detect_relapse(model, [features(1)], [])
+
+    @pytest.mark.parametrize("variant", ["mfcc", "vggish", "fusion"])
+    def test_encode_once_matches_pairwise_scores(self, variant):
+        model = build_model(small_spec(variant))
+        subject = [features(20 + i) for i in range(3)]
+        references = [features(30 + j) for j in range(4)]
+        pairwise = [model.predict_similarity(s, r) for s in subject for r in references]
+        decision = detect_relapse(model, subject, references)
+        assert decision.num_pairs == 12
+        assert decision.mean_similarity == pytest.approx(np.mean(pairwise), abs=1e-12)
+        np.testing.assert_allclose(
+            model.similarities(subject, references),
+            np.reshape(pairwise, (3, 4)),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_each_set_encoded_once_in_bounded_batches(self, monkeypatch):
+        from vocalsim import models
+
+        # 3 + 6 sets at 4 rows per encode call: ceil(9 / 4) calls, 9 rows
+        model = build_model(small_spec())
+        rows = []
+        encode = SiameseModel.encode
+
+        def counting_encode(self, inputs, *args, **kwargs):
+            out = encode(self, inputs, *args, **kwargs)
+            rows.append(out.data.shape[0])
+            return out
+
+        monkeypatch.setattr(SiameseModel, "encode", counting_encode)
+        monkeypatch.setattr(models, "ENCODE_BATCH", 4)
+        subject = [features(i) for i in range(3)]
+        references = [features(i) for i in range(3, 9)]
+        scores = model.similarities(subject, references)
+        assert scores.shape == (3, 6)
+        assert rows == [4, 4, 1]
