@@ -1,146 +1,101 @@
-"""Command-line interface.
+"""Command-line interface: a thin layer over `ExperimentConfig` and the
+pipeline.
 
 Subcommands mirror the library stages: `preprocess` (strip + segment +
 optional augmentation to WAV files), `extract` (feature cache from one WAV),
 `pair`, `train`, `eval`, `predict-relapse`, and `run` for the whole pipeline.
+A flag named after an `ExperimentConfig` key takes that key's type and
+default (`--mode` sets `pair_mode`, `--threshold` sets `relapse_threshold`),
+and each handler turns its flags into a config, so a recording is featurized
+and a model trained exactly as `run_pipeline` does it.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import (
+    PAIR_MODES,
+    TEXT_RESIZE_MODES,
+    ExperimentConfig,
+    apply_overrides,
+    load_config,
+)
 from .container import write_container
 from .errors import DataError, NumericError
-from .manifest import load_manifest, read_wav, write_wav
+from .manifest import SPLITS, load_manifest, write_wav
 from .metrics import evaluate, render_confusion
-from .mfcc import extract_mfcc
-from .models import (
-    FeatureSet,
-    ModelSpec,
-    build_model,
-    detect_relapse,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .models import VARIANTS, detect_relapse, load_checkpoint
 from .pairs import make_pairs, read_pairs_csv, write_pairs_csv
-from .pipeline import features_from_cache, load_feature_table, run_pipeline
-from .preprocess import augment_corpus, segment, strip_unvoiced
-from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
-from .training import TrainConfig, train
-from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
+from .pipeline import (
+    feature_sets,
+    feature_tools,
+    features_from_cache,
+    featurize_recording,
+    load_feature_table,
+    recording_segments,
+    run_pipeline,
+    train_and_save,
+)
+
+_DEFAULTS = ExperimentConfig()
 
 
-def _add_augment_flags(parser, default_on=False):
+def _config_flag(parser, flag, key=None, **kwargs):
+    """Add `--flag` for the config key `key` (the flag name with dashes as
+    underscores unless given), typed and defaulted from ExperimentConfig()."""
+    key = key or flag.replace("-", "_")
+    default = getattr(_DEFAULTS, key)
+    if not isinstance(default, bool):
+        kwargs.setdefault("type", type(default))
+    parser.add_argument(f"--{flag}", dest=key, default=default, **kwargs)
+
+
+def _config(args) -> ExperimentConfig:
+    """The config the parsed flags describe; keys without a flag keep their
+    defaults."""
+    given = vars(args)
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in given]
+    return ExperimentConfig(**{key: given[key] for key in keys})
+
+
+def _add_augment_flags(parser):
+    # unlike the config key `augment`, off unless asked for
     parser.add_argument(
         "--augment",
         action=argparse.BooleanOptionalAction,
-        default=default_on,
+        default=False,
         help="also emit noise and pitch variants",
     )
-    parser.add_argument("--augment-seed", type=int, default=1234)
-    parser.add_argument("--noise-alphas", default="0.01,0.02,0.03")
-    parser.add_argument("--pitch-semitones", default="0.5,2,2.5")
+    _config_flag(parser, "augment-seed")
+    _config_flag(parser, "noise-alphas")
+    _config_flag(parser, "pitch-semitones")
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--variant", choices=("mfcc", "vggish", "fusion"), default="mfcc")
-    parser.add_argument("--mode", choices=("binary", "score25"), default="binary")
-    parser.add_argument("--filters", type=int, default=64)
-    parser.add_argument("--kernel", type=int, default=3)
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--dropout", type=float, default=0.0001)
-    parser.add_argument("--dense-width", type=int, default=1024)
-    parser.add_argument("--fusion-width", type=int, default=540)
+    _config_flag(parser, "variant", choices=VARIANTS)
+    _config_flag(parser, "mode", "pair_mode", choices=PAIR_MODES)
+    for flag in ("filters", "kernel", "stride", "dropout", "dense-width", "fusion-width"):
+        _config_flag(parser, flag)
 
 
 def _add_text_flags(parser):
-    parser.add_argument("--transcript", help="TSV transcript (fusion variant)")
-    parser.add_argument("--lexicon", help="word-vector file in fastText text format")
-    parser.add_argument("--synonyms", help="TSV word-to-synonym fallbacks")
-    parser.add_argument(
-        "--text-resize", choices=("truncate", "meanpool"), default="truncate"
-    )
+    _config_flag(parser, "lexicon", help="word-vector file in fastText text format")
+    _config_flag(parser, "synonyms", help="TSV word-to-synonym fallbacks")
+    _config_flag(parser, "text-resize", choices=TEXT_RESIZE_MODES)
 
 
-def _parse_floats(text):
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _model_spec_from_args(args) -> ModelSpec:
-    return ModelSpec(
-        variant=args.variant,
-        head=args.mode,
-        filters=args.filters,
-        kernel=args.kernel,
-        stride=args.stride,
-        dropout=args.dropout,
-        dense_width=args.dense_width,
-        fusion_width=args.fusion_width,
-        init_seed=args.seed,
-    )
-
-
-def _segments(args, audio_path):
-    signal = read_wav(audio_path, args.sample_rate, args.resample)
-    if args.strip:
-        signal = strip_unvoiced(signal, args.strip_threshold, args.strip_window_ms)
-    return segment(signal, args.segment_seconds)
-
-
-def _maybe_augment(segments, args):
-    if not args.augment or not segments:
-        return segments
-    return augment_corpus(
-        segments,
-        args.augment_seed,
-        _parse_floats(args.noise_alphas),
-        _parse_floats(args.pitch_semitones),
-    )
-
-
-def _embedding_tools(args):
-    if getattr(args, "vggish_weights", None):
-        return load_embedding_file(args.vggish_weights)
-    return make_test_network(), identity_pca()
-
-
-def _lexicon_from_args(args) -> Lexicon:
-    synonyms = load_synonyms(args.synonyms) if args.synonyms else {}
-    if args.lexicon:
-        return load_lexicon(args.lexicon, synonyms)
-    return Lexicon({}, synonyms)
-
-
-def _feature_sets_for_audio(args, audio_path, transcript_path, variant) -> list:
-    """Strip, segment, and featurize one recording (original segments only)."""
-    segments = _segments(args, audio_path)
-    if not segments:
-        raise DataError(f"{audio_path}: no segment is long enough to analyze")
-    embed_net = pca = lexicon = transcript = None
-    if variant in ("vggish", "fusion"):
-        embed_net, pca = _embedding_tools(args)
-    if variant == "fusion":
-        if not transcript_path:
-            raise ValueError("fusion variant needs a transcript for each recording")
-        lexicon = _lexicon_from_args(args)
-        transcript = load_transcript(transcript_path)
-    sets = []
-    for index, seg in enumerate(segments):
-        fields = {}
-        if variant in ("mfcc", "fusion"):
-            fields["mfcc"] = extract_mfcc(seg.signal)
-        if variant in ("vggish", "fusion"):
-            fields["vggish"] = extract_vggish(seg.signal, embed_net, pca)
-        if variant == "fusion":
-            fields["text"] = extract_text(transcript, index, lexicon, args.text_resize)
-        sets.append(FeatureSet(**fields))
-    return sets
+def _recording_sets(config, audio, transcript, tools, strip) -> list:
+    """FeatureSets of one recording's original segments, in segment order."""
+    tensors = featurize_recording(config, Path(audio).stem, audio, transcript, tools, strip)
+    if not tensors:
+        raise DataError(f"{audio}: no segment is long enough to analyze")
+    return list(feature_sets(tensors, audio).values())
 
 
 # ---- subcommand handlers -------------------------------------------------
@@ -149,57 +104,35 @@ def _feature_sets_for_audio(args, audio_path, transcript_path, variant) -> list:
 def _cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    segments = _maybe_augment(_segments(args, args.audio), args)
-    if not segments:
+    groups = recording_segments(_config(args), args.audio, args.strip, args.augment)
+    if not groups:
         raise DataError(f"{args.audio}: no segment is long enough to write")
     stem = Path(args.audio).stem
     count = 0
-    per_segment = 1
-    if args.augment:
-        per_segment = (
-            1 + len(_parse_floats(args.noise_alphas)) + len(_parse_floats(args.pitch_semitones))
-        )
-    for i, seg in enumerate(segments):
-        name = f"{stem}-{i // per_segment:05d}-{seg.provenance}.wav"
-        write_wav(out_dir / name, seg.signal)
-        count += 1
+    for index, group in enumerate(groups):
+        for seg in group:
+            write_wav(out_dir / f"{stem}-{index:05d}-{seg.provenance}.wav", seg.signal)
+            count += 1
     print(f"wrote {count} segment files to {out_dir}")
     return 0
 
 
 def _cmd_extract(args) -> int:
-    variant = args.variant
-    segments = _maybe_augment(_segments(args, args.audio), args)
-    if not segments:
+    config = _config(args)
+    tensors = featurize_recording(
+        config,
+        Path(args.audio).stem,
+        args.audio,
+        args.transcript,
+        feature_tools(config),
+        args.strip,
+        args.augment,
+    )
+    if not tensors:
         raise DataError(f"{args.audio}: no segment is long enough to analyze")
-    embed_net = pca = lexicon = transcript = None
-    if variant in ("vggish", "fusion"):
-        embed_net, pca = _embedding_tools(args)
-    if variant == "fusion":
-        if not args.transcript:
-            raise ValueError("fusion variant needs --transcript")
-        lexicon = _lexicon_from_args(args)
-        transcript = load_transcript(args.transcript)
-    per_segment = 1
-    if args.augment:
-        per_segment = (
-            1 + len(_parse_floats(args.noise_alphas)) + len(_parse_floats(args.pitch_semitones))
-        )
-    stem = Path(args.audio).stem
-    tensors = {}
-    for i, seg in enumerate(segments):
-        seg_index = i // per_segment
-        sample_id = f"{stem}/{seg_index:05d}/{seg.provenance}"
-        if variant in ("mfcc", "fusion"):
-            tensors[f"{sample_id}/mfcc"] = extract_mfcc(seg.signal)
-        if variant in ("vggish", "fusion"):
-            tensors[f"{sample_id}/vggish"] = extract_vggish(seg.signal, embed_net, pca)
-        if variant == "fusion":
-            tensors[f"{sample_id}/text"] = extract_text(
-                transcript, seg_index, lexicon, args.text_resize
-            )
     write_container(args.out, [], tensors)
-    print(f"cached {len(tensors)} tensors for {len(segments)} segments in {args.out}")
+    segments = len(feature_sets(tensors, args.audio))
+    print(f"cached {len(tensors)} tensors for {segments} segments in {args.out}")
     return 0
 
 
@@ -207,7 +140,7 @@ def _cmd_pair(args) -> int:
     records = load_manifest(args.manifest, args.split_seed, check_audio=False)
     _, refs = load_feature_table(args.cache, records)
     pair_set = make_pairs(
-        refs, args.mode, args.pairs_per_sample, np.random.default_rng(args.seed)
+        refs, args.pair_mode, args.pairs_per_sample, np.random.default_rng(args.seed)
     )
     write_pairs_csv(pair_set, args.out)
     print(
@@ -222,36 +155,7 @@ def _cmd_train(args) -> int:
     pair_set = read_pairs_csv(args.pairs)
     if not pair_set.train or not pair_set.val:
         raise DataError(f"{args.pairs}: needs both train and val pairs")
-    model = build_model(_model_spec_from_args(args))
-    result = train(
-        model,
-        pair_set.train,
-        pair_set.val,
-        features,
-        TrainConfig(
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            lr=args.lr,
-            decay=args.decay,
-            patience=args.patience,
-        ),
-        np.random.default_rng(args.seed),
-    )
-    save_checkpoint(args.out, model)
-    if args.history:
-        Path(args.history).write_text(
-            json.dumps(
-                {
-                    "train_losses": result.train_losses,
-                    "val_losses": result.val_losses,
-                    "best_epoch": result.best_epoch,
-                    "stopped_early": result.stopped_early,
-                },
-                sort_keys=True,
-                indent=2,
-            ),
-            encoding="utf-8",
-        )
+    _, result = train_and_save(_config(args), pair_set, features, args.out, args.history)
     print(
         f"trained {len(result.val_losses)} epochs "
         f"(best val loss {min(result.val_losses):.4f} at epoch {result.best_epoch}); "
@@ -289,8 +193,9 @@ def _cmd_predict_relapse(args) -> int:
     if len(args.reference_audio) == 0:
         raise ValueError("at least one --reference-audio is required")
     model = load_checkpoint(args.model)
-    variant = model.spec.variant
-    if variant == "fusion":
+    config = _config(args)
+    config.variant = model.spec.variant
+    if config.variant == "fusion":
         refs_t = args.reference_transcript or []
         if len(refs_t) != len(args.reference_audio):
             raise ValueError(
@@ -298,15 +203,16 @@ def _cmd_predict_relapse(args) -> int:
             )
     else:
         refs_t = [None] * len(args.reference_audio)
-    subject_sets = _feature_sets_for_audio(args, args.audio, args.transcript, variant)
+    tools = feature_tools(config)
+    subject_sets = _recording_sets(config, args.audio, args.transcript, tools, args.strip)
     reference_sets = []
     for audio, transcript in zip(args.reference_audio, refs_t):
-        reference_sets.extend(_feature_sets_for_audio(args, audio, transcript, variant))
-    decision = detect_relapse(model, subject_sets, reference_sets, args.threshold)
+        reference_sets.extend(_recording_sets(config, audio, transcript, tools, args.strip))
+    decision = detect_relapse(model, subject_sets, reference_sets, config.relapse_threshold)
     verdict = "relapse" if decision.relapse else "no relapse"
     print(
         f"{verdict}: mean similarity {decision.mean_similarity:.4f} over "
-        f"{decision.num_pairs} pairs (threshold {args.threshold})"
+        f"{decision.num_pairs} pairs (threshold {config.relapse_threshold})"
     )
     return 0
 
@@ -331,17 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io_flags(p, strip_default=True):
-        p.add_argument("--sample-rate", type=int, default=16000)
-        p.add_argument("--resample", action="store_true")
+        _config_flag(p, "sample-rate")
+        _config_flag(p, "resample", action="store_true")
         p.add_argument(
             "--strip",
             action=argparse.BooleanOptionalAction,
             default=strip_default,
             help="drop low-energy windows before segmenting",
         )
-        p.add_argument("--strip-threshold", type=float, default=0.1)
-        p.add_argument("--strip-window-ms", type=float, default=25.0)
-        p.add_argument("--segment-seconds", type=float, default=7.6)
+        _config_flag(p, "strip-threshold")
+        _config_flag(p, "strip-window-ms")
+        _config_flag(p, "segment-seconds")
 
     p = sub.add_parser("preprocess", help="strip, segment, and augment one recording")
     p.add_argument("--audio", required=True)
@@ -353,11 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="write a feature cache for one recording")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=("mfcc", "vggish", "fusion"), default="mfcc")
-    p.add_argument("--vggish-weights")
+    _config_flag(p, "variant", choices=VARIANTS)
+    _config_flag(p, "vggish-weights")
     # extract expects prepared segments, so it does not strip by default
     add_io_flags(p, strip_default=False)
     _add_augment_flags(p)
+    p.add_argument("--transcript", help="TSV transcript (fusion variant)")
     _add_text_flags(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -365,10 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("binary", "score25"), default="binary")
-    p.add_argument("--pairs-per-sample", type=int, default=8)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--split-seed", type=int, default=13)
+    _config_flag(p, "mode", "pair_mode", choices=PAIR_MODES)
+    for flag in ("pairs-per-sample", "seed", "split-seed"):
+        _config_flag(p, flag)
     p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("train", help="train a similarity model on cached features")
@@ -377,22 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--history")
     _add_model_flags(p)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--decay", type=float, default=1e-6)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
+    for flag in ("batch-size", "epochs", "lr", "decay", "patience", "seed"):
+        _config_flag(p, flag)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a pair split with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--report")
     p.add_argument("--confusion")
-    p.add_argument("--batch-size", type=int, default=100)
+    _config_flag(p, "batch-size")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
@@ -409,13 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; recordings of diagnosed subjects",
     )
     p.add_argument("--reference-transcript", action="append", default=[])
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--vggish-weights")
-    p.add_argument("--lexicon")
-    p.add_argument("--synonyms")
-    p.add_argument(
-        "--text-resize", choices=("truncate", "meanpool"), default="truncate"
-    )
+    _config_flag(p, "threshold", "relapse_threshold", metavar="THRESHOLD")
+    _config_flag(p, "vggish-weights")
+    _add_text_flags(p)
     add_io_flags(p)
     p.set_defaults(func=_cmd_predict_relapse)
 

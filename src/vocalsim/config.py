@@ -9,9 +9,10 @@ the augmentation noise. Feature caches therefore survive a `seed` change.
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
 from .errors import DataError
+from .models import VARIANTS
 
-VARIANTS = ("mfcc", "vggish", "fusion")
 PAIR_MODES = ("binary", "score25")
 TEXT_RESIZE_MODES = ("truncate", "meanpool")
 
@@ -23,12 +24,12 @@ _FALSE = {"false", "no", "off", "0"}
 class ExperimentConfig:
     manifest: str = ""
     workdir: str = "runs"
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     resample: bool = False
 
     strip_threshold: float = 0.1
     strip_window_ms: float = 25.0
-    segment_seconds: float = 7.6
+    segment_seconds: float = SEGMENT_SECONDS
 
     augment: bool = True
     augment_train_only: bool = True
@@ -77,9 +78,14 @@ class ExperimentConfig:
             raise DataError(
                 f"text_resize must be one of {TEXT_RESIZE_MODES}, got {self.text_resize!r}"
             )
+        # the extractors read only fixed-length segments at one rate
+        if self.sample_rate != SAMPLE_RATE:
+            raise DataError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
+        if self.segment_seconds != SEGMENT_SECONDS:
+            raise DataError(
+                f"segment_seconds must be {SEGMENT_SECONDS}, got {self.segment_seconds}"
+            )
         positive = (
-            "sample_rate",
-            "segment_seconds",
             "strip_window_ms",
             "pairs_per_sample",
             "batch_size",

@@ -12,6 +12,10 @@ import numpy as np
 HAMMING_ALPHA = 0.54
 HAMMING_BETA = 0.46
 LOG_FLOOR = 1e-10  # floor under mel energies before taking logs
+# every feature extractor reads fixed 7.6 s segments of 16 kHz audio
+SAMPLE_RATE = 16000
+SEGMENT_SECONDS = 7.6
+SEGMENT_SAMPLES = int(round(SEGMENT_SECONDS * SAMPLE_RATE))  # 121600
 
 
 @dataclass
@@ -61,7 +65,7 @@ class MelFilterBank:
     weights: np.ndarray
     fmin: float
     fmax: float
-    sample_rate: int = field(default=16000)
+    sample_rate: int = field(default=SAMPLE_RATE)
 
     @property
     def num_filters(self) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Signal
+from .dsp import SAMPLE_RATE, Signal
 from .errors import DataError
 
 MANIFEST_FIELDS = (
@@ -163,7 +163,7 @@ def _check_wav_header(audio_path, line, manifest_path) -> None:
         )
 
 
-def read_wav(path, expected_rate: int = 16000, resample: bool = False) -> Signal:
+def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> Signal:
     """Load a PCM 16-bit mono WAV as float samples in [-1, 1).
 
     A rate other than `expected_rate` is an error unless `resample` is set,

@@ -12,6 +12,8 @@ import numpy as np
 
 from .dsp import (
     LOG_FLOOR,
+    SAMPLE_RATE,
+    SEGMENT_SAMPLES,
     MelFilterBank,
     Signal,
     WindowSpec,
@@ -21,8 +23,6 @@ from .dsp import (
     mel_filterbank,
 )
 
-SAMPLE_RATE = 16000
-SEGMENT_SAMPLES = 121600  # 7.6 s
 FRAME_LENGTH = 960  # 60 ms
 HOP_LENGTH = 320  # 20 ms
 N_FFT = 1024

@@ -16,7 +16,13 @@ from .autodiff import Conv1dLayer, DenseLayer, Tensor
 from .container import read_container, write_container
 from .errors import DataError
 
-VARIANTS = ("mfcc", "vggish", "fusion")
+# the FeatureSet fields each model variant reads, in feature-cache order
+VARIANT_FIELDS = {
+    "mfcc": ("mfcc",),
+    "vggish": ("vggish",),
+    "fusion": ("mfcc", "vggish", "text"),
+}
+VARIANTS = tuple(VARIANT_FIELDS)
 HEADS = {"binary": 2, "score25": 25}
 MFCC_INPUT = (60, 378)  # channels x length
 VGGISH_INPUT = (128, 14)
@@ -96,11 +102,12 @@ class SiameseModel:
             rng = np.random.default_rng(spec.init_seed)
         self.mfcc_branch = None
         self.vggish_branch = None
-        if spec.variant in ("mfcc", "fusion"):
+        fields = VARIANT_FIELDS[spec.variant]
+        if "mfcc" in fields:
             self.mfcc_branch = _ConvBranch(spec, MFCC_INPUT[0], MFCC_INPUT[1], rng)
-        if spec.variant in ("vggish", "fusion"):
+        if "vggish" in fields:
             self.vggish_branch = _ConvBranch(spec, VGGISH_INPUT[0], VGGISH_INPUT[1], rng)
-        if spec.variant == "fusion":
+        if "text" in fields:
             concat_dim = (
                 self.mfcc_branch.flat_dim + self.vggish_branch.flat_dim + TEXT_FLAT
             )
@@ -140,7 +147,7 @@ class SiameseModel:
             tensors["vggish"] = Tensor(
                 np.stack([self._field(fs, "vggish", (14, 128)).T for fs in feature_sets])
             )
-        if self.spec.variant == "fusion":
+        if self.fusion is not None:
             tensors["text"] = Tensor(
                 np.stack([self._field(fs, "text", (60, 9)).ravel() for fs in feature_sets])
             )
@@ -165,7 +172,7 @@ class SiameseModel:
             parts.append(self.mfcc_branch(inputs["mfcc"], training, rng))
         if self.vggish_branch is not None:
             parts.append(self.vggish_branch(inputs["vggish"], training, rng))
-        if self.spec.variant == "fusion":
+        if self.fusion is not None:
             parts.append(inputs["text"])
             h = ad.tanh(self.fusion(ad.concat(parts)))
         else:
@@ -289,8 +296,8 @@ def _unpack_scalar(tensor: np.ndarray) -> float:
     return float(np.frombuffer(raw.tobytes(), dtype="<f8")[0])
 
 
-def save_checkpoint(path, model: SiameseModel, optimizer=None) -> None:
-    """Store parameters (and optimizer cache) as named float32 tensors."""
+def save_checkpoint(path, model: SiameseModel) -> None:
+    """Store the spec and the parameters as named float32 tensors."""
     named: dict[str, np.ndarray] = {
         "spec/variant": _pack_scalar(VARIANTS.index(model.spec.variant)),
         "spec/head": _pack_scalar(list(HEADS).index(model.spec.head)),
@@ -299,10 +306,6 @@ def save_checkpoint(path, model: SiameseModel, optimizer=None) -> None:
         named[f"spec/{name}"] = _pack_scalar(getattr(model.spec, name))
     for i, p in enumerate(model.params()):
         named[f"param/{i}"] = p.data
-    if optimizer is not None:
-        named["opt/step"] = np.float64(optimizer.step_count)
-        for i, cache in enumerate(optimizer.cache):
-            named[f"opt/cache/{i}"] = cache
     write_container(path, [], named)
 
 

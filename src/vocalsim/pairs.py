@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .manifest import SPLITS
 
 PAIRS_PER_SAMPLE = 8
-SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """End-to-end experiment runner: ingest, feature extraction with caching,
 pair generation, training, and evaluation.
 
+This module alone decides how a recording becomes feature tensors
+(`featurize_recording`) and how a model is trained and saved
+(`train_and_save`); the command line calls the same functions.
+
 Every stage hashes its inputs (files plus the config fields it depends on)
 into `stage_state.json` under the working directory; a stage whose hash
 matches and whose outputs still exist is skipped, so re-running a finished
@@ -23,6 +27,7 @@ from .manifest import load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
 from .mfcc import extract_mfcc
 from .models import (
+    VARIANT_FIELDS,
     FeatureSet,
     ModelSpec,
     SiameseModel,
@@ -31,7 +36,7 @@ from .models import (
     save_checkpoint,
 )
 from .pairs import PairSet, SampleRef, make_pairs, read_pairs_csv, write_pairs_csv
-from .preprocess import augment_corpus, segment, strip_unvoiced
+from .preprocess import Segment, augment_corpus, segment, strip_unvoiced
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
 from .training import TrainConfig, TrainResult, train
 from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
@@ -103,92 +108,130 @@ def _mark_stage(workdir: Path, state: dict, name: str, digest: str, outputs) -> 
     _store_state(workdir, state)
 
 
-def _needed_fields(variant: str) -> tuple:
-    return {
-        "mfcc": ("mfcc",),
-        "vggish": ("vggish",),
-        "fusion": ("mfcc", "vggish", "text"),
-    }[variant]
+def feature_tools(config: ExperimentConfig) -> tuple:
+    """(embed_net, pca, lexicon) for featurize_recording, loaded once per
+    corpus or request; None where `config.variant` does not use one."""
+    fields = VARIANT_FIELDS[config.variant]
+    embed_net = pca = lexicon = None
+    if "vggish" in fields:
+        if config.vggish_weights:
+            embed_net, pca = load_embedding_file(config.vggish_weights)
+        else:
+            embed_net, pca = make_test_network(), identity_pca()
+    if "text" in fields:
+        synonyms = load_synonyms(config.synonyms) if config.synonyms else {}
+        if config.lexicon:
+            lexicon = load_lexicon(config.lexicon, synonyms)
+        else:
+            lexicon = Lexicon({}, synonyms)
+    return embed_net, pca, lexicon
 
 
-def _embedding_tools(config: ExperimentConfig):
-    if config.vggish_weights:
-        return load_embedding_file(config.vggish_weights)
-    return make_test_network(), identity_pca()
+def recording_segments(
+    config: ExperimentConfig, audio, strip: bool = True, augment: bool = False
+) -> list[list[Segment]]:
+    """Read one recording, drop its unvoiced windows (when `strip`), and cut
+    it into segments. Returns one group per segment: the original, then its
+    noise and pitch variants when `augment` is set. Empty when the recording
+    is shorter than one segment."""
+    signal = read_wav(audio, config.sample_rate, config.resample)
+    if strip:
+        signal = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
+    segments = segment(signal, config.segment_seconds)
+    if not (augment and segments):
+        return [[seg] for seg in segments]
+    alphas = config.noise_alpha_values()
+    semitones = config.pitch_semitone_values()
+    per_segment = 1 + len(alphas) + len(semitones)
+    expanded = augment_corpus(segments, config.augment_seed, alphas, semitones)
+    return [
+        expanded[i * per_segment : (i + 1) * per_segment] for i in range(len(segments))
+    ]
 
 
-def _text_tools(config: ExperimentConfig) -> Lexicon:
-    synonyms = load_synonyms(config.synonyms) if config.synonyms else {}
-    if config.lexicon:
-        return load_lexicon(config.lexicon, synonyms)
-    return Lexicon({}, synonyms)
+def featurize_recording(
+    config: ExperimentConfig,
+    prefix: str,
+    audio,
+    transcript,
+    tools: tuple,
+    strip: bool = True,
+    augment: bool = False,
+) -> dict:
+    """Feature tensors of one recording for `config.variant`, keyed
+    `prefix/segment/provenance/field` in segment order. The text of a
+    segment is shared by its variants. Empty when the recording is shorter
+    than one segment; a fusion recording needs a transcript."""
+    fields = VARIANT_FIELDS[config.variant]
+    embed_net, pca, lexicon = tools
+    groups = recording_segments(config, audio, strip, augment)
+    words = None
+    if groups and "text" in fields:
+        if not transcript:
+            raise ValueError("fusion variant needs a transcript for each recording")
+        words = load_transcript(transcript)
+    tensors: dict[str, np.ndarray] = {}
+    for seg_index, group in enumerate(groups):
+        text = None
+        if words is not None:
+            text = extract_text(words, seg_index, lexicon, config.text_resize)
+        for variant_seg in group:
+            sample_id = f"{prefix}/{seg_index:05d}/{variant_seg.provenance}"
+            if "mfcc" in fields:
+                tensors[f"{sample_id}/mfcc"] = extract_mfcc(variant_seg.signal)
+            if "vggish" in fields:
+                tensors[f"{sample_id}/vggish"] = extract_vggish(
+                    variant_seg.signal, embed_net, pca
+                )
+            if text is not None:
+                tensors[f"{sample_id}/text"] = text
+    return tensors
 
 
 def extract_corpus_features(config: ExperimentConfig, records) -> dict:
     """Compute every sample's feature tensors, keyed
     `subject/segment/provenance/field`. Augmented variants are produced for
     the train split (or for all splits when augment_train_only is off)."""
-    fields = _needed_fields(config.variant)
-    alphas = config.noise_alpha_values()
-    semitones = config.pitch_semitone_values()
-    per_segment = 1 + len(alphas) + len(semitones)
-    embed_net = pca = lexicon = None
-    if "vggish" in fields:
-        embed_net, pca = _embedding_tools(config)
-    if "text" in fields:
-        lexicon = _text_tools(config)
-
+    tools = feature_tools(config)
     tensors: dict[str, np.ndarray] = {}
     for record in records:
-        signal = read_wav(record.audio_path, config.sample_rate, config.resample)
-        voiced = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
-        segments = segment(voiced, config.segment_seconds)
-        if not segments:
-            continue
-        if config.augment and (record.split == "train" or not config.augment_train_only):
-            expanded = augment_corpus(segments, config.augment_seed, alphas, semitones)
-            groups = [
-                expanded[i * per_segment : (i + 1) * per_segment]
-                for i in range(len(segments))
-            ]
-        else:
-            groups = [[seg] for seg in segments]
-        transcript = (
-            load_transcript(record.transcript_path) if "text" in fields else None
+        augment = config.augment and (
+            record.split == "train" or not config.augment_train_only
         )
-        for seg_index, group in enumerate(groups):
-            text = (
-                extract_text(transcript, seg_index, lexicon, config.text_resize)
-                if "text" in fields
-                else None
+        tensors.update(
+            featurize_recording(
+                config,
+                record.subject_id,
+                record.audio_path,
+                record.transcript_path,
+                tools,
+                augment=augment,
             )
-            for variant_seg in group:
-                sample_id = f"{record.subject_id}/{seg_index:05d}/{variant_seg.provenance}"
-                if "mfcc" in fields:
-                    tensors[f"{sample_id}/mfcc"] = extract_mfcc(variant_seg.signal)
-                if "vggish" in fields:
-                    tensors[f"{sample_id}/vggish"] = extract_vggish(
-                        variant_seg.signal, embed_net, pca
-                    )
-                if "text" in fields:
-                    tensors[f"{sample_id}/text"] = text
+        )
     if not tensors:
         raise DataError("no segments long enough to extract features from")
     return tensors
 
 
-def features_from_cache(cache_path) -> dict:
-    """Read a feature cache back into FeatureSets keyed by sample id."""
-    _, named = read_container(cache_path)
+def feature_sets(named: dict, source) -> dict:
+    """Group `sample/field` tensors into FeatureSets keyed by sample id, in
+    the order the samples first appear."""
     grouped: dict[str, dict] = {}
     for name, tensor in named.items():
         sample_id, _, field_name = name.rpartition("/")
-        if not sample_id or field_name not in ("mfcc", "vggish", "text"):
-            raise DataError(f"{cache_path}: unexpected tensor name {name!r}")
+        if not sample_id or field_name not in FeatureSet.__dataclass_fields__:
+            raise DataError(f"{source}: unexpected tensor name {name!r}")
         grouped.setdefault(sample_id, {})[field_name] = tensor
-    if not grouped:
-        raise DataError(f"{cache_path}: empty feature cache")
     return {sid: FeatureSet(**parts) for sid, parts in grouped.items()}
+
+
+def features_from_cache(cache_path) -> dict:
+    """Read a feature cache back into FeatureSets keyed by sample id."""
+    _, named = read_container(cache_path)
+    features = feature_sets(named, cache_path)
+    if not features:
+        raise DataError(f"{cache_path}: empty feature cache")
+    return features
 
 
 def load_feature_table(cache_path, records) -> tuple:
@@ -211,8 +254,13 @@ def load_feature_table(cache_path, records) -> tuple:
     return features, refs
 
 
-def _model_spec(config: ExperimentConfig) -> ModelSpec:
-    return ModelSpec(
+def train_and_save(
+    config: ExperimentConfig, pair_set: PairSet, features: dict, checkpoint, history=None
+) -> tuple[SiameseModel, TrainResult]:
+    """Build the config's model, train it on the train and val pairs, and
+    save the checkpoint; with a `history` path, also write the loss history
+    as JSON."""
+    spec = ModelSpec(
         variant=config.variant,
         head=config.pair_mode,
         filters=config.filters,
@@ -223,6 +271,34 @@ def _model_spec(config: ExperimentConfig) -> ModelSpec:
         fusion_width=config.fusion_width,
         init_seed=config.seed,
     )
+    model = build_model(spec)
+    train_config = TrainConfig(
+        batch_size=config.batch_size,
+        epochs=config.epochs,
+        lr=config.lr,
+        decay=config.decay,
+        patience=config.patience,
+    )
+    result = train(
+        model,
+        pair_set.train,
+        pair_set.val,
+        features,
+        train_config,
+        np.random.default_rng(config.seed),
+    )
+    save_checkpoint(checkpoint, model)
+    if history:
+        payload = {
+            "train_losses": result.train_losses,
+            "val_losses": result.val_losses,
+            "best_epoch": result.best_epoch,
+            "stopped_early": result.stopped_early,
+        }
+        Path(history).write_text(
+            json.dumps(payload, sort_keys=True, indent=2), encoding="utf-8"
+        )
+    return model, result
 
 
 def _feature_digest(config: ExperimentConfig, records) -> str:
@@ -346,31 +422,8 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             model = load_checkpoint(paths["checkpoint"])
             _say(log, "train: checkpoint up to date")
         else:
-            model = build_model(_model_spec(config))
-            train_config = TrainConfig(
-                batch_size=config.batch_size,
-                epochs=config.epochs,
-                lr=config.lr,
-                decay=config.decay,
-                patience=config.patience,
-            )
-            train_result = train(
-                model,
-                pair_set.train,
-                pair_set.val,
-                features,
-                train_config,
-                np.random.default_rng(config.seed),
-            )
-            save_checkpoint(paths["checkpoint"], model)
-            history = {
-                "train_losses": train_result.train_losses,
-                "val_losses": train_result.val_losses,
-                "best_epoch": train_result.best_epoch,
-                "stopped_early": train_result.stopped_early,
-            }
-            paths["history"].write_text(
-                json.dumps(history, sort_keys=True, indent=2), encoding="utf-8"
+            model, train_result = train_and_save(
+                config, pair_set, features, paths["checkpoint"], paths["history"]
             )
             _mark_stage(
                 workdir,

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Signal
+from .dsp import SEGMENT_SECONDS, Signal
 
-SEGMENT_SECONDS = 7.6
 NOISE_ALPHAS = (0.01, 0.02, 0.03)
 PITCH_SEMITONES = (0.5, 2.0, 2.5)
 STRIP_THRESHOLD = 0.1  # fraction of the global RMS a window must reach

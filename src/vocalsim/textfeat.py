@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import SEGMENT_SECONDS
 from .errors import DataError
 
-SEGMENT_SECONDS = 7.6
 VECTOR_DIM = 300
 NUM_DIMS = 60
 NUM_WORDS = 9

@@ -5,12 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import glorot_uniform
 from .container import LayerDesc, read_container, write_container
-from .dsp import LOG_FLOOR, Signal, frame_signal, mel_filterbank
+from .dsp import LOG_FLOOR, SAMPLE_RATE, SEGMENT_SAMPLES, Signal, frame_signal, mel_filterbank
 from .errors import DataError
 
-SAMPLE_RATE = 16000
-SEGMENT_SAMPLES = 121600
 FRAME_LENGTH = 400  # 25 ms
 HOP_LENGTH = 160  # 10 ms
 N_FFT = 512
@@ -165,11 +164,6 @@ def extract_vggish(
     return pca_postprocess(embeddings, pca)
 
 
-def _glorot(rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def make_test_network(seed: int = 1202) -> list[LayerDesc]:
     """Small stand-in embedding net: two valid conv blocks then a dense head.
 
@@ -179,9 +173,9 @@ def make_test_network(seed: int = 1202) -> list[LayerDesc]:
     """
     rng = np.random.default_rng(seed)
     flat = 16 * (PATCH_LENGTH - 4)  # two k=3 valid convs shave 4 frames
-    conv1 = _glorot(rng, (32, 64, 3), 64 * 3, 32 * 3)
-    conv2 = _glorot(rng, (16, 32, 3), 32 * 3, 16 * 3)
-    dense = _glorot(rng, (EMBED_DIM, flat), flat, EMBED_DIM)
+    conv1 = glorot_uniform(rng, (32, 64, 3), 64 * 3, 32 * 3)
+    conv2 = glorot_uniform(rng, (16, 32, 3), 32 * 3, 16 * 3)
+    dense = glorot_uniform(rng, (EMBED_DIM, flat), flat, EMBED_DIM)
     return [
         LayerDesc("conv1d", [conv1.astype(np.float32), np.zeros(32, dtype=np.float32)]),
         LayerDesc("relu"),

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from vocalsim.cli import main
-from vocalsim.container import read_container
+from vocalsim.config import ExperimentConfig
+from vocalsim.container import read_container, write_container
 from vocalsim.dsp import Signal
-from vocalsim.manifest import write_wav
+from vocalsim.manifest import load_manifest, write_wav
+from vocalsim.models import ModelSpec, build_model, save_checkpoint
+from vocalsim.pipeline import extract_corpus_features
 
 RATE = 16000
 
@@ -113,6 +116,25 @@ class TestExtract:
         wav = tmp_path / "short.wav"
         tone_wav(wav, seconds=2.0)
         assert main(["extract", "--audio", str(wav), "--out", str(tmp_path / "c.oswt")]) == 3
+
+    def test_matches_pipeline_featurization(self, tmp_path):
+        # one featurization path: the CLI writes what run_pipeline caches
+        manifest = build_corpus(tmp_path)
+        out = tmp_path / "cli.oswt"
+        code = main(
+            ["extract", "--audio", str(tmp_path / "s0.wav"), "--out", str(out),
+             "--variant", "fusion", "--augment", "--strip",
+             "--transcript", str(tmp_path / "s0.tsv")]
+        )
+        assert code == 0
+        record = load_manifest(manifest)[0]
+        assert (record.subject_id, record.split) == ("s0", "train")
+        config = ExperimentConfig(manifest=str(manifest), variant="fusion", augment=True)
+        expected = tmp_path / "pipeline.oswt"
+        write_container(expected, [], extract_corpus_features(config, [record]))
+        _, named = read_container(out)
+        assert len(named) == 2 * 7 * 3  # segments x variants x fields
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_missing_wav_is_data_error(self, tmp_path):
         assert (
@@ -270,9 +292,28 @@ class TestPredictRelapse:
         )
         assert code == 3
 
-    def test_score25_checkpoint_is_usage_error(self, tmp_path):
-        from vocalsim.models import ModelSpec, build_model, save_checkpoint
+    def test_fusion_with_reference_transcripts(self, tmp_path, capsys):
+        build_corpus(tmp_path, subjects=3)
+        checkpoint = tmp_path / "fusion.oswt"
+        spec = ModelSpec(variant="fusion", filters=4, dense_width=16, fusion_width=8)
+        save_checkpoint(checkpoint, build_model(spec))
+        code = main(
+            [
+                "predict-relapse",
+                "--model", str(checkpoint),
+                "--audio", str(tmp_path / "s0.wav"),
+                "--transcript", str(tmp_path / "s0.tsv"),
+                "--reference-audio", str(tmp_path / "s1.wav"),
+                "--reference-transcript", str(tmp_path / "s1.tsv"),
+                "--reference-audio", str(tmp_path / "s2.wav"),
+                "--reference-transcript", str(tmp_path / "s2.tsv"),
+            ]
+        )
+        assert code == 0
+        # 16 s recordings: 2 segments each, so 2 x (2 + 2) pairs
+        assert "over 8 pairs (threshold 0.5)" in capsys.readouterr().out
 
+    def test_score25_checkpoint_is_usage_error(self, tmp_path):
         checkpoint = tmp_path / "score25.oswt"
         spec = ModelSpec(variant="mfcc", head="score25", filters=4, dense_width=16)
         save_checkpoint(checkpoint, build_model(spec))
@@ -313,6 +354,15 @@ class TestRun:
     def test_bad_override_is_data_error(self, trained):
         config = trained["root"] / "run.cfg"
         assert main(["run", "--config", str(config), "--set", "epoch=3"]) == 3
+
+    def test_other_segment_length_is_data_error(self, trained, tmp_path, capsys):
+        config = trained["root"] / "run.cfg"
+        code = main(
+            ["run", "--config", str(config), "--set", "segment_seconds=5",
+             "--set", f"workdir={tmp_path / 'run'}"]
+        )
+        assert code == 3
+        assert "segment_seconds" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -119,6 +119,14 @@ class TestValidation:
         with pytest.raises(DataError, match="relapse_threshold"):
             ExperimentConfig(relapse_threshold=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "key, value", [("segment_seconds", 5.0), ("segment_seconds", 0.0), ("sample_rate", 8000)]
+    )
+    def test_segment_format_is_fixed(self, key, value):
+        # the extractors read only 7.6 s segments at 16 kHz
+        with pytest.raises(DataError, match=key):
+            ExperimentConfig(**{key: value}).validate()
+
     def test_bad_alpha_list(self):
         with pytest.raises(DataError, match="noise_alphas"):
             ExperimentConfig(noise_alphas="0.01,loud").validate()

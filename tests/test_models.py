@@ -156,7 +156,7 @@ class TestCheckpoint:
         loss.backward()
         opt.step()
         path = tmp_path / "model.oswt"
-        save_checkpoint(path, model, opt)
+        save_checkpoint(path, model)
         loaded = load_checkpoint(path)
         assert loaded.spec == model.spec
         for p, q in zip(model.params(), loaded.params()):
