@@ -11,25 +11,51 @@ Batching convention: every op accepts its natural unbatched shape or the same
 shape with one leading batch axis (conv1d: (C,L) or (B,C,L); dense and the
 vector ops: (n,) or (B,n)). flatten collapses everything after the first axis
 when the input is 3-D or deeper, and the whole tensor when it is 1- or 2-D.
+
+Graph ownership: a node holds its parents and its backward closure; a
+closure holds the op's inputs and saved arrays and receives the node's grad
+as its argument, never the node itself. The graph therefore has no
+reference cycles, and dropping the loss frees every intermediate at once.
 """
 
 import numpy as np
+
+_STEP_BLOCK = 32768  # RMSProp update block: 256 KB per float64 operand
 
 
 class Tensor:
     """Array node in the computation graph.
 
-    grad accumulates across backward passes; parameter grads must be cleared
-    between steps (RMSProp.zero_grad does this).
+    The grad buffer is created by the first backward contribution and
+    accumulates the later ones, also across backward passes; an unset grad
+    reads as zeros. Parameter grads must be cleared between steps
+    (RMSProp.zero_grad drops them).
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = tuple(parents)
         self._backward = backward
+
+    @property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add one backward contribution. The first becomes the grad buffer
+        itself and later ones are added into it in place, so a contribution
+        must be an array that nothing reads afterwards."""
+        if self._grad is None:
+            self._grad = g
+        else:
+            self._grad += g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,7 +88,17 @@ class Tensor:
         self.grad = self.grad + 1.0
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+
+
+class Constant(Tensor):
+    """A leaf whose grad nobody reads, such as a batch of model inputs:
+    contributions to it are dropped, and conv1d skips computing them."""
+
+    __slots__ = ()
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        pass
 
 
 def as_tensor(x) -> Tensor:
@@ -78,11 +114,13 @@ def _split_batch(data: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected {core_ndim}- or {core_ndim + 1}-d input, got {data.ndim}-d")
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid (no padding) cross-correlation.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool = False) -> Tensor:
+    """Valid (no padding) cross-correlation, optionally followed by relu.
 
     x: (C, L) or (B, C, L); weight: (F, C, K); bias: (F,).
-    Output length is (L - K)//stride + 1.
+    Output length is (L - K)//stride + 1. The output is a (B, F, T) view of a
+    (B, T, F) buffer. relu=True rectifies that buffer in place, which equals
+    relu(conv1d(...)) without a second output-sized array.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -98,25 +136,40 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(f"input length {L} shorter than kernel {K}")
     T = (L - K) // stride + 1
     taps = np.lib.stride_tricks.sliding_window_view(xb, K, axis=2)[:, :, ::stride, :]
-    # (B*T, C*K) @ (C*K, F): one GEMM for the whole batch.
+    # im2col once: the (B*T, C*K) tap matrix feeds the forward GEMM and,
+    # kept by the closure, the weight-grad GEMM
     taps_mat = taps.transpose(0, 2, 1, 3).reshape(B * T, C * K)
-    out = (taps_mat @ w.reshape(F, C * K).T).reshape(B, T, F).transpose(0, 2, 1) + b[None, :, None]
-    result = Tensor(out if batched else out[0], parents=(x, weight, bias))
+    w_mat = w.reshape(F, C * K)
+    out = taps_mat @ w_mat.T
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    y = out.reshape(B, T, F).transpose(0, 2, 1)
 
-    def backward():
-        gy = result.grad if batched else result.grad[None]
-        gy_mat = gy.transpose(0, 2, 1).reshape(B * T, F)
-        weight.grad += (gy_mat.T @ taps_mat).reshape(F, C, K)
-        bias.grad += gy.sum(axis=(0, 2))
-        gx = np.zeros_like(xb)
+    def backward(grad):
+        gy = grad if batched else grad[None]
+        # the output grad in the output buffer's (B*T, F) layout; relu's mask
+        # is read back from the rectified output (out > 0 iff its input > 0)
+        gy_mat = np.empty((B * T, F))
+        gy_btf = gy_mat.reshape(B, T, F)
+        if relu:
+            np.multiply(gy.transpose(0, 2, 1), out.reshape(B, T, F) > 0.0, out=gy_btf)
+        else:
+            gy_btf[...] = gy.transpose(0, 2, 1)
+        weight._accumulate((gy_mat.T @ taps_mat).reshape(F, C, K))
+        bias._accumulate(gy_mat.sum(axis=0))
+        if isinstance(x, Constant):
+            return
+        # input grad: one GEMM gives every tap's grad, then each tap k adds
+        # into the input positions t*stride + k, in the order k = 0..K-1
+        g_taps = (gy_mat @ w_mat).reshape(B, T, C, K)
+        gx = np.zeros((B, L, C))
         for k in range(K):
-            # every output t reads input position t*stride + k
-            contrib = (gy_mat @ w[:, :, k]).reshape(B, T, C).transpose(0, 2, 1)
-            gx[:, :, k : k + stride * T : stride] += contrib
-        x.grad += gx if batched else gx[0]
+            gx[:, k : k + stride * T : stride, :] += g_taps[:, :, :, k]
+        gx = gx.transpose(0, 2, 1)
+        x._accumulate(gx if batched else gx[0])
 
-    result._backward = backward
-    return result
+    return Tensor(y if batched else y[0], parents=(x, weight, bias), backward=backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -128,49 +181,40 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if xb.shape[1] != w.shape[1]:
         raise ValueError(f"input dim {xb.shape[1]} does not match weight dim {w.shape[1]}")
     out = xb @ w.T + b
-    result = Tensor(out if batched else out[0], parents=(x, weight, bias))
 
-    def backward():
-        gy = result.grad if batched else result.grad[None]
-        weight.grad += gy.T @ xb
-        bias.grad += gy.sum(axis=0)
+    def backward(grad):
+        gy = grad if batched else grad[None]
+        weight._accumulate(gy.T @ xb)
+        bias._accumulate(gy.sum(axis=0))
         gx = gy @ w
-        x.grad += gx if batched else gx[0]
+        x._accumulate(gx if batched else gx[0])
 
-    result._backward = backward
-    return result
+    return Tensor(out if batched else out[0], parents=(x, weight, bias), backward=backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    result = Tensor(np.maximum(x.data, 0.0), parents=(x,))
+    def backward(grad):
+        x._accumulate(grad * (x.data > 0.0))
 
-    def backward():
-        x.grad += result.grad * (x.data > 0.0)
-
-    result._backward = backward
-    return result
+    return Tensor(np.maximum(x.data, 0.0), parents=(x,), backward=backward)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    result = Tensor(y, parents=(x,))
 
-    def backward():
-        x.grad += result.grad * (1.0 - y * y)
+    def backward(grad):
+        x._accumulate(grad * (1.0 - y * y))
 
-    result._backward = backward
-    return result
+    return Tensor(y, parents=(x,), backward=backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-x.data))
-    result = Tensor(y, parents=(x,))
 
-    def backward():
-        x.grad += result.grad * y * (1.0 - y)
+    def backward(grad):
+        x._accumulate(grad * y * (1.0 - y))
 
-    result._backward = backward
-    return result
+    return Tensor(y, parents=(x,), backward=backward)
 
 
 def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
@@ -179,21 +223,13 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
-        result = Tensor(x.data.copy(), parents=(x,))
-
-        def backward_identity():
-            x.grad += result.grad
-
-        result._backward = backward_identity
-        return result
+        return Tensor(x.data.copy(), parents=(x,), backward=x._accumulate)
     scale = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    result = Tensor(x.data * scale, parents=(x,))
 
-    def backward():
-        x.grad += result.grad * scale
+    def backward(grad):
+        x._accumulate(grad * scale)
 
-    result._backward = backward
-    return result
+    return Tensor(x.data * scale, parents=(x,), backward=backward)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -202,13 +238,11 @@ def flatten(x: Tensor) -> Tensor:
         shape = (x.data.shape[0], -1)
     else:
         shape = (-1,)
-    result = Tensor(x.data.reshape(shape), parents=(x,))
 
-    def backward():
-        x.grad += result.grad.reshape(x.data.shape)
+    def backward(grad):
+        x._accumulate(grad.reshape(x.data.shape))
 
-    result._backward = backward
-    return result
+    return Tensor(x.data.reshape(shape), parents=(x,), backward=backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -219,28 +253,24 @@ def concat(parts: list[Tensor]) -> Tensor:
     lead = datas[0].shape[:-1]
     if any(d.shape[:-1] != lead for d in datas):
         raise ValueError("concat inputs disagree on leading dimensions")
-    result = Tensor(np.concatenate(datas, axis=-1), parents=tuple(parts))
 
-    def backward():
+    def backward(grad):
         offset = 0
         for p in parts:
             width = p.data.shape[-1]
-            p.grad += result.grad[..., offset : offset + width]
+            p._accumulate(grad[..., offset : offset + width])
             offset += width
 
-    result._backward = backward
-    return result
+    return Tensor(np.concatenate(datas, axis=-1), parents=tuple(parts), backward=backward)
 
 
 def unsqueeze(x: Tensor) -> Tensor:
     """Append a trailing axis of size 1: () -> (1,), (B,) -> (B, 1)."""
-    result = Tensor(x.data[..., None], parents=(x,))
 
-    def backward():
-        x.grad += result.grad[..., 0]
+    def backward(grad):
+        x._accumulate(grad[..., 0])
 
-    result._backward = backward
-    return result
+    return Tensor(x.data[..., None], parents=(x,), backward=backward)
 
 
 def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -252,17 +282,15 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    result = Tensor(dist, parents=(a, b))
 
-    def backward():
+    def backward(grad):
         safe = np.where(dist > 0.0, dist, 1.0)
-        scale = (result.grad / safe) * (dist > 0.0)
+        scale = (grad / safe) * (dist > 0.0)
         g = diff * scale[..., None]
-        a.grad += g
-        b.grad -= g
+        a._accumulate(g)
+        b._accumulate(-g)
 
-    result._backward = backward
-    return result
+    return Tensor(dist, parents=(a, b), backward=backward)
 
 
 def rmse_loss(pred: Tensor, target) -> Tensor:
@@ -272,16 +300,14 @@ def rmse_loss(pred: Tensor, target) -> Tensor:
         raise ValueError(f"shape mismatch {pred.data.shape} vs {target.data.shape}")
     diff = pred.data - target.data
     loss = float(np.sqrt(np.mean(diff * diff)))
-    result = Tensor(loss, parents=(pred, target))
 
-    def backward():
+    def backward(grad):
         if loss > 0.0:
-            g = result.grad * diff / (diff.size * loss)
-            pred.grad += g
-            target.grad -= g
+            g = grad * diff / (diff.size * loss)
+            pred._accumulate(g)
+            target._accumulate(-g)
 
-    result._backward = backward
-    return result
+    return Tensor(loss, parents=(pred, target), backward=backward)
 
 
 def weighted_sum(x: Tensor, weights) -> Tensor:
@@ -289,13 +315,11 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != x.data.shape:
         raise ValueError("weights must match tensor shape")
-    result = Tensor(float(np.sum(w * x.data)), parents=(x,))
 
-    def backward():
-        x.grad += result.grad * w
+    def backward(grad):
+        x._accumulate(grad * w)
 
-    result._backward = backward
-    return result
+    return Tensor(float(np.sum(w * x.data)), parents=(x,), backward=backward)
 
 
 def glorot_uniform(rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -315,8 +339,8 @@ class Conv1dLayer:
         self.bias = Tensor(np.zeros(filters))
         self.stride = stride
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, self.bias, self.stride)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return conv1d(x, self.weight, self.bias, self.stride, relu)
 
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -346,6 +370,10 @@ class RMSProp:
     lr_t = lr / (1 + decay * t) with t counting completed steps, so the first
     step uses the initial rate. cache <- rho*cache + (1-rho)*g^2;
     theta <- theta - lr_t * g / (sqrt(cache) + epsilon).
+
+    step() walks each parameter in blocks of _STEP_BLOCK elements and
+    updates cache and parameter in place, so no parameter-sized temporary is
+    made and each block's operands are still in cache for the next pass.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6,
@@ -359,7 +387,7 @@ class RMSProp:
         self.decay = decay
         self.rho = rho
         self.epsilon = epsilon
-        self.cache = [np.zeros_like(p.data) for p in self.params]
+        self.cache = [np.zeros(p.data.shape) for p in self.params]
         self.step_count = 0
 
     def current_lr(self) -> float:
@@ -367,12 +395,30 @@ class RMSProp:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def step(self) -> None:
         lr_t = self.current_lr()
+        rho, eps = self.rho, self.epsilon
+        scratch = np.empty(_STEP_BLOCK), np.empty(_STEP_BLOCK)
         for p, cache in zip(self.params, self.cache):
-            cache *= self.rho
-            cache += (1.0 - self.rho) * p.grad * p.grad
-            p.data -= lr_t * p.grad / (np.sqrt(cache) + self.epsilon)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            # flat views of data and cache; grad is copied only if strided
+            data, cache, grad = p.data.reshape(-1), cache.reshape(-1), p.grad.reshape(-1)
+            for start in range(0, data.size, _STEP_BLOCK):
+                block = slice(start, start + _STEP_BLOCK)
+                d, c, g = data[block], cache[block], grad[block]
+                s, t = scratch[0][: g.size], scratch[1][: g.size]
+                # the same expression chain, and so the same bits, as
+                # cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)
+                c *= rho
+                np.multiply(g, 1.0 - rho, out=s)
+                s *= g
+                c += s
+                np.sqrt(c, out=s)
+                s += eps
+                np.multiply(g, lr_t, out=t)
+                t /= s
+                d -= t
         self.step_count += 1

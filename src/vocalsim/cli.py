@@ -30,7 +30,7 @@ from .container import write_container
 from .errors import DataError, NumericError
 from .manifest import SPLITS, load_manifest, write_wav
 from .metrics import evaluate, render_confusion
-from .models import VARIANTS, detect_relapse, load_checkpoint
+from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
 from .pairs import make_pairs, read_pairs_csv, write_pairs_csv
 from .pipeline import (
     feature_sets,
@@ -57,11 +57,21 @@ def _config_flag(parser, flag, key=None, **kwargs):
 
 
 def _config(args) -> ExperimentConfig:
-    """The config the parsed flags describe; keys without a flag keep their
-    defaults."""
+    """The validated config the parsed flags describe; keys without a flag
+    keep their defaults. A bad value is a DataError naming its key, as for
+    `run --set`."""
     given = vars(args)
     keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in given]
-    return ExperimentConfig(**{key: given[key] for key in keys})
+    return ExperimentConfig(**{key: given[key] for key in keys}).validate()
+
+
+def _reject_transcripts(variant: str, **flags) -> None:
+    """Usage error for transcript flags given to a variant that reads no text."""
+    given = [f"--{name.replace('_', '-')}" for name, value in flags.items() if value]
+    if given and "text" not in VARIANT_FIELDS[variant]:
+        raise ValueError(
+            f"{' and '.join(given)} given, but the {variant} variant reads no transcript"
+        )
 
 
 def _add_augment_flags(parser):
@@ -119,6 +129,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _config(args)
+    _reject_transcripts(config.variant, transcript=args.transcript)
     tensors = featurize_recording(
         config,
         Path(args.audio).stem,
@@ -192,9 +203,14 @@ def _cmd_eval(args) -> int:
 def _cmd_predict_relapse(args) -> int:
     if len(args.reference_audio) == 0:
         raise ValueError("at least one --reference-audio is required")
-    model = load_checkpoint(args.model)
     config = _config(args)
+    model = load_checkpoint(args.model)
     config.variant = model.spec.variant
+    _reject_transcripts(
+        config.variant,
+        transcript=args.transcript,
+        reference_transcript=args.reference_transcript,
+    )
     if config.variant == "fusion":
         refs_t = args.reference_transcript or []
         if len(refs_t) != len(args.reference_audio):

@@ -11,9 +11,9 @@ from pathlib import Path
 
 from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
 from .errors import DataError
-from .models import VARIANTS
+from .models import HEADS, VARIANTS
 
-PAIR_MODES = ("binary", "score25")
+PAIR_MODES = tuple(HEADS)
 TEXT_RESIZE_MODES = ("truncate", "meanpool")
 
 _TRUE = {"true", "yes", "on", "1"}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Conv1dLayer, DenseLayer, Tensor
+from .autodiff import Constant, Conv1dLayer, DenseLayer, Tensor
 from .container import read_container, write_container
 from .errors import DataError
 
@@ -79,8 +79,8 @@ class _ConvBranch:
         self.flat_dim = spec.filters * self.conv2.out_length(self.conv1.out_length(in_length))
 
     def __call__(self, x: Tensor, training: bool, rng) -> Tensor:
-        h = ad.relu(self.conv1(x))
-        h = ad.relu(self.conv2(h))
+        h = self.conv1(x, relu=True)
+        h = self.conv2(h, relu=True)
         h = ad.dropout(h, self.dropout, rng, training)
         return ad.flatten(h)
 
@@ -135,20 +135,21 @@ class SiameseModel:
 
     def stack_inputs(self, feature_sets: list[FeatureSet]) -> dict[str, Tensor]:
         """Batch feature sets into the channels-x-length tensors the branches
-        expect. Raises DataError when a needed field is missing or misshaped."""
+        expect, as Constant leaves: no grad is computed for them. Raises
+        DataError when a needed field is missing or misshaped."""
         if not feature_sets:
             raise ValueError("need at least one feature set")
         tensors: dict[str, Tensor] = {}
         if self.mfcc_branch is not None:
-            tensors["mfcc"] = Tensor(
+            tensors["mfcc"] = Constant(
                 np.stack([self._field(fs, "mfcc", (378, 60)).T for fs in feature_sets])
             )
         if self.vggish_branch is not None:
-            tensors["vggish"] = Tensor(
+            tensors["vggish"] = Constant(
                 np.stack([self._field(fs, "vggish", (14, 128)).T for fs in feature_sets])
             )
         if self.fusion is not None:
-            tensors["text"] = Tensor(
+            tensors["text"] = Constant(
                 np.stack([self._field(fs, "text", (60, 9)).ravel() for fs in feature_sets])
             )
         return tensors

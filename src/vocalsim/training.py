@@ -129,7 +129,9 @@ def train(
     optimizer = ad.RMSProp(params, lr=config.lr, decay=config.decay)
     stopper = EarlyStopper(config.patience)
     result = TrainResult()
-    best_snapshot = [p.data.copy() for p in params]
+    # a copy of the best epoch's weights, made only when a later epoch will
+    # run and move them; None while the best weights are the current ones
+    best_weights = None
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_pairs))
@@ -155,12 +157,14 @@ def train(
         result.val_losses.append(val_loss)
 
         if val_loss < stopper.best:
-            best_snapshot = [p.data.copy() for p in params]
+            last = epoch == config.epochs - 1
+            best_weights = None if last else [p.data.copy() for p in params]
         if stopper.update(val_loss):
             result.stopped_early = True
             break
 
     result.best_epoch = stopper.best_index
-    for p, snap in zip(params, best_snapshot):
-        p.data = snap
+    if best_weights is not None:
+        for p, best in zip(params, best_weights):
+            p.data = best
     return result

@@ -1,10 +1,14 @@
 """Tests for the reverse-mode engine: hand-checked values, forward oracles,
 central finite-difference gradient checks, and optimizer arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vocalsim import autodiff
 from vocalsim.autodiff import (
+    Constant,
     Conv1dLayer,
     DenseLayer,
     RMSProp,
@@ -250,6 +254,26 @@ class TestFiniteDifferences:
                 lambda ts, s=stride: conv1d(ts[0], ts[1], ts[2], stride=s), arrays, seed
             )
 
+    def test_conv1d_fused_relu(self):
+        checked = 0
+        for seed in range(40):
+            rng = np.random.default_rng(900 + seed)
+            C, K, F = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            L = int(rng.integers(K, K + 8))
+            stride = int(rng.integers(1, 3))
+            shape = (C, L) if seed % 2 else (int(rng.integers(1, 4)), C, L)
+            arrays = [rng.normal(size=shape), rng.normal(size=(F, C, K)), rng.normal(size=F)]
+            pre = conv1d(*[Tensor(a) for a in arrays], stride=stride).data
+            if np.min(np.abs(pre)) < 0.02:  # a finite difference would cross the kink
+                continue
+            check_gradients(
+                lambda ts, s=stride: conv1d(ts[0], ts[1], ts[2], stride=s, relu=True),
+                arrays,
+                seed,
+            )
+            checked += 1
+        assert checked >= 10
+
     def test_dense(self):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
@@ -342,7 +366,67 @@ class TestFiniteDifferences:
             check_gradients(build, arrays, seed)
 
 
+class TestFusedConvRelu:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_equals_relu_of_conv_exactly(self, stride, batched):
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(3, 4, 13) if batched else (4, 13))
+        w, b = rng.normal(size=(5, 4, 3)), rng.normal(size=5)
+        probe = None
+        results = []
+        for fused in (True, False):
+            ts = [Tensor(x), Tensor(w), Tensor(b)]
+            out = conv1d(*ts, stride=stride, relu=True) if fused else relu(conv1d(*ts, stride=stride))
+            if probe is None:
+                probe = rng.normal(size=out.data.shape)
+            weighted_sum(out, probe).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        assert np.any(results[1][0] == 0.0) and np.any(results[1][0] > 0.0)
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_constant_input_gets_no_grad(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 9))
+        w, b = rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        grads = []
+        for leaf in (Tensor, Constant):
+            ts = [leaf(x), Tensor(w), Tensor(b)]
+            weighted_sum(conv1d(*ts, relu=True), np.ones((2, 4, 7))).backward()
+            grads.append([t.grad for t in ts])
+        np.testing.assert_array_equal(grads[1][0], np.zeros_like(x))
+        assert np.any(grads[0][0] != 0.0)
+        np.testing.assert_array_equal(grads[1][1], grads[0][1])
+        np.testing.assert_array_equal(grads[1][2], grads[0][2])
+
+
 class TestBackwardMechanics:
+    def test_unset_grad_reads_zeros(self):
+        x = Tensor(np.ones((2, 3)))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+        out = relu(x)
+        np.testing.assert_array_equal(out.grad, np.zeros((2, 3)))
+
+    def test_grads_accumulate_through_views(self):
+        # flatten, concat and identity dropout hand views of their grad to
+        # their inputs; a later backward must still add, not overwrite
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(5, 3, 3)))
+        b = Tensor(rng.normal(size=5))
+        probe = rng.normal(size=(2, 20))
+
+        def loss():
+            h = flatten(dropout(conv1d(x, w, b), 0.5, None, training=False))
+            return weighted_sum(concat([h, h]), probe)
+
+        loss().backward()
+        first = [t.grad.copy() for t in (x, w, b)]
+        loss().backward()
+        for t, g in zip((x, w, b), first):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([1.0, 2.0])
         loss = weighted_sum(relu(x), np.ones(2))
@@ -394,6 +478,37 @@ class TestRMSProp:
         opt = RMSProp([p])
         opt.zero_grad()
         np.testing.assert_array_equal(p.grad, [0.0])
+
+    @pytest.mark.parametrize("shape", [(int(2.5 * autodiff._STEP_BLOCK),), ()])
+    def test_blocked_step_equals_closed_form(self, shape):
+        # 2.5 blocks: two full blocks and a partial one; () is a 0-d parameter
+        rng = np.random.default_rng(3)
+        start = rng.normal(size=shape)
+        p = Tensor(start.copy())
+        opt = RMSProp([p], lr=1e-3, decay=0.1)
+        want, cache = start.copy(), np.zeros(shape)
+        for step in range(3):
+            g = rng.normal(size=shape)
+            lr_t = 1e-3 / (1.0 + 0.1 * step)
+            cache = 0.9 * cache + (1.0 - 0.9) * g * g
+            want = want - lr_t * g / (np.sqrt(cache) + 1e-8)
+            p.grad = g
+            opt.step()
+            np.testing.assert_array_equal(p.data, want)
+            np.testing.assert_array_equal(opt.cache[0], cache)
+
+    def test_step_makes_no_parameter_sized_temporary(self):
+        size = 8 * autodiff._STEP_BLOCK
+        p = Tensor(np.ones(size))
+        opt = RMSProp([p])
+        p.grad = np.full(size, 0.5)
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * autodiff._STEP_BLOCK  # room for the two scratch blocks only
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):

@@ -373,3 +373,51 @@ class TestRun:
         with pytest.raises(SystemExit) as info:
             main(["extract", "--out", "x.oswt"])
         assert info.value.code == 2
+
+
+def _single_recording_argv(command, tmp_path, variant="mfcc"):
+    """argv of a single-recording subcommand that succeeds as given."""
+    wav = tmp_path / "one.wav"
+    tone_wav(wav, seconds=7.6)
+    if command == "extract":
+        return ["extract", "--audio", str(wav), "--out", str(tmp_path / "c.oswt"),
+                "--variant", variant]
+    if command == "preprocess":
+        return ["preprocess", "--audio", str(wav), "--out-dir", str(tmp_path / "segs")]
+    checkpoint = tmp_path / f"{variant}.oswt"
+    save_checkpoint(checkpoint, build_model(ModelSpec(variant=variant, filters=4, dense_width=16)))
+    reference = tmp_path / "ref.wav"
+    tone_wav(reference, 880, seconds=7.6, seed=32)
+    return ["predict-relapse", "--model", str(checkpoint), "--audio", str(wav),
+            "--reference-audio", str(reference)]
+
+
+class TestFlagValidation:
+    """Single-recording subcommands check their flags as `run --set` does."""
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--segment-seconds", "5", "segment_seconds"), ("--sample-rate", "8000", "sample_rate")],
+    )
+    @pytest.mark.parametrize("command", ["extract", "preprocess", "predict-relapse"])
+    def test_segment_format_flag_is_data_error(self, tmp_path, capsys, command, flag, value, key):
+        argv = _single_recording_argv(command, tmp_path)
+        assert main(argv + [flag, value]) == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["mfcc", "vggish"])
+    def test_extract_transcript_without_text_variant_is_usage_error(self, tmp_path, capsys, variant):
+        argv = _single_recording_argv("extract", tmp_path, variant)
+        assert main(argv + ["--transcript", str(tmp_path / "missing.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "--transcript" in err and variant in err
+
+    @pytest.mark.parametrize("flag", ["--transcript", "--reference-transcript"])
+    @pytest.mark.parametrize("variant", ["mfcc", "vggish"])
+    def test_predict_relapse_transcript_without_text_model_is_usage_error(
+        self, tmp_path, capsys, variant, flag
+    ):
+        argv = _single_recording_argv("predict-relapse", tmp_path, variant)
+        assert main(argv + [flag, str(tmp_path / "missing.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and variant in err

@@ -1,9 +1,11 @@
 """Tests for the twin-encoder models, checkpointing, and the relapse rule."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from vocalsim.autodiff import RMSProp, rmse_loss
+from vocalsim.autodiff import RMSProp, Tensor, rmse_loss
 from vocalsim.errors import DataError
 from vocalsim.models import (
     FeatureSet,
@@ -92,6 +94,26 @@ class TestArchitecture:
         e1 = model.encode_sets([features(7)])
         e2 = model.encode_sets([features(7)])
         np.testing.assert_array_equal(e1, e2)
+
+    @pytest.mark.parametrize("variant", ["mfcc", "fusion"])
+    def test_training_graph_is_freed_without_the_cycle_collector(self, variant):
+        model = build_model(small_spec(variant))
+        left = model.stack_inputs([features(1), features(2)])
+        right = model.stack_inputs([features(3), features(4)])
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # what the collector frees lands in gc.garbage
+        try:
+            out = model.forward(left, right, training=True, rng=np.random.default_rng(0))
+            loss = rmse_loss(out, np.array([[1.0, 0.0], [0.0, 1.0]]))
+            loss.backward()
+            del out, loss
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, Tensor)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
+        assert np.any(model.dense1.weight.grad != 0.0)
 
     def test_identical_inputs_have_zero_encoding_distance(self):
         model = build_model(small_spec())

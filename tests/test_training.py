@@ -110,6 +110,30 @@ class TestTrainLoop:
         assert restored == min(result.val_losses)
         assert result.val_losses[result.best_epoch] == restored
 
+    @pytest.mark.parametrize("epochs", [3, 4])
+    def test_best_weights_restored_bit_exactly(self, epochs):
+        # lr 3e-3 gives val losses 0.6055, 0.6021, 0.6030, 0.5930: the best
+        # epoch of 3 is epoch 1 (a copy is restored), of 4 the last (the
+        # weights in place are kept, after an earlier copy was made)
+        features, pairs = toy_problem(n_per_class=4)
+
+        def fit(n):
+            model = tiny_model()
+            config = TrainConfig(batch_size=4, epochs=n, lr=3e-3, patience=n)
+            result = train(
+                model, pairs[:12], pairs[12:18], features, config, np.random.default_rng(1)
+            )
+            return model, result
+
+        model, result = fit(epochs)
+        assert result.best_epoch == {3: 1, 4: 3}[epochs]
+        reference, ref_result = fit(result.best_epoch + 1)
+        assert ref_result.best_epoch == result.best_epoch
+        for got, want in zip(model.params(), reference.params()):
+            np.testing.assert_array_equal(got.data, want.data)
+        restored = evaluate_loss(model, pairs[12:18], features, 4)
+        assert restored == result.val_losses[result.best_epoch]
+
     def test_same_seed_same_history(self):
         features, pairs = toy_problem(n_per_class=3)
         config = TrainConfig(batch_size=4, epochs=3, lr=1e-4, patience=10)
