@@ -11,6 +11,10 @@ Layout, all integers unsigned 32-bit little-endian:
 Layer kind codes: conv1d=1, dense=2, relu=3, flatten=4.
 """
 
+import contextlib
+import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -57,29 +61,44 @@ def _pack_tensor(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = memoryview(buf)  # slices share the file bytes, no copies
+    """Parses a bytes object or a mapped file without taking views of it:
+    headers are unpacked in place, names are copied out and tensor data is
+    converted straight out of the buffer, so no view of a mapped file
+    outlives the call that made it."""
+
+    def __init__(self, buf, path: str):
+        self.buf = buf
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> memoryview:
+    def skip(self, n: int) -> int:
+        """Advance past n bytes; return where they start."""
         if self.pos + n > len(self.buf):
             raise DataError(f"{self.path}: truncated container")
-        out = self.buf[self.pos : self.pos + n]
+        start = self.pos
         self.pos += n
-        return out
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.buf[start : self.pos]  # a copy, for bytes and mmap alike
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack_from("<I", self.buf, self.skip(4))[0]
 
     def tensor(self) -> np.ndarray:
         ndim = self.u32()
         if ndim > _MAX_NDIM:
             raise DataError(f"{self.path}: implausible tensor rank {ndim}")
-        dims = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(self.take(4 * count), dtype="<f4")
-        return data.reshape(dims).astype(np.float64)
+        dims = struct.unpack_from(f"<{ndim}I", self.buf, self.skip(4 * ndim))
+        count = math.prod(dims)
+        offset = self.skip(4 * count)
+        # one expression, so no name holds the buffer past the copy
+        return (
+            np.frombuffer(self.buf, dtype="<f4", count=count, offset=offset)
+            .reshape(dims)
+            .astype(np.float64)
+        )
 
 
 def write_container(
@@ -89,7 +108,12 @@ def write_container(
     version: int = VERSION,
 ) -> None:
     """Serialize layers plus named tensors. Named entries are written in
-    sorted-name order so equal content produces byte-identical files."""
+    sorted-name order so equal content produces byte-identical files.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over `path`, so a reader never sees a half-written file,
+    and a file another process has mapped is replaced, never rewritten
+    under it. A failed write leaves the old file as it was."""
     named = named or {}
     parts = [MAGIC, struct.pack("<II", version, len(layers))]
     for layer in layers:
@@ -103,18 +127,42 @@ def write_container(
             raise ValueError(f"bad tensor name {name!r}")
         parts.append(struct.pack("<I", len(raw)) + raw)
         parts.extend(_pack_tensor(np.asarray(named[name])))
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    directory, base = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
-    """Parse a container file; tensors come back as float64 arrays."""
+    """Parse a container file; tensors come back as float64 arrays that own
+    their data.
+
+    The file is mapped read-only and each tensor is converted straight out
+    of the page cache, so no copy of the whole file is made. The map is
+    closed before returning, on error paths too.
+    """
     try:
         with open(path, "rb") as fh:
-            buf = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            # an empty file cannot be mapped; it parses as a truncated one
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     except OSError as exc:
         raise DataError(f"cannot read container {path}: {exc}") from exc
-    r = _Reader(buf, str(path))
+    try:
+        return _parse(_Reader(buf, str(path)))
+    finally:
+        if size:
+            buf.close()
+
+
+def _parse(r: _Reader) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
+    path = r.path
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: not a weight container (bad magic)")
     version = r.u32()
@@ -132,8 +180,11 @@ def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
         name_len = r.u32()
         if name_len == 0 or name_len > _MAX_NAME:
             raise DataError(f"{path}: implausible tensor name length {name_len}")
-        name = bytes(r.take(name_len)).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
         named[name] = r.tensor()
-    if r.pos != len(buf):
-        raise DataError(f"{path}: {len(buf) - r.pos} trailing bytes after container")
+    if r.pos != len(r.buf):
+        raise DataError(f"{path}: {len(r.buf) - r.pos} trailing bytes after container")
     return layers, named

@@ -3,10 +3,11 @@ magnitude spectra, 60 mel power bands, log10 + cosine transform, 60
 coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix.
 
 All 378 windowed frames go through one batched real FFT. The filter bank
-and the cosine transform then run as one matrix-vector product per frame,
-which keeps every row bit-identical to the per-frame
-dft_magnitude -> apply_filterbank -> log_dct chain of `dsp` (a single
-matrix-matrix product rounds differently)."""
+and the cosine transform are then one stacked `np.matmul` each, matrix
+times a (378, n, 1) stack of column vectors. Each stack item is the same
+matrix-vector product a per-frame loop would make, so every row stays
+bit-identical to the per-frame dft_magnitude -> apply_filterbank -> log_dct
+chain of `dsp` (a single matrix-matrix product rounds differently)."""
 
 import numpy as np
 
@@ -59,12 +60,9 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
         )
     window, bank, basis = _analysis_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
-    power = np.abs(np.fft.rfft(frames * window, n=N_FFT, axis=1)) ** 2
-    energies = np.empty((frames.shape[0], NUM_FILTERS))
-    for t in range(frames.shape[0]):
-        energies[t] = bank.weights @ power[t]
+    frames *= window  # frames is a fresh copy; in place saves an allocation
+    power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
+    power *= power
+    energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
     logs = np.log10(np.maximum(energies, LOG_FLOOR))
-    out = np.empty((frames.shape[0], NUM_COEFFS))
-    for t in range(frames.shape[0]):
-        out[t] = basis @ logs[t]
-    return out
+    return np.matmul(basis, logs[:, :, None])[:, :, 0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vocalsim.dsp import (
+    LOG_FLOOR,
     Signal,
     WindowSpec,
     apply_filterbank,
@@ -87,17 +88,38 @@ def test_hop_shift_moves_rows_by_one():
     np.testing.assert_allclose(a[1:], b[:-1], atol=1e-6)
 
 
-def test_matches_composed_operations_bit_for_bit():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=SEGMENT_SAMPLES)
+def near_silent_segment() -> np.ndarray:
+    """Faint noise after a quarter of digital silence: the silent frames
+    floor every mel energy, and the faint ones floor some of them."""
+    x = 3e-7 * np.random.default_rng(4).normal(size=SEGMENT_SAMPLES)
+    x[: SEGMENT_SAMPLES // 4] = 0.0
+    return x
+
+
+def check_rows_bit_for_bit(x: np.ndarray) -> list[int]:
+    """Compare every row with the per-frame dsp chain; return how many mel
+    energies of each row fell under the log floor."""
     mat = extract_mfcc(make_segment(x))
     window = hamming_window(WindowSpec(FRAME_LENGTH))
     bank = mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE)
-    for t in (0, 1, 200, 377):
+    floored = []
+    for t in range(NUM_FRAMES):
         frame = x[t * HOP_LENGTH : t * HOP_LENGTH + FRAME_LENGTH]
-        spectrum = dft_magnitude(frame * window, N_FFT)
-        row = log_dct(apply_filterbank(spectrum**2, bank), NUM_COEFFS)
-        np.testing.assert_array_equal(mat[t], row)
+        energies = apply_filterbank(dft_magnitude(frame * window, N_FFT) ** 2, bank)
+        floored.append(int(np.sum(energies < LOG_FLOOR)))
+        np.testing.assert_array_equal(mat[t], log_dct(energies, NUM_COEFFS))
+    return floored
+
+
+def test_matches_composed_operations_bit_for_bit():
+    floored = check_rows_bit_for_bit(np.random.default_rng(9).normal(size=SEGMENT_SAMPLES))
+    assert not any(floored)
+
+
+def test_near_silent_rows_match_composed_operations_bit_for_bit():
+    floored = check_rows_bit_for_bit(near_silent_segment())
+    # whole rows and parts of others reach the floor
+    assert NUM_FILTERS in floored and any(0 < n < NUM_FILTERS for n in floored)
 
 
 def test_augmented_variants_keep_shape():

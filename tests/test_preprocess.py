@@ -99,6 +99,96 @@ class TestStripUnvoiced:
         np.testing.assert_array_equal(out.samples, np.concatenate([a, b]))
 
 
+def strip_oracle(signal: Signal, energy_threshold: float, window_ms: float):
+    """The per-window gate as a plain loop: one mean per window, the
+    trailing partial window included. Returns the kept samples, or None
+    when no window passes."""
+    x = signal.samples
+    window = max(1, int(round(window_ms * signal.sample_rate / 1000.0)))
+    global_rms = np.sqrt(np.mean(x**2))
+    kept = []
+    for start in range(0, x.size, window):
+        chunk = x[start : start + window]
+        if np.sqrt(np.mean(chunk**2)) >= energy_threshold * global_rms:
+            kept.append(chunk)
+    return np.concatenate(kept) if kept else None
+
+
+def gated_noise(seed: int, num_samples: int) -> Signal:
+    """Noise under a piecewise envelope: loud, quiet and silent stretches
+    of random lengths that do not line up with the strip windows."""
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.integers(0, num_samples, size=12))
+    levels = rng.choice([0.0, 0.01, 0.05, 0.3, 1.0], size=13)
+    envelope = levels[np.searchsorted(edges, np.arange(num_samples), side="right")]
+    return Signal(envelope * rng.normal(size=num_samples), SR)
+
+
+class TestStripMatchesWindowLoop:
+    """strip_unvoiced gates every full window in one vectorized pass; the
+    kept samples must equal the per-window loop's exactly."""
+
+    def check(self, sig: Signal, energy_threshold: float, window_ms: float = 25.0):
+        expected = strip_oracle(sig, energy_threshold, window_ms)
+        assert expected is not None
+        out = strip_unvoiced(sig, energy_threshold=energy_threshold, window_ms=window_ms)
+        np.testing.assert_array_equal(out.samples, expected)
+        return out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_gated_signals(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        sig = gated_noise(seed, int(rng.integers(2_000, 40_000)))
+        self.check(sig, float(rng.choice([0.05, 0.1, 0.3, 0.6])), float(rng.choice([5.0, 25.0, 31.3])))
+
+    def test_trailing_partial_window_that_passes(self):
+        # 3 full windows of silence-then-tone plus a loud 150-sample tail
+        x = np.concatenate([np.zeros(400), 0.5 * np.ones(800), np.ones(150)])
+        out = self.check(Signal(x, SR), 0.1)
+        assert len(out) == 800 + 150
+
+    def test_trailing_partial_window_that_fails(self):
+        x = np.concatenate([np.ones(1200), 1e-4 * np.ones(150)])
+        out = self.check(Signal(x, SR), 0.1)
+        assert len(out) == 1200
+
+    def test_window_longer_than_signal(self):
+        sig = gated_noise(7, 300)
+        out = self.check(sig, 0.5, window_ms=25.0)  # 400-sample window
+        np.testing.assert_array_equal(out.samples, sig.samples)
+
+    def test_window_of_one_sample(self):
+        # 0.04 ms at 16 kHz rounds to one sample: each sample is gated alone
+        sig = gated_noise(3, 5_000)
+        out = self.check(sig, 0.2, window_ms=0.04)
+        rms = np.sqrt(np.mean(sig.samples**2))
+        assert len(out) == int(np.sum(np.abs(sig.samples) >= 0.2 * rms))
+
+    def test_tail_counts_toward_global_rms(self):
+        # RMS 0.3 in the full window against a global RMS of 0.63 over the
+        # whole signal, loud tail included: the window fails the 0.5 gate
+        x = np.concatenate([0.3 * np.ones(400), np.ones(200)])
+        out = self.check(Signal(x, SR), 0.5)
+        assert len(out) == 200
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds(self, threshold):
+        # a silent 150-sample tail: threshold 0 keeps even that
+        sig = Signal(np.concatenate([gated_noise(5, 10_000).samples, np.zeros(150)]), SR)
+        out = self.check(sig, threshold)
+        if threshold == 0.0:
+            np.testing.assert_array_equal(out.samples, sig.samples)
+
+    def test_no_window_passed_warns(self):
+        # A constant 0.1 over 10 windows: at threshold 1 every window's RMS
+        # rounds just below the global RMS, so the loop keeps nothing.
+        sig = Signal(np.full(4000, 0.1), SR)
+        assert strip_oracle(sig, 1.0, 25.0) is None
+        with pytest.warns(UserWarning, match="no window passed"):
+            out = strip_unvoiced(sig, energy_threshold=1.0)
+        assert len(out) == 0
+
+
 class TestSegment:
     def test_fifteen_minutes_gives_118_segments(self):
         n = 15 * 60 * SR
