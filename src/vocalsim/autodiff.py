@@ -3,9 +3,9 @@
 Tensors wrap float64 numpy arrays and record the graph; ops are fused at
 array granularity (one backward closure per op, not per scalar). Exactly the
 layer set the similarity networks need is provided: valid 1-D convolution,
-dense, relu/tanh/sigmoid, inverted dropout, flatten, concat, Euclidean
-distance, and an RMSE loss, plus an RMSProp optimizer with inverse-time
-learning-rate decay.
+dense, relu/tanh/sigmoid, inverted dropout, a row gather, flatten, concat,
+Euclidean distance, and an RMSE loss, plus an RMSProp optimizer with
+inverse-time learning-rate decay.
 
 Batching convention: every op accepts its natural unbatched shape or the same
 shape with one leading batch axis (conv1d: (C,L) or (B,C,L); dense and the
@@ -230,6 +230,28 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
         x._accumulate(grad * scale)
 
     return Tensor(x.data * scale, parents=(x,), backward=backward)
+
+
+def gather(x: Tensor, index) -> Tensor:
+    """Rows of x along the first axis: y[i] = x[index[i]].
+
+    index may repeat rows, skip rows and take them in any order. The backward
+    adds each output row's grad into its source row in output-row order, the
+    same sums in the same order as np.add.at, without its per-element cost.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1:
+        raise ValueError(f"gather index must be 1-d, got {index.ndim}-d")
+
+    def backward(grad):
+        if isinstance(x, Constant):
+            return
+        gx = np.zeros(x.data.shape)
+        for row, src in enumerate(index):
+            gx[src] += grad[row]
+        x._accumulate(gx)
+
+    return Tensor(x.data[index], parents=(x,), backward=backward)
 
 
 def flatten(x: Tensor) -> Tensor:

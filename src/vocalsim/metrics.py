@@ -94,9 +94,7 @@ def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> Eva
     true_idx = np.empty(len(pairs), dtype=np.int64)
     for start in range(0, len(pairs), batch_size):
         batch = pairs[start : start + batch_size]
-        left = model.stack_inputs([features[p.left_id] for p in batch])
-        right = model.stack_inputs([features[p.right_id] for p in batch])
-        out = model.forward(left, right, training=False).data
+        out = model.score_pairs(batch, features).data
         rows = slice(start, start + len(batch))
         if binary:
             # model class order is (similar, non-similar); report in NS, S order

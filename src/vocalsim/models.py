@@ -70,7 +70,8 @@ class ModelSpec:
 
 
 class _ConvBranch:
-    """conv -> relu -> conv -> relu -> dropout -> flatten, shared by twins."""
+    """conv -> relu -> conv -> relu -> [gather] -> dropout -> flatten, shared
+    by twins."""
 
     def __init__(self, spec: ModelSpec, in_channels: int, in_length: int, rng):
         self.conv1 = Conv1dLayer(in_channels, spec.filters, spec.kernel, spec.stride, rng)
@@ -78,9 +79,12 @@ class _ConvBranch:
         self.dropout = spec.dropout
         self.flat_dim = spec.filters * self.conv2.out_length(self.conv1.out_length(in_length))
 
-    def __call__(self, x: Tensor, training: bool, rng) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, rng, index=None) -> Tensor:
         h = self.conv1(x, relu=True)
         h = self.conv2(h, relu=True)
+        if index is not None:
+            # expand before dropout, so each output row draws its own mask
+            h = ad.gather(h, index)
         h = ad.dropout(h, self.dropout, rng, training)
         return ad.flatten(h)
 
@@ -166,15 +170,23 @@ class SiameseModel:
 
     # ---- forward passes ------------------------------------------------
 
-    def encode(self, inputs: dict[str, Tensor], training: bool = False, rng=None) -> Tensor:
+    def encode(
+        self, inputs: dict[str, Tensor], training: bool = False, rng=None, index=None
+    ) -> Tensor:
+        """One encoding per stacked input row, or with index, one per entry
+        of index: row i encodes input row index[i]. The conv branches run
+        once per input row either way; a gather expands their output before
+        dropout, and the layers after it run once over all output rows.
+        Dropout masks are drawn branch by branch, each for every output row."""
         rng = rng or np.random.default_rng(0)
         parts = []
         if self.mfcc_branch is not None:
-            parts.append(self.mfcc_branch(inputs["mfcc"], training, rng))
+            parts.append(self.mfcc_branch(inputs["mfcc"], training, rng, index))
         if self.vggish_branch is not None:
-            parts.append(self.vggish_branch(inputs["vggish"], training, rng))
+            parts.append(self.vggish_branch(inputs["vggish"], training, rng, index))
         if self.fusion is not None:
-            parts.append(inputs["text"])
+            text = inputs["text"]
+            parts.append(text if index is None else ad.gather(text, index))
             h = ad.tanh(self.fusion(ad.concat(parts)))
         else:
             h = parts[0]
@@ -197,11 +209,43 @@ class SiameseModel:
         training: bool = False,
         rng=None,
     ) -> Tensor:
-        """Head output for a batch: (B, 2) sigmoid probabilities or (B, 25)."""
-        rng = rng or np.random.default_rng(0)
-        left_enc = self.encode(left, training, rng)
-        right_enc = self.encode(right, training, rng)
-        return self.score(left_enc, right_enc)
+        """Head output for a batch: (B, 2) sigmoid probabilities or (B, 25).
+
+        left and right are stack_inputs() batches of B rows each; both run
+        through the encoder as one batch of 2B rows."""
+        n, m = (next(iter(side.values())).data.shape[0] for side in (left, right))
+        if n != m:
+            raise ValueError(f"left has {n} rows, right has {m}")
+        both = {
+            name: Constant(np.concatenate([left[name].data, right[name].data]))
+            for name in left
+        }
+        return self._score_halves(self.encode(both, training, rng), n)
+
+    def score_pairs(self, pairs, features, training: bool = False, rng=None) -> Tensor:
+        """Head output for each pair of sample ids (any objects with left_id
+        and right_id): (B, 2) sigmoid probabilities or (B, 25).
+
+        features maps sample ids to FeatureSets. Each distinct sample of the
+        batch is stacked once, in first-seen order over all left ids then all
+        right ids, and its conv branch output is shared by every pair row it
+        appears in. Raises DataError naming a sample with no features."""
+        rows: dict = {}
+        index = [rows.setdefault(p.left_id, len(rows)) for p in pairs]
+        index += [rows.setdefault(p.right_id, len(rows)) for p in pairs]
+        sets = []
+        for sample_id in rows:
+            try:
+                sets.append(features[sample_id])
+            except KeyError:
+                raise DataError(f"no features for sample {sample_id}") from None
+        encodings = self.encode(self.stack_inputs(sets), training, rng, index)
+        return self._score_halves(encodings, len(pairs))
+
+    def _score_halves(self, encodings: Tensor, n: int) -> Tensor:
+        """score() of encoding rows 0..n-1 against rows n..2n-1."""
+        left = np.arange(n)
+        return self.score(ad.gather(encodings, left), ad.gather(encodings, left + n))
 
     def encode_sets(self, feature_sets: list[FeatureSet]) -> np.ndarray:
         return self.encode(self.stack_inputs(feature_sets)).data

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, NumericError
-from .models import FeatureSet, SiameseModel
+from .models import SiameseModel
 
 
 @dataclass
@@ -73,22 +73,9 @@ def _target_matrix(pairs, head_size: int) -> np.ndarray:
     return targets
 
 
-def _gather(features, pairs) -> tuple[list[FeatureSet], list[FeatureSet]]:
-    left, right = [], []
-    for pair in pairs:
-        for sample_id, side in ((pair.left_id, left), (pair.right_id, right)):
-            if sample_id not in features:
-                raise DataError(f"no features for sample {sample_id}")
-            side.append(features[sample_id])
-    return left, right
-
-
-def _batch_loss(model, pairs, features, head_size, training, rng) -> tuple:
-    left, right = _gather(features, pairs)
-    out = model.forward(
-        model.stack_inputs(left), model.stack_inputs(right), training=training, rng=rng
-    )
-    return ad.rmse_loss(out, _target_matrix(pairs, head_size))
+def _batch_loss(model, pairs, features, training, rng) -> ad.Tensor:
+    out = model.score_pairs(pairs, features, training, rng)
+    return ad.rmse_loss(out, _target_matrix(pairs, model.spec.head_size))
 
 
 def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int = 100) -> float:
@@ -98,7 +85,7 @@ def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int = 100) -
     total = 0.0
     for start in range(0, len(pairs), batch_size):
         batch = pairs[start : start + batch_size]
-        loss = _batch_loss(model, batch, features, model.spec.head_size, False, None)
+        loss = _batch_loss(model, batch, features, False, None)
         total += float(loss.data) * len(batch)
     return total / len(pairs)
 
@@ -139,7 +126,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
             optimizer.zero_grad()
-            loss = _batch_loss(model, batch, features, model.spec.head_size, True, rng)
+            loss = _batch_loss(model, batch, features, True, rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericError(

@@ -19,6 +19,7 @@ from vocalsim.autodiff import (
     dropout,
     euclidean_distance,
     flatten,
+    gather,
     relu,
     rmse_loss,
     sigmoid,
@@ -399,6 +400,47 @@ class TestFusedConvRelu:
         assert np.any(grads[0][0] != 0.0)
         np.testing.assert_array_equal(grads[1][1], grads[0][1])
         np.testing.assert_array_equal(grads[1][2], grads[0][2])
+
+
+class TestGather:
+    # repeats row 2, skips row 1, and takes rows out of order
+    INDEX = [2, 0, 2, 3, 2]
+
+    def test_finite_differences_through_conv_output(self):
+        # gather's input is conv1d's output: a (B, F, T) view of a (B, T, F)
+        # buffer, as in the model's conv branches
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=(4, 3, 8)), rng.normal(size=(5, 3, 3)), rng.normal(size=5)]
+        check_gradients(lambda ts: gather(conv1d(ts[0], ts[1], ts[2]), self.INDEX), arrays, 21)
+
+    def test_finite_differences_2d(self):
+        rng = np.random.default_rng(22)
+        check_gradients(lambda ts: gather(ts[0], self.INDEX), [rng.normal(size=(4, 6))], 22)
+
+    def test_forward_and_backward_equal_add_at(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(6, 4, 7)).transpose(0, 2, 1))
+        index = rng.integers(0, 6, size=40)
+        probe = rng.normal(size=(40, 7, 4))
+        out = gather(x, index)
+        np.testing.assert_array_equal(out.data, x.data[index])
+        weighted_sum(out, probe).backward()
+        want = np.zeros(x.data.shape)
+        np.add.at(want, index, probe)
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_constant_input_gets_no_grad(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(4, 3))
+        w, b = Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros(2))
+        for leaf in (Tensor, Constant):
+            source = leaf(x)
+            weighted_sum(dense(gather(source, self.INDEX), w, b), np.ones((5, 2))).backward()
+            assert np.any(source.grad != 0.0) == (leaf is Tensor)
+
+    def test_index_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            gather(Tensor(np.zeros((3, 2))), [[0, 1]])
 
 
 class TestBackwardMechanics:

@@ -247,6 +247,25 @@ class TestTrainEval:
         assert code == 3
 
 
+    def test_eval_pair_without_features_is_data_error(self, trained, tmp_path, capsys):
+        lines = trained["pairs"].read_text(encoding="utf-8").splitlines(keepends=True)
+        test_row = next(i for i, line in enumerate(lines) if line.rstrip().endswith(",test"))
+        lines[test_row] = "absent-sample," + lines[test_row].split(",", 1)[1]
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("".join(lines), encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--model", str(trained["checkpoint"]),
+                "--cache", str(trained["cache"]),
+                "--pairs", str(pairs),
+                "--split", "test",
+            ]
+        )
+        assert code == 3
+        assert "absent-sample" in capsys.readouterr().err
+
+
 class TestPredictRelapse:
     def test_zero_references_is_usage_error(self, trained, tmp_path):
         wav = tmp_path / "probe.wav"

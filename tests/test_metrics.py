@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vocalsim.autodiff import Tensor
+from vocalsim.errors import DataError
 from vocalsim.metrics import (
     EvalReport,
     accuracy_from_confusion,
@@ -15,7 +16,7 @@ from vocalsim.metrics import (
     render_confusion,
     rmse,
 )
-from vocalsim.models import ModelSpec
+from vocalsim.models import FeatureSet, ModelSpec, build_model
 from vocalsim.pairs import PairRecord
 
 
@@ -27,12 +28,9 @@ class ScriptedModel:
         self.spec = ModelSpec(head=head)
         self._cursor = 0
 
-    def stack_inputs(self, feature_sets):
-        return len(feature_sets)
-
-    def forward(self, left, right, training=False, rng=None):
-        rows = self.outputs[self._cursor : self._cursor + left]
-        self._cursor += left
+    def score_pairs(self, pairs, features, training=False, rng=None):
+        rows = self.outputs[self._cursor : self._cursor + len(pairs)]
+        self._cursor += len(pairs)
         return Tensor(rows)
 
 
@@ -181,6 +179,13 @@ class TestEvaluate:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             evaluate(ScriptedModel([[1.0, 0.0]]), [], DummyFeatures())
+
+    def test_pair_without_features_is_data_error(self):
+        model = build_model(ModelSpec(filters=4, dense_width=16))
+        features = {"present": FeatureSet(mfcc=np.zeros((378, 60)))}
+        pairs = [PairRecord("present", "absent-sample", True, 0, "test")]
+        with pytest.raises(DataError, match="absent-sample"):
+            evaluate(model, pairs, features)
 
     def test_json_round_trips_and_sorted(self):
         pairs = binary_pairs([1, 0])

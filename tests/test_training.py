@@ -4,6 +4,8 @@ failure guards, and learnability on a separable toy problem."""
 import numpy as np
 import pytest
 
+from vocalsim import autodiff
+from vocalsim.autodiff import rmse_loss
 from vocalsim.errors import DataError, NumericError
 from vocalsim.models import FeatureSet, ModelSpec, build_model
 from vocalsim.pairs import PairRecord
@@ -191,3 +193,116 @@ class TestTrainLoop:
         )
         assert result.train_losses[-1] < result.train_losses[0]
         assert pair_accuracy(model, train_pairs, features) > 0.9
+
+
+def feature_bank(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        f"x{i}": FeatureSet(
+            mfcc=rng.normal(size=(378, 60)),
+            vggish=rng.normal(size=(14, 128)),
+            text=rng.normal(size=(60, 9)),
+        )
+        for i in range(n)
+    }
+
+
+def id_pairs(left_ids, right_ids):
+    return [
+        PairRecord(a, b, i % 2 == 0, 0, "train")
+        for i, (a, b) in enumerate(zip(left_ids, right_ids))
+    ]
+
+
+class TestDedupedBatch:
+    """A training batch encodes each distinct sample once; its loss and
+    every parameter grad must match encoding each pair row on its own."""
+
+    REPEATED = (["x0", "x1", "x0", "x2", "x1", "x0"], ["x1", "x2", "x2", "x0", "x1", "x3"])
+    DISTINCT = (["x0", "x1", "x2"], ["x3", "x4", "x5"])
+
+    @staticmethod
+    def model(variant, dropout):
+        return build_model(
+            ModelSpec(
+                variant=variant, filters=4, dense_width=16, fusion_width=8,
+                dropout=dropout, init_seed=3,
+            )
+        )
+
+    @staticmethod
+    def targets(pairs):
+        return np.array([[1.0, 0.0] if p.similar else [0.0, 1.0] for p in pairs])
+
+    def deduped(self, model, pairs, features, seed):
+        out = model.score_pairs(pairs, features, training=True, rng=np.random.default_rng(seed))
+        return rmse_loss(out, self.targets(pairs))
+
+    def two_twin(self, model, pairs, features, seed):
+        """The pairwise reference: left and right encoded as two batches of
+        B rows, every pair row stacked from its own feature set."""
+        rng = np.random.default_rng(seed)
+        left = model.stack_inputs([features[p.left_id] for p in pairs])
+        right = model.stack_inputs([features[p.right_id] for p in pairs])
+        out = model.score(model.encode(left, True, rng), model.encode(right, True, rng))
+        return rmse_loss(out, self.targets(pairs))
+
+    def one_batch(self, model, pairs, features, seed):
+        """Every pair row stacked on its own, as one batch of 2B rows: the
+        reference whose dropout masks come in the deduped batch's order for
+        every variant."""
+        sets = [features[p.left_id] for p in pairs] + [features[p.right_id] for p in pairs]
+        enc = model.encode(model.stack_inputs(sets), True, np.random.default_rng(seed))
+        rows = np.arange(len(pairs))
+        out = model.score(autodiff.gather(enc, rows), autodiff.gather(enc, rows + len(pairs)))
+        return rmse_loss(out, self.targets(pairs))
+
+    def grads(self, model, loss_fn, pairs, features, seed=5):
+        for p in model.params():
+            p.grad = None
+        loss = loss_fn(model, pairs, features, seed)
+        loss.backward()
+        return float(loss.data), [p.grad.copy() for p in model.params()]
+
+    @pytest.mark.parametrize("ids", ["REPEATED", "DISTINCT"])
+    @pytest.mark.parametrize(
+        "variant, dropout, reference",
+        [
+            ("mfcc", 0.5, "two_twin"),
+            ("fusion", 0.0, "two_twin"),
+            # fusion draws its masks branch by branch, not side by side
+            ("fusion", 0.5, "one_batch"),
+        ],
+    )
+    def test_matches_pairwise_reference(self, variant, dropout, reference, ids):
+        features = feature_bank(6)
+        pairs = id_pairs(*getattr(self, ids))
+        model = self.model(variant, dropout)
+        got_loss, got = self.grads(model, self.deduped, pairs, features)
+        want_loss, want = self.grads(model, getattr(self, reference), pairs, features)
+        if variant == "mfcc":
+            assert got_loss == want_loss
+        else:
+            assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for g, w in zip(got, want):
+            assert np.any(w != 0.0)
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_conv_runs_over_distinct_samples(self, monkeypatch):
+        rows = []
+        conv1d = autodiff.conv1d
+
+        def recording(x, *args, **kwargs):
+            rows.append(x.data.shape[0])
+            return conv1d(x, *args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "conv1d", recording)
+        features = feature_bank(10)
+        ids = [f"x{i}" for i in range(10)]
+        pairs = id_pairs([a for a in ids for _ in ids], [b for _ in ids for b in ids])
+        assert len(pairs) == 100
+        config = TrainConfig(batch_size=100, epochs=1, patience=1)
+        train(self.model("mfcc", 0.0001), pairs, pairs[:20], features, config)
+        # conv1 and conv2 of the training step, then of validation; 20 pairs
+        # of samples 0 and 1 against samples 0-9 also hold 10 distinct ones
+        assert rows == [10, 10, 10, 10]
