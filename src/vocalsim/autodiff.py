@@ -3,8 +3,9 @@
 Tensors wrap float64 numpy arrays and record the graph; ops are fused at
 array granularity (one backward closure per op, not per scalar). Exactly the
 layer set the similarity networks need is provided: valid 1-D convolution,
-dense, relu/tanh/sigmoid, inverted dropout, a row gather, flatten, concat,
-Euclidean distance, and an RMSE loss, plus an RMSProp optimizer with
+dense, relu/tanh/sigmoid, inverted dropout, a row gather, a dense layer over
+gathered rows with dropout (gather_dense), flatten, concat, Euclidean
+distance, and an RMSE loss, plus an RMSProp optimizer with
 inverse-time learning-rate decay.
 
 Batching convention: every op accepts its natural unbatched shape or the same
@@ -244,14 +245,76 @@ def gather(x: Tensor, index) -> Tensor:
         raise ValueError(f"gather index must be 1-d, got {index.ndim}-d")
 
     def backward(grad):
-        if isinstance(x, Constant):
-            return
-        gx = np.zeros(x.data.shape)
-        for row, src in enumerate(index):
-            gx[src] += grad[row]
-        x._accumulate(gx)
+        if not isinstance(x, Constant):
+            x._accumulate(_sum_rows(grad, index, x.data.shape[0]))
 
     return Tensor(x.data[index], parents=(x,), backward=backward)
+
+
+def _sum_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(n, ...) sums out[index[i]] += rows[i], added in row order: the same
+    sums in the same order as np.add.at, without its per-element cost."""
+    out = np.zeros((n,) + rows.shape[1:])
+    for row, dst in enumerate(index):
+        out[dst] += rows[row]
+    return out
+
+
+def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
+                 scale=1.0) -> Tensor:
+    """dense(y) for the rows y[i] = scale * x[index[i]] with the entries
+    dropped = (rows, cols) of y set to 0: dense(flatten(dropout(gather(x,
+    index)))) for the mask that zeroes those entries, from x's own rows.
+
+    x: (U, n); index: (R,), which may repeat, skip and reorder rows of x;
+    weight: (m, n); bias: (m,); scale: a float or an (n,) factor per column,
+    inverted dropout's 1/(1-rate) on the columns it covers; dropped: row and
+    column index arrays of distinct entries of y.
+
+    The forward builds the R rows and runs one GEMM, so it has the bits of
+    the composition. The backward takes both big products over the U rows
+    of x: with G the sum of each source row's output grads, the weight grad
+    is G.T @ (scale * x) and the input grad scale * (G @ W). The dropped
+    entries' terms are then subtracted as products over the touched columns
+    only, which at a low rate are a small share of n.
+    """
+    w, b = weight.data, bias.data
+    if w.ndim != 2 or b.shape != (w.shape[0],):
+        raise ValueError("weight must be (out, in), bias (out,)")
+    if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
+        raise ValueError(f"input must be (rows, {w.shape[1]}), got {x.data.shape}")
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 1:
+        raise ValueError(f"gather index must be 1-d, got {index.ndim}-d")
+    rows, cols = (np.asarray(a, dtype=np.intp) for a in (dropped or ([], [])))
+    xs = x.data * scale
+    y = xs[index]
+    y[rows, cols] = 0.0
+    out = y @ w.T + b
+
+    def backward(grad):
+        g = _sum_rows(grad, index, len(xs))
+        touched, at = np.unique(cols, return_inverse=True)
+        # the dropped entries of y as an (R, touched) matrix: G.T @ xs counts
+        # them, the composition does not
+        dropped_y = np.zeros((len(index), len(touched)))
+        dropped_y[rows, at] = xs[index[rows], cols]
+        gw = g.T @ xs
+        gw[:, touched] -= grad.T @ dropped_y
+        weight._accumulate(gw)
+        bias._accumulate(grad.sum(axis=0))
+        if isinstance(x, Constant):
+            return
+        # and the same entries of the output grad pulled back through W
+        pulled = grad @ w[:, touched]
+        dropped_g = np.zeros_like(pulled)
+        dropped_g[rows, at] = pulled[rows, at]
+        gx = g @ w
+        gx[:, touched] -= _sum_rows(dropped_g, index, len(xs))
+        gx *= scale
+        x._accumulate(gx)
+
+    return Tensor(out, parents=(x, weight, bias), backward=backward)
 
 
 def flatten(x: Tensor) -> Tensor:

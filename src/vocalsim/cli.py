@@ -176,13 +176,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    config = _config(args)
     model = load_checkpoint(args.model)
     features = features_from_cache(args.cache)
     pair_set = read_pairs_csv(args.pairs)
     pairs = pair_set.for_split(args.split)
     if not pairs:
         raise DataError(f"{args.pairs}: no pairs in split {args.split!r}")
-    report = evaluate(model, pairs, features, args.batch_size)
+    report = evaluate(model, pairs, features, config.batch_size)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     if args.confusion:

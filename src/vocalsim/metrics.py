@@ -85,6 +85,8 @@ def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> Eva
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot evaluate an empty pair list")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     head_size = model.spec.head_size
     binary = head_size == 2
 

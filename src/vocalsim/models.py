@@ -70,23 +70,15 @@ class ModelSpec:
 
 
 class _ConvBranch:
-    """conv -> relu -> conv -> relu -> [gather] -> dropout -> flatten, shared
-    by twins."""
+    """conv -> relu -> conv -> relu -> flatten, shared by twins."""
 
     def __init__(self, spec: ModelSpec, in_channels: int, in_length: int, rng):
         self.conv1 = Conv1dLayer(in_channels, spec.filters, spec.kernel, spec.stride, rng)
         self.conv2 = Conv1dLayer(spec.filters, spec.filters, spec.kernel, spec.stride, rng)
-        self.dropout = spec.dropout
         self.flat_dim = spec.filters * self.conv2.out_length(self.conv1.out_length(in_length))
 
-    def __call__(self, x: Tensor, training: bool, rng, index=None) -> Tensor:
-        h = self.conv1(x, relu=True)
-        h = self.conv2(h, relu=True)
-        if index is not None:
-            # expand before dropout, so each output row draws its own mask
-            h = ad.gather(h, index)
-        h = ad.dropout(h, self.dropout, rng, training)
-        return ad.flatten(h)
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.flatten(self.conv2(self.conv1(x, relu=True), relu=True))
 
     def params(self) -> list[Tensor]:
         return self.conv1.params() + self.conv2.params()
@@ -127,9 +119,8 @@ class SiameseModel:
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []
-        for branch in (self.mfcc_branch, self.vggish_branch):
-            if branch is not None:
-                out.extend(branch.params())
+        for _, branch in self._branches():
+            out.extend(branch.params())
         if self.fusion is not None:
             out.extend(self.fusion.params())
         out.extend(self.dense1.params() + self.dense2.params() + self.head.params())
@@ -170,28 +161,60 @@ class SiameseModel:
 
     # ---- forward passes ------------------------------------------------
 
+    def _branches(self) -> list[tuple[str, _ConvBranch]]:
+        """(input name, branch) of each conv branch, mfcc before vggish."""
+        branches = (("mfcc", self.mfcc_branch), ("vggish", self.vggish_branch))
+        return [(name, branch) for name, branch in branches if branch is not None]
+
     def encode(
         self, inputs: dict[str, Tensor], training: bool = False, rng=None, index=None
     ) -> Tensor:
         """One encoding per stacked input row, or with index, one per entry
-        of index: row i encodes input row index[i]. The conv branches run
-        once per input row either way; a gather expands their output before
-        dropout, and the layers after it run once over all output rows.
-        Dropout masks are drawn branch by branch, each for every output row."""
+        of index: row i encodes input row index[i].
+
+        The conv branches run once per input row. With dropout on, the first
+        dense layer (fusion, else dense1) expands them to one row per index
+        entry, each with its own mask, through gather_dense, and the layers
+        after it run over all output rows. With dropout off, every layer
+        runs once per input row and the encodings are gathered at the end."""
         rng = rng or np.random.default_rng(0)
-        parts = []
-        if self.mfcc_branch is not None:
-            parts.append(self.mfcc_branch(inputs["mfcc"], training, rng, index))
-        if self.vggish_branch is not None:
-            parts.append(self.vggish_branch(inputs["vggish"], training, rng, index))
+        parts = [branch(inputs[name]) for name, branch in self._branches()]
         if self.fusion is not None:
-            text = inputs["text"]
-            parts.append(text if index is None else ad.gather(text, index))
-            h = ad.tanh(self.fusion(ad.concat(parts)))
+            parts.append(inputs["text"])
+            layers = [self.fusion, self.dense1, self.dense2]
         else:
-            h = parts[0]
-        h = ad.tanh(self.dense1(h))
-        return ad.tanh(self.dense2(h))
+            layers = [self.dense1, self.dense2]
+        h = parts[0] if len(parts) == 1 else ad.concat(parts)
+        first, *rest = layers
+        if training and self.spec.dropout > 0.0:
+            if index is None:
+                index = np.arange(h.shape[0])
+            dropped, scale = self._dropout_mask(len(index), h.shape[1], rng)
+            h = ad.gather_dense(h, index, first.weight, first.bias, dropped, scale)
+            index = None
+        else:
+            h = first(h)
+        for layer in rest:
+            h = layer(ad.tanh(h))
+        h = ad.tanh(h)
+        return h if index is None else ad.gather(h, index)
+
+    def _dropout_mask(self, rows: int, width: int, rng):
+        """The (rows, cols) entries of the first dense layer's (rows, width)
+        input that dropout zeroes, and the factor of each column: one uniform
+        draw per conv branch output entry, branch by branch, each for every
+        row; branch columns are scaled by 1/(1-rate), text columns neither
+        dropped nor scaled."""
+        rate = self.spec.dropout
+        hit_rows, hit_cols, offset = [], [], 0
+        for _, branch in self._branches():
+            r, c = np.nonzero(rng.random((rows, branch.flat_dim)) < rate)
+            hit_rows.append(r)
+            hit_cols.append(c + offset)
+            offset += branch.flat_dim
+        scale = np.ones(width)
+        scale[:offset] = 1.0 / (1.0 - rate)
+        return (np.concatenate(hit_rows), np.concatenate(hit_cols)), scale
 
     def score(self, left_enc: Tensor, right_enc: Tensor) -> Tensor:
         """Head output for paired encodings: the Euclidean distance of each

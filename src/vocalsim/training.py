@@ -82,6 +82,8 @@ def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int = 100) -
     """Mean per-sample RMSE loss over `pairs`, computed in inference mode."""
     if not pairs:
         raise ValueError("cannot evaluate loss on an empty pair list")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     total = 0.0
     for start in range(0, len(pairs), batch_size):
         batch = pairs[start : start + batch_size]

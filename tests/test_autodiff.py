@@ -20,6 +20,7 @@ from vocalsim.autodiff import (
     euclidean_distance,
     flatten,
     gather,
+    gather_dense,
     relu,
     rmse_loss,
     sigmoid,
@@ -441,6 +442,83 @@ class TestGather:
     def test_index_must_be_1d(self):
         with pytest.raises(ValueError, match="1-d"):
             gather(Tensor(np.zeros((3, 2))), [[0, 1]])
+
+
+class TestGatherDense:
+    # repeats row 2, skips row 1, and takes rows out of order
+    INDEX = [2, 0, 2, 3, 2]
+    # row 3 loses two entries; rows 0 and 2, both of sample 2, lose column 1
+    DROPPED = ([0, 2, 3, 3], [1, 1, 0, 4])
+    # dropout's 1/(1-rate) on the first four columns, the last two unscaled
+    SCALE = np.array([1.25, 1.25, 1.25, 1.25, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dropped", [DROPPED, None])
+    def test_finite_differences(self, dropped):
+        rng = np.random.default_rng(25)
+        arrays = [rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), rng.normal(size=3)]
+        check_gradients(
+            lambda ts: gather_dense(ts[0], self.INDEX, ts[1], ts[2], dropped, self.SCALE),
+            arrays,
+            25,
+        )
+
+    def test_equals_masked_dense_of_gathered_rows(self):
+        rng = np.random.default_rng(26)
+        x, w, b = rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), rng.normal(size=3)
+        y = (x * self.SCALE)[self.INDEX]
+        y[self.DROPPED] = 0.0
+        out = gather_dense(Tensor(x), self.INDEX, Tensor(w), Tensor(b), self.DROPPED, self.SCALE)
+        np.testing.assert_array_equal(out.data, y @ w.T + b)
+
+    def test_constant_input_gets_no_grad(self):
+        rng = np.random.default_rng(27)
+        x, w, b = rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), rng.normal(size=3)
+        probe = rng.normal(size=(5, 3))
+        grads = []
+        for leaf in (Tensor, Constant):
+            source, weight, bias = leaf(x), Tensor(w), Tensor(b)
+            out = gather_dense(source, self.INDEX, weight, bias, self.DROPPED, self.SCALE)
+            weighted_sum(out, probe).backward()
+            assert np.any(source.grad != 0.0) == (leaf is Tensor)
+            grads.append((weight.grad, bias.grad))
+        np.testing.assert_array_equal(grads[1][0], grads[0][0])
+        np.testing.assert_array_equal(grads[1][1], grads[0][1])
+
+    @pytest.mark.parametrize("rate", [0.3, 0.0001])
+    def test_matches_gather_dropout_flatten_dense(self, rate):
+        # x is a conv output, a (U, F, T) view of a (U, T, F) buffer, as in
+        # the model's conv branches; repeated, unused and reordered rows
+        rng = np.random.default_rng(28)
+        index = rng.integers(1, 6, size=40)
+        x = rng.normal(size=(6, 50, 8)).transpose(0, 2, 1)
+        w, b = rng.normal(size=(7, 400)), rng.normal(size=7)
+        probe = rng.normal(size=(40, 7))
+
+        def run(build):
+            source, weight, bias = Tensor(x), Tensor(w), Tensor(b)
+            out = build(source, weight, bias, np.random.default_rng(29))
+            weighted_sum(out, probe).backward()
+            return out.data, source.grad, weight.grad, bias.grad
+
+        def composed(source, weight, bias, mask_rng):
+            return dense(flatten(dropout(gather(source, index), rate, mask_rng)), weight, bias)
+
+        def fused(source, weight, bias, mask_rng):
+            dropped = np.nonzero(mask_rng.random((len(index), 400)) < rate)
+            scale = 1.0 / (1.0 - rate)
+            return gather_dense(flatten(source), index, weight, bias, dropped, scale)
+
+        want, got = run(composed), run(fused)
+        np.testing.assert_array_equal(got[0], want[0])
+        for g, w_ in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, w_, rtol=0, atol=1e-12)
+
+    def test_shape_checks(self):
+        x, w, b = Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="1-d"):
+            gather_dense(x, [[0, 1]], w, b)
+        with pytest.raises(ValueError, match="input"):
+            gather_dense(Tensor(np.zeros((4, 5))), [0], w, b)
 
 
 class TestBackwardMechanics:

@@ -424,6 +424,18 @@ class TestFlagValidation:
         assert main(argv + [flag, value]) == 3
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_eval_batch_size_below_one_is_data_error(self, trained, capsys, value):
+        argv = [
+            "eval",
+            "--model", str(trained["checkpoint"]),
+            "--cache", str(trained["cache"]),
+            "--pairs", str(trained["pairs"]),
+            "--batch-size", value,
+        ]
+        assert main(argv) == 3
+        assert "batch_size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("variant", ["mfcc", "vggish"])
     def test_extract_transcript_without_text_variant_is_usage_error(self, tmp_path, capsys, variant):
         argv = _single_recording_argv("extract", tmp_path, variant)

@@ -180,6 +180,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(ScriptedModel([[1.0, 0.0]]), [], DummyFeatures())
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(ScriptedModel([[1.0, 0.0]]), binary_pairs([1]), DummyFeatures(), batch_size)
+
     def test_pair_without_features_is_data_error(self):
         model = build_model(ModelSpec(filters=4, dense_width=16))
         features = {"present": FeatureSet(mfcc=np.zeros((378, 60)))}

@@ -168,6 +168,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(tiny_model(), pairs[:4], [], features)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluate_loss_batch_size_below_one_rejected(self, batch_size):
+        features, pairs = toy_problem(n_per_class=3)
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate_loss(tiny_model(), pairs[:4], features, batch_size)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
@@ -306,3 +312,59 @@ class TestDedupedBatch:
         # conv1 and conv2 of the training step, then of validation; 20 pairs
         # of samples 0 and 1 against samples 0-9 also hold 10 distinct ones
         assert rows == [10, 10, 10, 10]
+
+    def test_dense_runs_over_distinct_samples(self, monkeypatch):
+        model = self.model("mfcc", 0.0001)
+        names = {id(model.dense1.weight): "dense1", id(model.dense2.weight): "dense2"}
+        dense_rows, gathered, products = [], [], []
+
+        class Traced(np.ndarray):
+            """An array that logs the operand shapes of every matrix product
+            it takes part in and passes the trace on to the arrays computed
+            from it."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                plain = [np.asarray(a) for a in inputs]
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(o) for o in out)
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if ufunc is np.matmul:
+                    products.append(tuple(a.shape for a in plain))
+                if out is not None:
+                    return out[0]
+                return result.view(Traced)
+
+        def traced(node):
+            """An identity node over node whose data is Traced."""
+            copy = autodiff.Tensor(node.data, parents=(node,), backward=node._accumulate)
+            copy.data = node.data.view(Traced)
+            return copy
+
+        dense, gather_dense = autodiff.dense, autodiff.gather_dense
+
+        def recording_dense(x, weight, bias):
+            if id(weight) in names:
+                dense_rows.append((names[id(weight)], x.data.shape[0]))
+            return dense(x, weight, bias)
+
+        def recording_gather_dense(x, index, weight, bias, *args):
+            assert weight is model.dense1.weight
+            gathered.append((x.data.shape[0], len(index)))
+            return gather_dense(traced(x), index, traced(weight), bias, *args)
+
+        monkeypatch.setattr(autodiff, "dense", recording_dense)
+        monkeypatch.setattr(autodiff, "gather_dense", recording_gather_dense)
+        features = feature_bank(10)
+        ids = [f"x{i}" for i in range(10)]
+        pairs = id_pairs([a for a in ids for _ in ids], [b for _ in ids for b in ids])
+        config = TrainConfig(batch_size=100, epochs=1, patience=1)
+        train(model, pairs, pairs[:20], features, config)
+        # training: dense1 reads the 10 samples' rows and writes 200 pair
+        # rows, one per side of each pair, which dense2 then reads
+        assert gathered == [(10, 200)]
+        w = model.dense1.weight.data.shape
+        weight_grad_rows = [a[1] for a, b in products if (a[0], b[1]) == w]
+        input_grad_rows = [a[0] for a, b in products if b == w]
+        assert weight_grad_rows == [10] and input_grad_rows == [10]
+        # validation: both dense layers run over the 10 distinct samples
+        assert dense_rows == [("dense2", 200), ("dense1", 10), ("dense2", 10)]
