@@ -17,8 +17,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     PAIR_MODES,
     TEXT_RESIZE_MODES,
@@ -31,13 +29,14 @@ from .errors import DataError, NumericError
 from .manifest import SPLITS, load_manifest, write_wav
 from .metrics import evaluate, render_confusion
 from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
-from .pairs import make_pairs, read_pairs_csv, write_pairs_csv
+from .pairs import read_pairs_csv, write_pairs_csv
 from .pipeline import (
     feature_sets,
     feature_tools,
     features_from_cache,
     featurize_recording,
     load_feature_table,
+    pair_samples,
     recording_segments,
     run_pipeline,
     train_and_save,
@@ -148,11 +147,10 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    records = load_manifest(args.manifest, args.split_seed, check_audio=False)
+    config = _config(args)
+    records = load_manifest(config.manifest, config.split_seed, check_audio=False)
     _, refs = load_feature_table(args.cache, records)
-    pair_set = make_pairs(
-        refs, args.pair_mode, args.pairs_per_sample, np.random.default_rng(args.seed)
-    )
+    pair_set = pair_samples(config, refs)
     write_pairs_csv(pair_set, args.out)
     print(
         f"wrote {args.out}: train/val/test = "

@@ -10,8 +10,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
-from .errors import DataError
-from .models import HEADS, VARIANTS
+from .errors import DataError, read_text
+from .manifest import SPLIT_SEED
+from .models import HEADS, RELAPSE_THRESHOLD, ModelSpec
+from .pairs import PAIRS_PER_SAMPLE
+from .preprocess import NOISE_ALPHAS, PITCH_SEMITONES, STRIP_THRESHOLD, STRIP_WINDOW_MS
+from .training import TrainConfig
 
 PAIR_MODES = tuple(HEADS)
 TEXT_RESIZE_MODES = ("truncate", "meanpool")
@@ -19,49 +23,55 @@ TEXT_RESIZE_MODES = ("truncate", "meanpool")
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 
+# ModelSpec fields whose config key has another name
+_SPEC_KEYS = {"head": "pair_mode", "init_seed": "seed"}
+
 
 @dataclass
 class ExperimentConfig:
+    """Model and training keys default to ModelSpec's and TrainConfig's
+    values, the rest to the constants of the module that reads them."""
+
     manifest: str = ""
     workdir: str = "runs"
     sample_rate: int = SAMPLE_RATE
     resample: bool = False
 
-    strip_threshold: float = 0.1
-    strip_window_ms: float = 25.0
+    strip_threshold: float = STRIP_THRESHOLD
+    strip_window_ms: float = STRIP_WINDOW_MS
     segment_seconds: float = SEGMENT_SECONDS
 
     augment: bool = True
     augment_train_only: bool = True
     augment_seed: int = 1234
-    noise_alphas: str = "0.01,0.02,0.03"
-    pitch_semitones: str = "0.5,2,2.5"
+    noise_alphas: str = ",".join(f"{a:g}" for a in NOISE_ALPHAS)
+    pitch_semitones: str = ",".join(f"{s:g}" for s in PITCH_SEMITONES)
 
-    variant: str = "mfcc"
-    pair_mode: str = "binary"
-    pairs_per_sample: int = 8
-    seed: int = 7
-    split_seed: int = 13
+    variant: str = ModelSpec.variant
+    pair_mode: str = ModelSpec.head
+    pairs_per_sample: int = PAIRS_PER_SAMPLE
+    seed: int = ModelSpec.init_seed
+    split_seed: int = SPLIT_SEED
 
     text_resize: str = "truncate"
     vggish_weights: str = ""
     lexicon: str = ""
     synonyms: str = ""
 
-    batch_size: int = 100
-    epochs: int = 300
-    lr: float = 1e-5
-    decay: float = 1e-6
-    patience: int = 10
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    decay: float = TrainConfig.decay
+    patience: int = TrainConfig.patience
 
-    dropout: float = 0.0001
-    filters: int = 64
-    kernel: int = 3
-    stride: int = 1
-    dense_width: int = 1024
-    fusion_width: int = 540
+    dropout: float = ModelSpec.dropout
+    filters: int = ModelSpec.filters
+    kernel: int = ModelSpec.kernel
+    stride: int = ModelSpec.stride
+    dense_width: int = ModelSpec.dense_width
+    fusion_width: int = ModelSpec.fusion_width
 
-    relapse_threshold: float = 0.5
+    relapse_threshold: float = RELAPSE_THRESHOLD
 
     def noise_alpha_values(self) -> tuple:
         return _parse_float_list(self.noise_alphas, "noise_alphas")
@@ -69,11 +79,26 @@ class ExperimentConfig:
     def pitch_semitone_values(self) -> tuple:
         return _parse_float_list(self.pitch_semitones, "pitch_semitones")
 
+    def model_spec(self) -> ModelSpec:
+        """The spec of the model this config trains; `seed` seeds its init."""
+        return ModelSpec(
+            **{f.name: getattr(self, _SPEC_KEYS.get(f.name, f.name)) for f in fields(ModelSpec)}
+        )
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
     def validate(self) -> "ExperimentConfig":
-        if self.variant not in VARIANTS:
-            raise DataError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        """A bad value is a DataError naming its key. ModelSpec and
+        TrainConfig check their own fields; pair_mode is checked first, or
+        it would be reported as the spec's `head`."""
         if self.pair_mode not in PAIR_MODES:
             raise DataError(f"pair_mode must be one of {PAIR_MODES}, got {self.pair_mode!r}")
+        try:
+            self.model_spec()
+            self.train_config()
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         if self.text_resize not in TEXT_RESIZE_MODES:
             raise DataError(
                 f"text_resize must be one of {TEXT_RESIZE_MODES}, got {self.text_resize!r}"
@@ -85,27 +110,11 @@ class ExperimentConfig:
             raise DataError(
                 f"segment_seconds must be {SEGMENT_SECONDS}, got {self.segment_seconds}"
             )
-        positive = (
-            "strip_window_ms",
-            "pairs_per_sample",
-            "batch_size",
-            "epochs",
-            "lr",
-            "patience",
-            "filters",
-            "kernel",
-            "stride",
-            "dense_width",
-            "fusion_width",
-        )
-        for name in positive:
+        for name in ("strip_window_ms", "pairs_per_sample"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("strip_threshold", "decay"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.strip_threshold < 0:
+            raise DataError(f"strip_threshold must be >= 0, got {self.strip_threshold}")
         if not 0.0 <= self.relapse_threshold <= 1.0:
             raise DataError(
                 f"relapse_threshold must be in [0, 1], got {self.relapse_threshold}"
@@ -184,4 +193,4 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    return parse_config_text(read_text(path, "config file"), str(path))

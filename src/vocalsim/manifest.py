@@ -8,6 +8,7 @@ say "auto", in which case the auto rows are shuffled under a seed and dealt
 """
 
 import csv
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import SAMPLE_RATE, Signal
-from .errors import DataError
+from .errors import DataError, read_text
 
 MANIFEST_FIELDS = (
     "subject_id",
@@ -28,6 +29,7 @@ MANIFEST_FIELDS = (
 SPLITS = ("train", "val", "test")
 VAL_FRACTION = 0.1
 TEST_FRACTION = 0.1
+SPLIT_SEED = 13  # seeds the shuffle that deals the auto rows
 PCM16_SCALE = 32768.0
 
 
@@ -69,7 +71,7 @@ def assign_auto_splits(n: int, split_seed: int) -> list:
     return splits
 
 
-def load_manifest(path, split_seed: int = 13, check_audio: bool = True) -> list:
+def load_manifest(path, split_seed: int = SPLIT_SEED, check_audio: bool = True) -> list:
     """Read a manifest CSV into SubjectRecords with resolved splits.
 
     `check_audio` verifies each WAV header is PCM 16-bit mono (rate checked
@@ -80,25 +82,24 @@ def load_manifest(path, split_seed: int = 13, check_audio: bool = True) -> list:
         raise DataError(f"manifest not found: {path}")
     base = path.parent
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty manifest") from None
-        if tuple(h.strip() for h in header) != MANIFEST_FIELDS:
+    reader = csv.reader(io.StringIO(read_text(path, "manifest"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty manifest") from None
+    if tuple(h.strip() for h in header) != MANIFEST_FIELDS:
+        raise DataError(
+            f"{path}:1: header must be {','.join(MANIFEST_FIELDS)}, "
+            f"got {','.join(header)}"
+        )
+    for line, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(MANIFEST_FIELDS):
             raise DataError(
-                f"{path}:1: header must be {','.join(MANIFEST_FIELDS)}, "
-                f"got {','.join(header)}"
+                f"{path}:{line}: expected {len(MANIFEST_FIELDS)} fields, got {len(row)}"
             )
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(MANIFEST_FIELDS):
-                raise DataError(
-                    f"{path}:{line}: expected {len(MANIFEST_FIELDS)} fields, got {len(row)}"
-                )
-            rows.append((line, [field.strip() for field in row]))
+        rows.append((line, [field.strip() for field in row]))
     if not rows:
         raise DataError(f"{path}: manifest has no data rows")
 

@@ -7,7 +7,8 @@ the Euclidean distance between the two encodings feeds a small output layer:
 linear units for the score-difference head.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ MFCC_INPUT = (60, 378)  # channels x length
 VGGISH_INPUT = (128, 14)
 TEXT_FLAT = 540
 SIMILAR_INDEX = 0
+RELAPSE_THRESHOLD = 0.5  # mean similarity at which detect_relapse flags relapse
 ENCODE_BATCH = 100  # rows per encode call when scoring many sets
 
 
@@ -57,12 +59,11 @@ class ModelSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {tuple(HEADS)}, got {self.head!r}")
-        if self.filters < 1 or self.kernel < 1 or self.stride < 1:
-            raise ValueError("filters, kernel, and stride must be positive")
+        for name in ("filters", "kernel", "stride", "dense_width", "fusion_width"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.dense_width < 1 or self.fusion_width < 1:
-            raise ValueError("layer widths must be positive")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_size(self) -> int:
@@ -322,7 +323,7 @@ def detect_relapse(
     model: SiameseModel,
     subject_segments: list[FeatureSet],
     references: list[FeatureSet],
-    threshold: float = 0.5,
+    threshold: float = RELAPSE_THRESHOLD,
 ) -> RelapseDecision:
     """Average the similarity of every (segment, depressed reference) pair and
     flag relapse when the mean reaches the threshold.
@@ -340,15 +341,8 @@ def detect_relapse(
 
 # ---- checkpoint io -----------------------------------------------------
 
-_SPEC_FIELDS = (
-    "filters",
-    "kernel",
-    "stride",
-    "dropout",
-    "dense_width",
-    "fusion_width",
-    "init_seed",
-)
+# spec fields stored as an index into their tuple of choices
+_SPEC_CHOICES = {"variant": VARIANTS, "head": tuple(HEADS)}
 
 
 def _pack_scalar(value) -> np.ndarray:
@@ -366,12 +360,12 @@ def _unpack_scalar(tensor: np.ndarray) -> float:
 
 def save_checkpoint(path, model: SiameseModel) -> None:
     """Store the spec and the parameters as named float32 tensors."""
-    named: dict[str, np.ndarray] = {
-        "spec/variant": _pack_scalar(VARIANTS.index(model.spec.variant)),
-        "spec/head": _pack_scalar(list(HEADS).index(model.spec.head)),
-    }
-    for name in _SPEC_FIELDS:
-        named[f"spec/{name}"] = _pack_scalar(getattr(model.spec, name))
+    named: dict[str, np.ndarray] = {}
+    for spec_field in dataclasses.fields(ModelSpec):
+        value = getattr(model.spec, spec_field.name)
+        if spec_field.name in _SPEC_CHOICES:
+            value = _SPEC_CHOICES[spec_field.name].index(value)
+        named[f"spec/{spec_field.name}"] = _pack_scalar(value)
     for i, p in enumerate(model.params()):
         named[f"param/{i}"] = p.data
     write_container(path, [], named)
@@ -388,18 +382,15 @@ class _Unfilled:
 
 def load_checkpoint(path) -> SiameseModel:
     _, named = read_container(path)
+    values = {}
     try:
-        spec = ModelSpec(
-            variant=VARIANTS[int(_unpack_scalar(named["spec/variant"]))],
-            head=list(HEADS)[int(_unpack_scalar(named["spec/head"]))],
-            filters=int(_unpack_scalar(named["spec/filters"])),
-            kernel=int(_unpack_scalar(named["spec/kernel"])),
-            stride=int(_unpack_scalar(named["spec/stride"])),
-            dropout=_unpack_scalar(named["spec/dropout"]),
-            dense_width=int(_unpack_scalar(named["spec/dense_width"])),
-            fusion_width=int(_unpack_scalar(named["spec/fusion_width"])),
-            init_seed=int(_unpack_scalar(named["spec/init_seed"])),
-        )
+        for spec_field in dataclasses.fields(ModelSpec):
+            value = _unpack_scalar(named[f"spec/{spec_field.name}"])
+            if spec_field.name in _SPEC_CHOICES:
+                values[spec_field.name] = _SPEC_CHOICES[spec_field.name][int(value)]
+            else:
+                values[spec_field.name] = spec_field.type(value)
+        spec = ModelSpec(**values)
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint lacks spec tensor {exc}") from exc
     except (IndexError, ValueError) as exc:

@@ -9,12 +9,13 @@ paired with itself.
 """
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .manifest import SPLITS
 
 PAIRS_PER_SAMPLE = 8
@@ -169,11 +170,7 @@ def write_pairs_csv(pairs: PairSet, path) -> None:
 
 
 def read_pairs_csv(path) -> PairSet:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read pair list {path}: {exc}") from exc
+    rows = list(csv.reader(io.StringIO(read_text(path, "pair list"), newline="")))
     if not rows or rows[0] != ["left_id", "right_id", "label_binary", "label_score", "split"]:
         raise DataError(f"{path}: missing or malformed pair CSV header")
     out = PairSet()

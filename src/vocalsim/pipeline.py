@@ -2,14 +2,16 @@
 pair generation, training, and evaluation.
 
 This module alone decides how a recording becomes feature tensors
-(`featurize_recording`) and how a model is trained and saved
-(`train_and_save`); the command line calls the same functions.
+(`featurize_recording`), how samples are paired (`pair_samples`) and how a
+model is trained and saved (`train_and_save`); the command line calls the
+same functions.
 
 Every stage hashes its inputs (files plus the config fields it depends on)
 into `stage_state.json` under the working directory; a stage whose hash
 matches and whose outputs still exist is skipped, so re-running a finished
 experiment touches nothing and changing one knob re-runs only the stages
-downstream of it.
+downstream of it. A stage drops its entry before it rewrites its outputs, so
+outputs left by a crashed run are never served under an older hash.
 """
 
 import hashlib
@@ -29,7 +31,6 @@ from .mfcc import extract_mfcc
 from .models import (
     VARIANT_FIELDS,
     FeatureSet,
-    ModelSpec,
     SiameseModel,
     build_model,
     load_checkpoint,
@@ -38,7 +39,7 @@ from .models import (
 from .pairs import PairSet, SampleRef, make_pairs, read_pairs_csv, write_pairs_csv
 from .preprocess import Segment, augment_corpus, segment, strip_unvoiced
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
-from .training import TrainConfig, TrainResult, train
+from .training import TrainResult, train
 from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
 
 STATE_FILE = "stage_state.json"
@@ -86,7 +87,7 @@ def _load_state(workdir: Path) -> dict:
         return {}
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, UnicodeDecodeError):
         return {}
 
 
@@ -101,6 +102,12 @@ def _stage_current(workdir: Path, state: dict, name: str, digest: str) -> bool:
     if not entry or entry.get("hash") != digest:
         return False
     return all((workdir / out).is_file() for out in entry.get("outputs", []))
+
+
+def _drop_stage(workdir: Path, state: dict, name: str) -> None:
+    """Forget a stage's hash before the stage rewrites its outputs."""
+    if state.pop(name, None) is not None:
+        _store_state(workdir, state)
 
 
 def _mark_stage(workdir: Path, state: dict, name: str, digest: str, outputs) -> None:
@@ -254,37 +261,26 @@ def load_feature_table(cache_path, records) -> tuple:
     return features, refs
 
 
+def pair_samples(config: ExperimentConfig, refs) -> PairSet:
+    """The config's balanced pairs over `refs`, drawn under `config.seed`."""
+    return make_pairs(
+        refs, config.pair_mode, config.pairs_per_sample, np.random.default_rng(config.seed)
+    )
+
+
 def train_and_save(
     config: ExperimentConfig, pair_set: PairSet, features: dict, checkpoint, history=None
 ) -> tuple[SiameseModel, TrainResult]:
     """Build the config's model, train it on the train and val pairs, and
     save the checkpoint; with a `history` path, also write the loss history
     as JSON."""
-    spec = ModelSpec(
-        variant=config.variant,
-        head=config.pair_mode,
-        filters=config.filters,
-        kernel=config.kernel,
-        stride=config.stride,
-        dropout=config.dropout,
-        dense_width=config.dense_width,
-        fusion_width=config.fusion_width,
-        init_seed=config.seed,
-    )
-    model = build_model(spec)
-    train_config = TrainConfig(
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        lr=config.lr,
-        decay=config.decay,
-        patience=config.patience,
-    )
+    model = build_model(config.model_spec())
     result = train(
         model,
         pair_set.train,
         pair_set.val,
         features,
-        train_config,
+        config.train_config(),
         np.random.default_rng(config.seed),
     )
     save_checkpoint(checkpoint, model)
@@ -359,6 +355,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             _say(log, "features: cache up to date")
         else:
             tensors = extract_corpus_features(config, records)
+            _drop_stage(workdir, state, "features")
             write_container(paths["cache"], [], tensors)
             _mark_stage(workdir, state, "features", digest, [relative["cache"]])
             _say(log, f"features: cached {len(tensors)} tensors")
@@ -378,12 +375,8 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             pair_set = read_pairs_csv(paths["pairs"])
             _say(log, "pairs: list up to date")
         else:
-            pair_set = make_pairs(
-                refs,
-                config.pair_mode,
-                config.pairs_per_sample,
-                np.random.default_rng(config.seed),
-            )
+            pair_set = pair_samples(config, refs)
+            _drop_stage(workdir, state, "pairs")
             write_pairs_csv(pair_set, paths["pairs"])
             _mark_stage(workdir, state, "pairs", digest, [relative["pairs"]])
             _say(
@@ -422,6 +415,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             model = load_checkpoint(paths["checkpoint"])
             _say(log, "train: checkpoint up to date")
         else:
+            _drop_stage(workdir, state, "train")
             model, train_result = train_and_save(
                 config, pair_set, features, paths["checkpoint"], paths["history"]
             )
@@ -446,6 +440,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             _say(log, "eval: report up to date")
         else:
             report = evaluate(model, pair_set.test, features, config.batch_size)
+            _drop_stage(workdir, state, "eval")
             paths["report"].write_text(report.to_json() + "\n", encoding="utf-8")
             paths["confusion"].write_text(render_confusion(report), encoding="utf-8")
             _mark_stage(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import SEGMENT_SECONDS
-from .errors import DataError
+from .errors import DataError, read_text
 
 VECTOR_DIM = 300
 NUM_DIMS = 60
@@ -69,11 +69,7 @@ def load_transcript(path) -> list[TranscriptUtterance]:
 
     The header row is required. Utterances come back sorted by start time.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read transcript {path}: {exc}") from exc
+    lines = read_text(path, "transcript").splitlines()
     if not lines:
         raise DataError(f"{path}: empty transcript")
     header = [h.strip().lower() for h in lines[0].split("\t")]
@@ -106,11 +102,7 @@ def load_lexicon(path, synonyms: dict[str, str] | None = None) -> Lexicon:
 
     An optional first line "count dim" (two integers) is skipped.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon {path}: {exc}") from exc
+    lines = read_text(path, "lexicon").splitlines()
     start = 0
     if lines:
         head = lines[0].split()
@@ -137,11 +129,7 @@ def load_lexicon(path, synonyms: dict[str, str] | None = None) -> Lexicon:
 
 def load_synonyms(path) -> dict[str, str]:
     """Parse "word<TAB>synonym" lines into a lookup map."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read synonym file {path}: {exc}") from exc
+    lines = read_text(path, "synonym file").splitlines()
     table = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

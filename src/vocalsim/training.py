@@ -19,12 +19,11 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("batch_size", "epochs", "lr", "patience"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.decay < 0:
+            raise ValueError(f"decay must be >= 0, got {self.decay}")
 
 
 @dataclass

@@ -436,6 +436,19 @@ class TestFlagValidation:
         assert main(argv) == 3
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_pair_pairs_per_sample_below_one_is_data_error(self, trained, tmp_path, capsys, value):
+        argv = [
+            "pair",
+            "--manifest", str(trained["manifest"]),
+            "--cache", str(trained["cache"]),
+            "--out", str(tmp_path / "pairs.csv"),
+            "--pairs-per-sample", value,
+        ]
+        assert main(argv) == 3
+        assert "pairs_per_sample" in capsys.readouterr().err
+        assert not (tmp_path / "pairs.csv").exists()
+
     @pytest.mark.parametrize("variant", ["mfcc", "vggish"])
     def test_extract_transcript_without_text_variant_is_usage_error(self, tmp_path, capsys, variant):
         argv = _single_recording_argv("extract", tmp_path, variant)

@@ -9,6 +9,8 @@ from vocalsim.config import (
     parse_config_text,
 )
 from vocalsim.errors import DataError
+from vocalsim.models import ModelSpec
+from vocalsim.training import TrainConfig
 
 
 class TestDefaults:
@@ -28,6 +30,42 @@ class TestDefaults:
 
     def test_defaults_validate(self):
         ExperimentConfig().validate()
+
+    def test_model_and_training_defaults_are_the_library_defaults(self):
+        config = ExperimentConfig()
+        assert config.model_spec() == ModelSpec()
+        assert config.train_config() == TrainConfig()
+
+
+class TestBuilders:
+    # a value other than the default for every key that feeds ModelSpec or
+    # TrainConfig
+    VALUES = {
+        "variant": "fusion",
+        "pair_mode": "score25",
+        "filters": 5,
+        "kernel": 4,
+        "stride": 2,
+        "dropout": 0.3,
+        "dense_width": 9,
+        "fusion_width": 11,
+        "seed": 99,
+        "batch_size": 7,
+        "epochs": 3,
+        "lr": 0.5,
+        "decay": 0.25,
+        "patience": 2,
+    }
+    KEYS = {"head": "pair_mode", "init_seed": "seed"}  # spec field -> config key
+
+    def test_every_field_is_carried(self):
+        defaults = ExperimentConfig()
+        assert all(getattr(defaults, key) != value for key, value in self.VALUES.items())
+        config = ExperimentConfig(**self.VALUES).validate()
+        built = {**vars(config.model_spec()), **vars(config.train_config())}
+        assert {self.KEYS.get(name, name) for name in built} == set(self.VALUES)
+        for name, value in built.items():
+            assert value == self.VALUES[self.KEYS.get(name, name)], name
 
 
 class TestParsing:
@@ -110,6 +148,10 @@ class TestValidation:
             ExperimentConfig(epochs=0).validate()
         with pytest.raises(DataError, match="lr"):
             ExperimentConfig(lr=-1.0).validate()
+        with pytest.raises(DataError, match="dense_width must be positive, got 0"):
+            ExperimentConfig(dense_width=0).validate()
+        with pytest.raises(DataError, match="decay must be >= 0"):
+            ExperimentConfig(decay=-1e-3).validate()
 
     def test_dropout_range(self):
         with pytest.raises(DataError, match="dropout"):

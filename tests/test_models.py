@@ -1,6 +1,7 @@
 """Tests for the twin-encoder models, checkpointing, and the relapse rule."""
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ class TestSpec:
             ModelSpec(dropout=1.0)
         with pytest.raises(ValueError):
             ModelSpec(filters=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("filters", 0, "filters must be positive, got 0"),
+            ("kernel", 0, "kernel must be positive, got 0"),
+            ("stride", -1, "stride must be positive, got -1"),
+            ("dense_width", 0, "dense_width must be positive, got 0"),
+            ("fusion_width", 0, "fusion_width must be positive, got 0"),
+            ("dropout", 1.0, "dropout must be in \\[0, 1\\), got 1.0"),
+        ],
+    )
+    def test_each_check_names_its_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(**{field: value})
 
     def test_default_hyperparameters(self):
         spec = ModelSpec()
@@ -186,6 +202,34 @@ class TestCheckpoint:
         a = loaded.predict_similarity(features(3), features(4))
         b = loaded.predict_similarity(features(3), features(4))
         assert a == b
+
+    def test_format_is_pinned(self, tmp_path):
+        # every ModelSpec field stored, in this order, with these bytes; a
+        # checkpoint written before the spec tensors came from the dataclass
+        # fields had this sha256
+        from vocalsim.container import read_container
+
+        spec = ModelSpec(
+            variant="fusion",
+            head="score25",
+            filters=2,
+            kernel=3,
+            stride=2,
+            dropout=0.25,
+            dense_width=4,
+            fusion_width=3,
+            init_seed=5,
+        )
+        path = tmp_path / "model.oswt"
+        save_checkpoint(path, build_model(spec))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fe1e46af4fb4278df870090a3c928fc680c3c09c93e28315e609e576542681a8"
+        _, named = read_container(path)
+        params = [f"param/{i}" for i in (0, 1, *range(10, 16), *range(2, 10))]
+        spec_fields = ["dense_width", "dropout", "filters", "fusion_width", "head"]
+        spec_fields += ["init_seed", "kernel", "stride", "variant"]
+        assert list(named) == params + [f"spec/{name}" for name in spec_fields]
+        assert load_checkpoint(path).spec == spec
 
     def test_missing_param_tensor_rejected(self, tmp_path):
         from vocalsim.container import read_container, write_container

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vocalsim import pipeline
 from vocalsim.config import ExperimentConfig
 from vocalsim.errors import DataError
 from vocalsim.manifest import write_wav
@@ -170,6 +171,56 @@ class TestPipeline:
     def test_unset_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             run_pipeline(fast_config("", tmp_path / "run"))
+
+
+class TestCrashSafety:
+    """A run of config B that dies between writing a stage's outputs and
+    recording its hash must not leave them to be served under config A."""
+
+    @pytest.mark.parametrize(
+        "stage, outputs, override",
+        [
+            ("features", ["cache"], {"augment": True}),
+            ("pairs", ["pairs"], {"pairs_per_sample": 2}),
+            ("train", ["checkpoint", "history"], {"epochs": 1}),
+            ("eval", ["report", "confusion"], {"seed": 8}),
+        ],
+    )
+    def test_crash_before_mark_is_not_served_to_previous_config(
+        self, tmp_path, monkeypatch, stage, outputs, override
+    ):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        first = run_pipeline(fast_config(manifest, workdir))
+        hashes = {name: file_hash(first.paths[name]) for name in outputs}
+
+        mark = pipeline._mark_stage
+
+        def crash_at_stage(workdir, state, name, digest, outs):
+            if name == stage:
+                raise RuntimeError(f"crash before marking {name}")
+            mark(workdir, state, name, digest, outs)
+
+        monkeypatch.setattr(pipeline, "_mark_stage", crash_at_stage)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_pipeline(fast_config(manifest, workdir, **override))
+        monkeypatch.undo()
+        assert any(file_hash(first.paths[n]) != hashes[n] for n in outputs)
+
+        messages = []
+        run_pipeline(fast_config(manifest, workdir), log=messages.append)
+        assert not any(m.startswith(f"{stage}:") and "up to date" in m for m in messages)
+        for name in outputs:
+            assert file_hash(first.paths[name]) == hashes[name], name
+
+    def test_undecodable_state_file_reruns_stages(self, tmp_path):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        first = run_pipeline(fast_config(manifest, workdir))
+        (workdir / pipeline.STATE_FILE).write_bytes(b"\xff{}")
+        second = run_pipeline(fast_config(manifest, workdir))
+        assert second.train_result is not None  # the stages ran again
+        assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
 
 
 class TestCacheReload:

@@ -182,6 +182,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("batch_size", 0, "batch_size must be positive, got 0"),
+            ("epochs", -1, "epochs must be positive, got -1"),
+            ("lr", 0.0, "lr must be positive, got 0.0"),
+            ("patience", 0, "patience must be positive, got 0"),
+            ("decay", -1e-6, "decay must be >= 0, got -1e-06"),
+        ],
+    )
+    def test_each_check_names_its_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
     def test_score25_targets_use_label_score(self):
         features, pairs = toy_problem(n_per_class=3)
         model = tiny_model(head="score25")
