@@ -17,11 +17,35 @@ Graph ownership: a node holds its parents and its backward closure; a
 closure holds the op's inputs and saved arrays and receives the node's grad
 as its argument, never the node itself. The graph therefore has no
 reference cycles, and dropping the loss frees every intermediate at once.
+
+CPUs: the engine uses every CPU in the process's affinity mask. Each
+product in dense and gather_dense (forward, weight grad, input grad) and
+the RMSProp update of each large parameter is split into one share per
+CPU; the calling thread computes one share and a private pool of threads,
+created on first use and again in a forked child, the others. Products
+below two shares of _SPLIT_MADDS multiply-adds, and parameters below two
+_STEP_BLOCKs, run on the calling thread alone, as does everything when the
+mask holds one CPU. A split changes no bit of any result: a product is split
+by output column, so every output element is the same dot product computed
+by the same BLAS kernel, and the update is elementwise. conv1d's products
+stay on one thread.
 """
+
+import functools
+import os
+import threading
 
 import numpy as np
 
 _STEP_BLOCK = 32768  # RMSProp update block: 256 KB per float64 operand
+# least multiply-adds per share of a split product: the smallest power of two
+# at which a two-way split of a 200-row product measured faster than one thread
+_SPLIT_MADDS = 1 << 24
+# a split product's shares start on multiples of this many output columns,
+# and only products whose column count is a multiple of it are split: the
+# BLAS computes a share's trailing columns with a narrower kernel whose sums
+# can differ in the last bit, so every share must end on a kernel boundary
+_SPLIT_COLUMNS = 64
 
 
 class Tensor:
@@ -100,6 +124,112 @@ class Constant(Tensor):
 
     def _accumulate(self, g: np.ndarray) -> None:
         pass
+
+
+class _Workers:
+    """Jobs cut into shares: run(task, limit) runs task(i, parts) for each
+    share i < parts = min(limit, width), share 0 on the calling thread and
+    the others on a pool of width - 1 threads.
+
+    A task must be a leaf NumPy call that submits no work itself, so that
+    no task waits on one queued behind it.
+    """
+
+    def __init__(self, width: int):
+        # imported here, so that a process that never splits loads none of it
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.width = width
+        self._pool = ThreadPoolExecutor(width - 1, "autodiff") if width > 1 else None
+
+    def run(self, task, limit: int) -> None:
+        """Return when every share has finished; an exception from any of
+        them is raised then, the calling thread's first."""
+        parts = min(limit, self.width)
+        if parts < 2:
+            task(0, 1)
+            return
+        futures = [self._pool.submit(task, i, parts) for i in range(1, parts)]
+        try:
+            task(0, parts)
+        finally:
+            errors = [future.exception() for future in futures]  # waits for each
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+_workers_lock = threading.Lock()
+_workers_now = None
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers() -> _Workers:
+    """The process's workers, one per CPU it may run on; made on first use."""
+    global _workers_now
+    with _workers_lock:
+        if _workers_now is None:
+            _workers_now = _Workers(_cpu_count())
+        return _workers_now
+
+
+def _forget_workers() -> None:
+    # a forked child has only the forking thread: the parent's pool threads
+    # are gone, and the lock may have been copied held
+    global _workers_lock, _workers_now
+    _workers_lock = threading.Lock()
+    _workers_now = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _in_shares(task, limit: int) -> None:
+    """task(i, parts) for the shares of a job that can be cut into at most
+    limit shares (see _Workers.run); below two, task(0, 1) alone, and no
+    pool is made."""
+    if limit < 2:
+        task(0, 1)
+    else:
+        _workers().run(task, limit)
+
+
+def _cut(n: int, i: int, parts: int, unit: int = 1) -> slice:
+    """Share i of parts of range(n) in whole units: the shares are
+    contiguous, disjoint and, when unit divides n, cover range(n)."""
+    units = n // unit
+    return slice(i * units // parts * unit, (i + 1) * units // parts * unit)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d a and b, split by output column when every share
+    carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
+    share's columns of the output, with the bits of a @ b."""
+    rows, inner = a.shape
+    cols = b.shape[1]
+    unit_madds = rows * inner * _SPLIT_COLUMNS
+    if cols % _SPLIT_COLUMNS or unit_madds == 0:
+        return a @ b
+    # each share holds at least this many whole units of columns
+    least = -(-_SPLIT_MADDS // unit_madds)
+    limit = cols // _SPLIT_COLUMNS // least
+    if limit < 2:
+        return a @ b
+    out = np.empty((rows, cols))
+
+    def share(i, parts):
+        cut = _cut(cols, i, parts, _SPLIT_COLUMNS)
+        np.matmul(a, b[:, cut], out=out[:, cut])
+
+    _in_shares(share, limit)
+    return out
 
 
 def as_tensor(x) -> Tensor:
@@ -181,13 +311,14 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     xb, batched = _split_batch(x.data, 1)
     if xb.shape[1] != w.shape[1]:
         raise ValueError(f"input dim {xb.shape[1]} does not match weight dim {w.shape[1]}")
-    out = xb @ w.T + b
+    out = _matmul(xb, w.T)
+    out += b
 
     def backward(grad):
         gy = grad if batched else grad[None]
-        weight._accumulate(gy.T @ xb)
+        weight._accumulate(_matmul(gy.T, xb))
         bias._accumulate(gy.sum(axis=0))
-        gx = gy @ w
+        gx = _matmul(gy, w)
         x._accumulate(gx if batched else gx[0])
 
     return Tensor(out if batched else out[0], parents=(x, weight, bias), backward=backward)
@@ -290,7 +421,8 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     xs = x.data * scale
     y = xs[index]
     y[rows, cols] = 0.0
-    out = y @ w.T + b
+    out = _matmul(y, w.T)
+    out += b
 
     def backward(grad):
         g = _sum_rows(grad, index, len(xs))
@@ -299,17 +431,17 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
         # them, the composition does not
         dropped_y = np.zeros((len(index), len(touched)))
         dropped_y[rows, at] = xs[index[rows], cols]
-        gw = g.T @ xs
-        gw[:, touched] -= grad.T @ dropped_y
+        gw = _matmul(g.T, xs)
+        gw[:, touched] -= _matmul(grad.T, dropped_y)
         weight._accumulate(gw)
         bias._accumulate(grad.sum(axis=0))
         if isinstance(x, Constant):
             return
         # and the same entries of the output grad pulled back through W
-        pulled = grad @ w[:, touched]
+        pulled = _matmul(grad, w[:, touched])
         dropped_g = np.zeros_like(pulled)
         dropped_g[rows, at] = pulled[rows, at]
-        gx = g @ w
+        gx = _matmul(g, w)
         gx[:, touched] -= _sum_rows(dropped_g, index, len(xs))
         gx *= scale
         x._accumulate(gx)
@@ -458,7 +590,11 @@ class RMSProp:
 
     step() walks each parameter in blocks of _STEP_BLOCK elements and
     updates cache and parameter in place, so no parameter-sized temporary is
-    made and each block's operands are still in cache for the next pass.
+    made and each block's operands are still in cache for the next pass. A
+    parameter of at least two blocks is cut into one contiguous share per
+    worker (see the module docstring), each walked in blocks of its own slice
+    of the two _STEP_BLOCK scratch buffers; the update is elementwise, so the
+    bits are those of one walk.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6,
@@ -484,26 +620,37 @@ class RMSProp:
 
     def step(self) -> None:
         lr_t = self.current_lr()
-        rho, eps = self.rho, self.epsilon
-        scratch = np.empty(_STEP_BLOCK), np.empty(_STEP_BLOCK)
+        scratch = np.empty((2, _STEP_BLOCK))
         for p, cache in zip(self.params, self.cache):
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
             # flat views of data and cache; grad is copied only if strided
             data, cache, grad = p.data.reshape(-1), cache.reshape(-1), p.grad.reshape(-1)
-            for start in range(0, data.size, _STEP_BLOCK):
-                block = slice(start, start + _STEP_BLOCK)
-                d, c, g = data[block], cache[block], grad[block]
-                s, t = scratch[0][: g.size], scratch[1][: g.size]
-                # the same expression chain, and so the same bits, as
-                # cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)
-                c *= rho
-                np.multiply(g, 1.0 - rho, out=s)
-                s *= g
-                c += s
-                np.sqrt(c, out=s)
-                s += eps
-                np.multiply(g, lr_t, out=t)
-                t /= s
-                d -= t
+            _in_shares(
+                functools.partial(self._update_share, data, cache, grad, scratch, lr_t),
+                data.size // _STEP_BLOCK,
+            )
         self.step_count += 1
+
+    def _update_share(self, data, cache, grad, scratch, lr_t: float, i: int, parts: int) -> None:
+        """Update share i of parts of the flat data and cache in place, in
+        blocks as wide as the share's slice of the scratch buffers."""
+        rho, eps = self.rho, self.epsilon
+        size = scratch.shape[1] // parts
+        scratch = scratch[:, i * size : (i + 1) * size]
+        span = _cut(data.size, i, parts)
+        for start in range(span.start, span.stop, size):
+            block = slice(start, min(start + size, span.stop))
+            d, c, g = data[block], cache[block], grad[block]
+            s, t = scratch[0, : g.size], scratch[1, : g.size]
+            # the same expression chain, and so the same bits, as
+            # cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)
+            c *= rho
+            np.multiply(g, 1.0 - rho, out=s)
+            s *= g
+            c += s
+            np.sqrt(c, out=s)
+            s += eps
+            np.multiply(g, lr_t, out=t)
+            t /= s
+            d -= t

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
-from .errors import DataError, read_text
+from .errors import DataError, is_file, read_text
 from .manifest import SPLIT_SEED
 from .models import HEADS, RELAPSE_THRESHOLD, ModelSpec
 from .pairs import PAIRS_PER_SAMPLE
@@ -191,6 +191,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.is_file():
+    if not is_file(path, "config file"):
         raise DataError(f"config file not found: {path}")
     return parse_config_text(read_text(path, "config file"), str(path))

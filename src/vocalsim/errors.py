@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the text-file reader that
-raises them."""
+"""Exception types shared across the package, and the file checks and the
+text-file reader that raise them."""
+
+from pathlib import Path
 
 
 class DataError(Exception):
@@ -19,3 +21,12 @@ def read_text(path, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def is_file(path, what: str) -> bool:
+    """Whether `path` is a file; a DataError headed by `what` if the path
+    cannot even be looked up, say for a name too long for the file system."""
+    try:
+        return Path(path).is_file()
+    except OSError as exc:
+        raise DataError(f"{what}: cannot look up {path}: {exc.strerror or exc}") from None

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import SAMPLE_RATE, Signal
-from .errors import DataError, read_text
+from .errors import DataError, is_file, read_text
 
 MANIFEST_FIELDS = (
     "subject_id",
@@ -78,7 +78,7 @@ def load_manifest(path, split_seed: int = SPLIT_SEED, check_audio: bool = True) 
     later, at read time, so a resampling run can still ingest).
     """
     path = Path(path)
-    if not path.is_file():
+    if not is_file(path, "manifest"):
         raise DataError(f"manifest not found: {path}")
     base = path.parent
     rows = []
@@ -139,8 +139,9 @@ def load_manifest(path, split_seed: int = SPLIT_SEED, check_audio: bool = True) 
     for row in parsed:
         line = row.pop("line")
         for key in ("audio_path", "transcript_path"):
-            if not row[key].is_file():
-                raise DataError(f"{path}:{line}: {key.replace('_', ' ')} not found: {row[key]}")
+            what = key.replace("_", " ")
+            if not is_file(row[key], f"{path}:{line}: {what}"):
+                raise DataError(f"{path}:{line}: {what} not found: {row[key]}")
         if check_audio:
             _check_wav_header(row["audio_path"], line, path)
         try:
@@ -171,7 +172,7 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> 
     in which case the samples are linearly interpolated to the expected rate.
     """
     path = Path(path)
-    if not path.is_file():
+    if not is_file(path, "audio file"):
         raise DataError(f"audio file not found: {path}")
     try:
         with wave.open(str(path), "rb") as handle:

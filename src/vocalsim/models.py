@@ -380,20 +380,40 @@ class _Unfilled:
         return np.empty(size)
 
 
+def _spec_value(path, named: dict, name: str, kind: type):
+    """The spec field `name` stored in a checkpoint's tensors: an int field
+    and a choice index must hold an integral value, and an index must fall
+    inside its tuple of choices. A DataError names the file and the field."""
+    key = f"spec/{name}"
+    if key not in named:
+        raise DataError(f"{path}: checkpoint lacks spec tensor {key!r}")
+    try:
+        value = _unpack_scalar(named[key])
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid checkpoint spec {name}: {exc}") from exc
+    choices = _SPEC_CHOICES.get(name)
+    if choices is None and kind is not int:
+        return kind(value)
+    if not value.is_integer():
+        raise DataError(f"{path}: checkpoint spec {name} must be an integer, got {value!r}")
+    if choices is None:
+        return int(value)
+    if not 0 <= value < len(choices):
+        raise DataError(
+            f"{path}: checkpoint spec {name} must index one of {choices}, got {int(value)}"
+        )
+    return choices[int(value)]
+
+
 def load_checkpoint(path) -> SiameseModel:
     _, named = read_container(path)
-    values = {}
+    values = {
+        field.name: _spec_value(path, named, field.name, field.type)
+        for field in dataclasses.fields(ModelSpec)
+    }
     try:
-        for spec_field in dataclasses.fields(ModelSpec):
-            value = _unpack_scalar(named[f"spec/{spec_field.name}"])
-            if spec_field.name in _SPEC_CHOICES:
-                values[spec_field.name] = _SPEC_CHOICES[spec_field.name][int(value)]
-            else:
-                values[spec_field.name] = spec_field.type(value)
         spec = ModelSpec(**values)
-    except KeyError as exc:
-        raise DataError(f"{path}: checkpoint lacks spec tensor {exc}") from exc
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: invalid checkpoint spec: {exc}") from exc
     model = SiameseModel(spec, rng=_Unfilled())
     for i, p in enumerate(model.params()):

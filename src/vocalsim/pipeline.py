@@ -86,9 +86,11 @@ def _load_state(workdir: Path) -> dict:
     if not path.is_file():
         return {}
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        state = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError):
         return {}
+    # valid JSON of another shape is no state either: every stage re-runs
+    return state if isinstance(state, dict) else {}
 
 
 def _store_state(workdir: Path, state: dict) -> None:
@@ -99,7 +101,7 @@ def _store_state(workdir: Path, state: dict) -> None:
 
 def _stage_current(workdir: Path, state: dict, name: str, digest: str) -> bool:
     entry = state.get(name)
-    if not entry or entry.get("hash") != digest:
+    if not isinstance(entry, dict) or entry.get("hash") != digest:
         return False
     return all((workdir / out).is_file() for out in entry.get("outputs", []))
 

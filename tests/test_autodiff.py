@@ -1,6 +1,11 @@
 """Tests for the reverse-mode engine: hand-checked values, forward oracles,
 central finite-difference gradient checks, and optimizer arithmetic."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -635,6 +640,259 @@ class TestRMSProp:
             RMSProp([Tensor([1.0])], lr=0.0)
         with pytest.raises(ValueError):
             RMSProp([Tensor([1.0])], rho=1.0)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """install(n) gives the engine n workers and a split rule low enough for
+    test-sized products: each share still carries 2**20 multiply-adds, above
+    the BLAS's small-matrix cut-off, as the production minimum is."""
+    monkeypatch.setattr(autodiff, "_SPLIT_MADDS", 1 << 20)
+
+    def install(width):
+        shut_down()
+        monkeypatch.setattr(autodiff, "_cpu_count", lambda: width)
+        monkeypatch.setattr(autodiff, "_workers_now", None)
+
+    def shut_down():
+        if autodiff._workers_now is not None and autodiff._workers_now._pool is not None:
+            autodiff._workers_now._pool.shutdown()
+
+    yield install
+    shut_down()
+
+
+def count_splits(monkeypatch) -> list:
+    """The limit of every job handed to the workers, as it is handed."""
+    limits = []
+    run = autodiff._Workers.run
+
+    def spy(self, task, limit):
+        limits.append(limit)
+        run(self, task, limit)
+
+    monkeypatch.setattr(autodiff._Workers, "run", spy)
+    return limits
+
+
+class TestSplitWork:
+    """With the split forced, every result equals the one-thread result bit
+    for bit, and the pool survives errors and forks."""
+
+    @staticmethod
+    def dense_run(x, w, b, probe):
+        xs, ws, bs = Tensor(x), Tensor(w), Tensor(b)
+        out = dense(xs, ws, bs)
+        weighted_sum(out, probe).backward()
+        return out.data, xs.grad, ws.grad, bs.grad
+
+    @pytest.mark.parametrize(
+        "rows, n_in, n_out",
+        [
+            (32, 2048, 192),  # every product split
+            (32, 2048, 193),  # odd output count: the forward stays whole
+            (32, 1 << 16, 1),  # one output column: only the grads split
+            (1, 2048, 1024),  # one row
+        ],
+    )
+    def test_dense_equals_one_thread(self, workers, monkeypatch, rows, n_in, n_out):
+        rng = np.random.default_rng(40)
+        x, w = rng.normal(size=(rows, n_in)), rng.normal(size=(n_out, n_in))
+        b, probe = rng.normal(size=n_out), rng.normal(size=(rows, n_out))
+        workers(1)
+        want = self.dense_run(x, w, b, probe)
+        workers(2)
+        limits = count_splits(monkeypatch)
+        got = self.dense_run(x, w, b, probe)
+        assert any(limit >= 2 for limit in limits)
+        for g, w_ in zip(got, want):
+            np.testing.assert_array_equal(g, w_)
+
+    @pytest.mark.parametrize("dropped", [([0, 5, 5, 39], [3, 3, 4000, 64]), None])
+    def test_gather_dense_equals_one_thread(self, workers, monkeypatch, dropped):
+        rng = np.random.default_rng(41)
+        index = rng.integers(0, 6, size=40)
+        x, w = rng.normal(size=(6, 4096)), rng.normal(size=(192, 4096))
+        b, probe = rng.normal(size=192), rng.normal(size=(40, 192))
+
+        def run():
+            xs, ws, bs = Tensor(x), Tensor(w), Tensor(b)
+            out = gather_dense(xs, index, ws, bs, dropped, 1.25)
+            weighted_sum(out, probe).backward()
+            return out.data, xs.grad, ws.grad, bs.grad
+
+        workers(1)
+        want = run()
+        workers(2)
+        limits = count_splits(monkeypatch)
+        got = run()
+        assert sum(limit >= 2 for limit in limits) >= 3  # forward, weight grad, input grad
+        for g, w_ in zip(got, want):
+            np.testing.assert_array_equal(g, w_)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transposed_operands(self, workers, order):
+        # the backward passes transposed views: gy.T, g.T and w.T
+        rng = np.random.default_rng(42)
+        a = np.asarray(rng.normal(size=(700, 48)), order=order).T
+        b = np.asarray(rng.normal(size=(320, 700)), order=order).T
+        workers(2)
+        np.testing.assert_array_equal(autodiff._matmul(a, b), a @ b)
+
+    @pytest.mark.parametrize("n, parts, unit", [(10, 3, 1), (7, 7, 1), (640, 3, 64), (1, 1, 1)])
+    def test_shares_partition_the_range(self, n, parts, unit):
+        cuts = [autodiff._cut(n, i, parts, unit) for i in range(parts)]
+        assert [c.start for c in cuts[1:]] == [c.stop for c in cuts[:-1]]
+        assert cuts[0].start == 0 and cuts[-1].stop == n
+        assert all(c.start % unit == 0 and c.stop > c.start for c in cuts)
+
+    def test_small_product_submits_nothing(self, workers, monkeypatch):
+        workers(2)
+        limits = count_splits(monkeypatch)
+        rng = np.random.default_rng(43)
+        x, w, b = rng.normal(size=(8, 64)), rng.normal(size=(128, 64)), rng.normal(size=128)
+        weighted_sum(dense(Tensor(x), Tensor(w), Tensor(b)), np.ones((8, 128))).backward()
+        assert limits == []
+        assert autodiff._workers_now is None  # no pool was even made
+
+    def test_one_cpu_makes_no_pool(self):
+        assert autodiff._Workers(1)._pool is None
+
+    def test_chunk_error_reaches_caller_and_pool_survives(self, workers):
+        workers(2)
+        rng = np.random.default_rng(44)
+        a, b = rng.normal(size=(32, 512)), rng.normal(size=(500, 256))
+        with pytest.raises(ValueError):
+            autodiff._matmul(a, b)  # split by a's shape, so the shares fail
+        b = rng.normal(size=(512, 256))
+        np.testing.assert_array_equal(autodiff._matmul(a, b), a @ b)
+
+    def test_worker_error_raised_after_every_share(self, workers):
+        workers(2)
+        finished = []
+        released = threading.Event()
+
+        def task(i, parts):
+            if i == 0:
+                released.wait(5.0)
+                finished.append(i)
+            else:
+                released.set()
+                raise KeyError("share 1")
+
+        with pytest.raises(KeyError, match="share 1"):
+            autodiff._workers().run(task, 2)
+        assert finished == [0]
+
+        def slow_worker(i, parts):
+            if i == 0:
+                raise KeyError("share 0")
+            time.sleep(0.2)
+            finished.append(i)
+
+        with pytest.raises(KeyError, match="share 0"):
+            autodiff._workers().run(slow_worker, 2)
+        assert finished == [0, 1]  # share 1 ended before the error was raised
+
+    def test_concurrent_callers_share_one_pool(self, workers, monkeypatch):
+        # more calling threads than workers, switching often: each gets its
+        # own exact product, and the first use makes exactly one pool
+        workers(2)
+        made = []
+        init = autodiff._Workers.__init__
+
+        def counting_init(self, width):
+            made.append(width)
+            init(self, width)
+
+        monkeypatch.setattr(autodiff._Workers, "__init__", counting_init)
+        rng = np.random.default_rng(47)
+        a = [rng.normal(size=(32, 512)) for _ in range(6)]
+        b = rng.normal(size=(512, 256))
+        results = [None] * len(a)
+        start = threading.Barrier(len(a))
+
+        def call(k):
+            start.wait()
+            for _ in range(5):
+                results[k] = autodiff._matmul(a[k], b)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(a))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert made == [2]
+        for k in range(len(a)):
+            np.testing.assert_array_equal(results[k], a[k] @ b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_splits_a_product(self, workers):
+        workers(2)
+        rng = np.random.default_rng(45)
+        a, b = rng.normal(size=(32, 512)), rng.normal(size=(512, 256))
+        want = a @ b
+        autodiff._matmul(a, b)  # the parent's pool now has a thread
+        parent_workers = autodiff._workers_now
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = np.array_equal(autodiff._matmul(a, b), want)
+                code = 0 if same and autodiff._workers_now is not parent_workers else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on a split product")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("shape", [(20,), (5, 7), ()])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_step_equals_one_thread(self, workers, monkeypatch, shape, strided):
+        # 8-element blocks: 20 elements are two full blocks and a partial one
+        monkeypatch.setattr(autodiff, "_STEP_BLOCK", 8)
+        rng = np.random.default_rng(46)
+        start = rng.normal(size=shape)
+        grads = [rng.normal(size=shape) for _ in range(3)]
+
+        def place(a):
+            # every other element of a buffer when strided, else a copy
+            if not strided:
+                return a.copy()
+            buffer = np.zeros(a.shape + (2,))
+            buffer[..., 0] = a
+            return buffer[..., 0]
+
+        def run():
+            p = Tensor(place(start))
+            opt = RMSProp([p], lr=1e-3, decay=0.1)
+            for g in grads:
+                p.grad = place(g)
+                opt.step()
+            return p.data, opt.cache[0]
+
+        workers(1)
+        want = run()
+        workers(2)
+        limits = count_splits(monkeypatch)
+        got = run()
+        assert (max(limits, default=0) >= 2) == (start.size >= 16)
+        for g, w_ in zip(got, want):
+            np.testing.assert_array_equal(g, w_)
 
 
 class TestToyConvergence:

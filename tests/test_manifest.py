@@ -120,6 +120,22 @@ class TestLoadManifest:
         with pytest.raises(DataError, match="not found"):
             load_manifest(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_path_component_too_long_names_the_line(self, tmp_path, column):
+        # a name over the file system's 255-byte limit fails the lookup itself
+        manifest = make_corpus(tmp_path, [("s1", 0, 3, "train"), ("s2", 1, 5, "train")])
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[column] = "x" * 300 + ".wav"
+        lines[2] = ",".join(fields)
+        manifest.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=r"manifest\.csv:3: .*cannot look up"):
+            load_manifest(manifest)
+
+    def test_manifest_name_too_long(self, tmp_path):
+        with pytest.raises(DataError, match="manifest: cannot look up"):
+            load_manifest(tmp_path / ("m" * 300 + ".csv"))
+
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
@@ -161,6 +177,11 @@ class TestWavIO:
         back = read_wav(path)
         assert back.samples.max() <= 1.0
         assert back.samples.min() >= -1.0
+
+    def test_name_too_long(self, tmp_path):
+        path = tmp_path / ("a" * 300 + ".wav")
+        with pytest.raises(DataError, match="audio file: cannot look up"):
+            read_wav(path)
 
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "x.wav"

@@ -243,6 +243,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="param/0"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("filters", np.inf, "filters must be an integer"),
+            ("filters", np.nan, "filters must be an integer"),
+            ("filters", 2.5, "filters must be an integer"),
+            ("init_seed", -np.inf, "init_seed must be an integer"),
+            ("variant", -1, "variant must index one of"),
+            ("variant", 3, "variant must index one of"),
+            ("head", 0.5, "head must be an integer"),
+            ("head", 2, "head must index one of"),
+        ],
+    )
+    def test_bad_spec_scalar_rejected(self, tmp_path, name, value, message):
+        from vocalsim.container import read_container, write_container
+        from vocalsim.models import _pack_scalar
+
+        path = tmp_path / "model.oswt"
+        save_checkpoint(path, build_model(small_spec()))
+        _, named = read_container(path)
+        named[f"spec/{name}"] = _pack_scalar(value)
+        write_container(path, [], named)
+        with pytest.raises(DataError, match=f"model.oswt: checkpoint spec {message}"):
+            load_checkpoint(path)
+
     def test_non_checkpoint_rejected(self, tmp_path):
         from vocalsim.container import write_container
 

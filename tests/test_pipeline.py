@@ -222,6 +222,16 @@ class TestCrashSafety:
         assert second.train_result is not None  # the stages ran again
         assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
 
+    @pytest.mark.parametrize("text", ["[]", '{"features": 1}', '{"pairs": [], "eval": "x"}'])
+    def test_state_file_of_another_shape_reruns_stages(self, tmp_path, text):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        first = run_pipeline(fast_config(manifest, workdir))
+        (workdir / pipeline.STATE_FILE).write_text(text, encoding="utf-8")
+        second = run_pipeline(fast_config(manifest, workdir))
+        assert second.train_result is not None  # the stages ran again
+        assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
+
 
 class TestCacheReload:
     def test_round_trip_features_and_refs(self, tmp_path):
