@@ -103,7 +103,10 @@ def _stage_current(workdir: Path, state: dict, name: str, digest: str) -> bool:
     entry = state.get(name)
     if not isinstance(entry, dict) or entry.get("hash") != digest:
         return False
-    return all((workdir / out).is_file() for out in entry.get("outputs", []))
+    outputs = entry.get("outputs", [])
+    if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
+        return False
+    return all((workdir / out).is_file() for out in outputs)
 
 
 def _drop_stage(workdir: Path, state: dict, name: str) -> None:

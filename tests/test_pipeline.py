@@ -222,6 +222,20 @@ class TestCrashSafety:
         assert second.train_result is not None  # the stages ran again
         assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
 
+    @pytest.mark.parametrize("outputs", [5, [7]])
+    def test_stage_outputs_of_another_shape_rerun_the_stage(self, tmp_path, outputs):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        first = run_pipeline(fast_config(manifest, workdir))
+        state_path = workdir / pipeline.STATE_FILE
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        state["features"]["outputs"] = outputs  # the hash still matches
+        state_path.write_text(json.dumps(state), encoding="utf-8")
+        messages = []
+        second = run_pipeline(fast_config(manifest, workdir), log=messages.append)
+        assert not any(m.startswith("features:") and "up to date" in m for m in messages)
+        assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
+
     @pytest.mark.parametrize("text", ["[]", '{"features": 1}', '{"pairs": [], "eval": "x"}'])
     def test_state_file_of_another_shape_reruns_stages(self, tmp_path, text):
         manifest = build_corpus(tmp_path, seconds=8.0)
