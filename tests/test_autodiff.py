@@ -648,6 +648,7 @@ def workers(monkeypatch):
     test-sized products: each share still carries 2**20 multiply-adds, above
     the BLAS's small-matrix cut-off, as the production minimum is."""
     monkeypatch.setattr(autodiff, "_SPLIT_MADDS", 1 << 20)
+    original = autodiff._workers_now  # restored afterwards, so left running
 
     def install(width):
         shut_down()
@@ -655,8 +656,9 @@ def workers(monkeypatch):
         monkeypatch.setattr(autodiff, "_workers_now", None)
 
     def shut_down():
-        if autodiff._workers_now is not None and autodiff._workers_now._pool is not None:
-            autodiff._workers_now._pool.shutdown()
+        made = autodiff._workers_now
+        if made is not None and made is not original and made._pool is not None:
+            made._pool.shutdown()
 
     yield install
     shut_down()
