@@ -79,17 +79,31 @@ class MelFilterBank:
 def frame_signal(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     """Slice a signal into overlapping frames of frame_len samples every hop samples.
 
-    Returns an (n_frames, frame_len) array with
-    n_frames = floor((len - frame_len)/hop) + 1; any trailing partial frame
-    is dropped. Raises ValueError if the signal is shorter than one frame.
+    Returns a read-only (n_frames, frame_len) strided view of the samples,
+    with n_frames = floor((len - frame_len)/hop) + 1; any trailing partial
+    frame is dropped. Raises ValueError if the signal is shorter than one
+    frame.
     """
     if hop < 1:
         raise ValueError("hop must be >= 1")
     n = len(signal)
     if n < frame_len:
         raise ValueError(f"signal of {n} samples is shorter than one frame ({frame_len})")
-    view = np.lib.stride_tricks.sliding_window_view(signal.samples, frame_len)
-    return view[::hop].copy()
+    return np.lib.stride_tricks.sliding_window_view(signal.samples, frame_len)[::hop]
+
+
+def windowed_frames(signal: Signal, window: np.ndarray, hop: int, n_fft: int) -> np.ndarray:
+    """Every frame times the window, zero-padded to n_fft: (n_frames, n_fft).
+
+    The products go straight from the strided frame view into the padded
+    buffer, so neither the frames nor the padding are copied again, and
+    `np.fft.rfft(buffer, axis=1)` needs no `n=`. Its spectra are the same
+    bits as `rfft(frame * window, n=n_fft)` frame by frame.
+    """
+    frames = frame_signal(signal, window.size, hop)
+    out = np.zeros((frames.shape[0], n_fft))
+    np.multiply(frames, window, out=out[:, : window.size])
+    return out
 
 
 def hamming_window(spec: WindowSpec) -> np.ndarray:

@@ -186,6 +186,10 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> 
         raise DataError(
             f"{path}: need PCM 16-bit mono, got {width * 8}-bit {channels}-channel"
         )
+    if len(frames) % 2:
+        raise DataError(
+            f"{path}: audio data of {len(frames)} bytes is not a whole number of 16-bit samples"
+        )
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / PCM16_SCALE
     if rate != expected_rate:
         if not resample:

@@ -2,10 +2,14 @@
 magnitude spectra, 60 mel power bands, log10 + cosine transform, 60
 coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix.
 
-All 378 windowed frames go through one batched real FFT. The filter bank
-and the cosine transform are then one stacked `np.matmul` each, matrix
-times a (378, n, 1) stack of column vectors. Each stack item is the same
-matrix-vector product a per-frame loop would make, so every row stays
+The window multiplies the strided frame view straight into a zero-padded
+(378, 1024) buffer (`dsp.windowed_frames`), so no frame is copied and the
+FFT pads nothing; the buffer holds the bits that `rfft(frame * window,
+n=1024)` would pad each frame to. All 378 frames go through
+one batched real FFT. The filter bank and the cosine transform are then
+one stacked `np.matmul` each, matrix times a (378, n, 1) stack of column
+vectors. Each stack item is the same BLAS matrix-vector call (`dgemv`)
+that `bank.weights @ spectrum` makes for one frame, so every row stays
 bit-identical to the per-frame dft_magnitude -> apply_filterbank -> log_dct
 chain of `dsp` (a single matrix-matrix product rounds differently)."""
 
@@ -19,9 +23,9 @@ from .dsp import (
     Signal,
     WindowSpec,
     dct_basis,
-    frame_signal,
     hamming_window,
     mel_filterbank,
+    windowed_frames,
 )
 
 FRAME_LENGTH = 960  # 60 ms
@@ -59,9 +63,7 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
             f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
         )
     window, bank, basis = _analysis_tables()
-    frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
-    frames *= window  # frames is a fresh copy; in place saves an allocation
-    power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
+    power = np.abs(np.fft.rfft(windowed_frames(segment, window, HOP_LENGTH, N_FFT), axis=1))
     power *= power
     energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
     logs = np.log10(np.maximum(energies, LOG_FLOOR))

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Constant, Conv1dLayer, DenseLayer, Tensor
 from .container import read_container, write_container
-from .errors import DataError
+from .errors import DataError, NumericError
 
 # the FeatureSet fields each model variant reads, in feature-cache order
 VARIANT_FIELDS = {
@@ -329,12 +329,19 @@ def detect_relapse(
     flag relapse when the mean reaches the threshold.
 
     Each segment and reference is encoded once; the N*M pairs share those
-    encodings."""
+    encodings. A score that is not finite (a NaN or infinite weight or
+    feature) is a NumericError rather than a verdict."""
     if not subject_segments:
         raise ValueError("subject has no segments to score")
     if not references:
         raise ValueError("need at least one depressed reference segment")
     scores = model.similarities(subject_segments, references)
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise NumericError(
+            f"{bad} of {scores.size} similarity scores are not finite; "
+            "the model or the features hold NaN or infinite values"
+        )
     mean = float(np.mean(scores))
     return RelapseDecision(mean >= threshold, mean, int(scores.size))
 

@@ -94,7 +94,9 @@ def pitch_shift(signal: Signal, semitones: float) -> Signal:
     Every output sample is read from position i * 2^(-semitones/12) of the
     input (linear interpolation, wrapped periodically), so a pure tone at f
     moves to f * 2^(-semitones/12) and the output length equals the input
-    length.
+    length. Only a raised pitch reads past the end: when the ratio is at
+    most 1, the rounded product i * ratio is at most i < n and the wrap
+    would return it unchanged, so it is skipped.
     """
     if abs(semitones) > 12:
         raise ValueError("semitone shift must be within +/-12")
@@ -102,8 +104,10 @@ def pitch_shift(signal: Signal, semitones: float) -> Signal:
     if n == 0 or semitones == 0:
         return Signal(signal.samples.copy(), signal.sample_rate)
     ratio = 2.0 ** (-semitones / 12.0)
-    positions = np.mod(np.arange(n, dtype=np.float64) * ratio, n)
     base = np.arange(n, dtype=np.float64)
+    positions = base * ratio
+    if ratio > 1.0:
+        np.mod(positions, n, out=positions)
     shifted = np.interp(positions, base, signal.samples)
     return Signal(shifted, signal.sample_rate)
 

@@ -1,5 +1,19 @@
 """Log-mel front-end, 96-frame patching, loadable embedding network, and PCA
-post-processing. A 7.6 s segment becomes a 14x128 embedding matrix."""
+post-processing. A 7.6 s segment becomes a 14x128 embedding matrix.
+
+The front end windows the strided frame view straight into a zero-padded
+(758, 512) buffer (`dsp.windowed_frames`) and takes one batched real FFT
+of it, with the bits of `rfft(frame * window, n=512)` per frame.
+
+`embed` runs a segment's 14 patches through each layer as one stacked
+pass, as the VGGish reference runs its [examples, 96, 64] batch. A conv
+layer is one `np.matmul` of the (F, C*K) weight matrix with a C-contiguous
+(P, C*K, T) tap stack, and a dense layer one `np.matmul` of the weight
+matrix with a (P, n, 1) stack of column vectors. Each stack item is the
+`dgemm` or `dgemv` call that `np.tensordot` or `w @ x` makes for a single
+patch, on operands of the same layout, so every embedding keeps the bits
+of the per-patch loop (a single matrix-matrix product over all patches
+would round differently)."""
 
 from dataclasses import dataclass
 
@@ -7,7 +21,7 @@ import numpy as np
 
 from .autodiff import glorot_uniform
 from .container import LayerDesc, read_container, write_container
-from .dsp import LOG_FLOOR, SAMPLE_RATE, SEGMENT_SAMPLES, Signal, frame_signal, mel_filterbank
+from .dsp import LOG_FLOOR, SAMPLE_RATE, SEGMENT_SAMPLES, Signal, mel_filterbank, windowed_frames
 from .errors import DataError
 
 FRAME_LENGTH = 400  # 25 ms
@@ -51,8 +65,8 @@ def log_mel_spectrogram(segment: Signal) -> np.ndarray:
             f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
         )
     window, weights = _front_end_tables()
-    frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
-    magnitudes = np.abs(np.fft.rfft(frames * window, n=N_FFT, axis=1))
+    frames = windowed_frames(segment, window, HOP_LENGTH, N_FFT)
+    magnitudes = np.abs(np.fft.rfft(frames, axis=1))
     mel = magnitudes @ weights.T
     return np.log(np.maximum(mel, LOG_FLOOR))
 
@@ -77,46 +91,69 @@ def patchify(
     )
 
 
-def embed(patch: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
-    """Run one (96, 64) patch through the embedding network.
+def _float64(layer: LayerDesc) -> tuple[np.ndarray, np.ndarray]:
+    # float32 -> float64 is exact, so casting once per call gives the
+    # operands each per-patch product would have cast for itself
+    return np.asarray(layer.weight, dtype=np.float64), np.asarray(layer.bias, dtype=np.float64)
 
-    The patch enters as channels x length (bands become channels). Conv layers
-    are valid, stride 1; dense weights are (out, in). Output must be a
-    128-vector; any dimension mismatch names the offending layer.
+
+def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
+    """Run a (P, 96, 64) stack of patches through the embedding network: (P, 128).
+
+    A single (96, 64) patch is a stack of one and gives a 128-vector. Each
+    patch enters as channels x length (bands become channels). Conv layers
+    are valid, stride 1; dense weights are (out, in). The output must be a
+    128-vector per patch; any dimension mismatch names the offending layer.
+    Every layer is one stacked pass over the P patches whose items are the
+    BLAS calls a single patch makes, so each row has the bits of a
+    one-patch call (see the module docstring).
     """
-    x = np.asarray(patch, dtype=np.float64).T
+    x = np.asarray(patches, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected a patch or a stack of patches, got shape {x.shape}")
+    single = x.ndim == 2
+    if single:
+        x = x[None]
+    x = x.transpose(0, 2, 1)
+    count = x.shape[0]
     for i, layer in enumerate(weights):
         try:
             if layer.kind == "conv1d":
-                w, b = layer.weight, layer.bias
-                if x.ndim != 2 or x.shape[0] != w.shape[1]:
+                w, b = _float64(layer)
+                out_ch, in_ch, k = w.shape
+                if x.ndim != 3 or x.shape[1] != in_ch:
                     raise ValueError(
-                        f"conv expects {w.shape[1]} channels, got input shape {x.shape}"
+                        f"conv expects {in_ch} channels, got input shape {x.shape[1:]}"
                     )
-                if x.shape[1] < w.shape[2]:
-                    raise ValueError(f"input length {x.shape[1]} shorter than kernel")
-                taps = np.lib.stride_tricks.sliding_window_view(x, w.shape[2], axis=1)
-                x = np.tensordot(w, taps, axes=[(1, 2), (0, 2)]) + b[:, None]
+                if x.shape[2] < k:
+                    raise ValueError(f"input length {x.shape[2]} shorter than kernel")
+                # (P, C, K, T) windows, copied into a C-contiguous (P, C*K, T)
+                # tap stack whose rows are in the (channel, tap) order of w's
+                # columns; the copy lives only for the product
+                windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
+                windows = windows.transpose(0, 1, 3, 2)
+                x = np.matmul(w.reshape(out_ch, in_ch * k), windows.reshape(count, in_ch * k, -1))
+                x += b[:, None]
             elif layer.kind == "dense":
-                w, b = layer.weight, layer.bias
-                if x.ndim != 1 or x.shape[0] != w.shape[1]:
+                w, b = _float64(layer)
+                if x.ndim != 2 or x.shape[1] != w.shape[1]:
                     raise ValueError(
-                        f"dense expects a flat {w.shape[1]}-vector, got shape {x.shape}"
+                        f"dense expects a flat {w.shape[1]}-vector, got shape {x.shape[1:]}"
                     )
-                x = w @ x + b
+                x = np.matmul(w, x[:, :, None])[:, :, 0] + b
             elif layer.kind == "relu":
                 x = np.maximum(x, 0.0)
             elif layer.kind == "flatten":
-                x = x.ravel()
+                x = x.reshape(count, -1)
             else:
                 raise ValueError(f"unsupported kind {layer.kind!r}")
         except (ValueError, IndexError) as exc:
             raise DataError(f"embedding network layer {i} ({layer.kind}): {exc}") from exc
-    if x.shape != (EMBED_DIM,):
+    if x.shape != (count, EMBED_DIM):
         raise DataError(
-            f"embedding network must end in a {EMBED_DIM}-vector, got shape {x.shape}"
+            f"embedding network must end in a {EMBED_DIM}-vector, got shape {x.shape[1:]}"
         )
-    return x
+    return x[0] if single else x
 
 
 @dataclass
@@ -158,10 +195,8 @@ def pca_postprocess(embeddings: np.ndarray, pca: PcaParams) -> np.ndarray:
 def extract_vggish(
     segment: Signal, weights: list[LayerDesc], pca: PcaParams
 ) -> np.ndarray:
-    """Full chain: log mel -> patches -> per-patch embedding -> PCA, (14, 128)."""
-    patches = patchify(log_mel_spectrogram(segment))
-    embeddings = np.stack([embed(p, weights) for p in patches])
-    return pca_postprocess(embeddings, pca)
+    """Full chain: log mel -> patches -> embedding of the patch stack -> PCA, (14, 128)."""
+    return pca_postprocess(embed(patchify(log_mel_spectrogram(segment)), weights), pca)
 
 
 def make_test_network(seed: int = 1202) -> list[LayerDesc]:
@@ -197,4 +232,12 @@ def load_embedding_file(path) -> tuple[list[LayerDesc], PcaParams]:
         raise DataError(f"{path}: missing pca_mean / pca_matrix tensors")
     if not layers:
         raise DataError(f"{path}: container holds no network layers")
-    return layers, PcaParams(named["pca_mean"], named["pca_matrix"])
+    for i, layer in enumerate(layers):
+        if not all(np.all(np.isfinite(t)) for t in layer.tensors):
+            raise DataError(
+                f"{path}: embedding network layer {i} ({layer.kind}) holds non-finite values"
+            )
+    try:
+        return layers, PcaParams(named["pca_mean"], named["pca_matrix"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -136,6 +136,18 @@ class TestExtract:
         assert len(named) == 2 * 7 * 3  # segments x variants x fields
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("command", ["extract", "run"])
+    def test_wav_cut_mid_sample_is_data_error(self, tmp_path, capsys, command):
+        manifest = build_corpus(tmp_path, subjects=2)
+        wav = tmp_path / "s0.wav"
+        wav.write_bytes(wav.read_bytes()[:-1])
+        if command == "extract":
+            argv = ["extract", "--audio", str(wav), "--out", str(tmp_path / "c.oswt")]
+        else:
+            argv = ["run", "--set", f"manifest={manifest}", "--set", f"workdir={tmp_path / 'w'}"]
+        assert main(argv) == 3
+        assert "s0.wav" in capsys.readouterr().err
+
     def test_missing_wav_is_data_error(self, tmp_path):
         assert (
             main(["extract", "--audio", str(tmp_path / "no.wav"), "--out", str(tmp_path / "c")])
@@ -331,6 +343,29 @@ class TestPredictRelapse:
         assert code == 0
         # 16 s recordings: 2 segments each, so 2 x (2 + 2) pairs
         assert "over 8 pairs (threshold 0.5)" in capsys.readouterr().out
+
+    def test_nan_weight_is_numeric_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "nan.oswt"
+        model = build_model(ModelSpec(variant="mfcc", filters=4, dense_width=16))
+        model.dense2.weight.data[0, 0] = np.nan
+        save_checkpoint(checkpoint, model)
+        probe = tmp_path / "probe.wav"
+        reference = tmp_path / "ref.wav"
+        tone_wav(probe, 880, seconds=7.6, seed=31)
+        tone_wav(reference, 880, seconds=7.6, seed=32)
+        code = main(
+            [
+                "predict-relapse",
+                "--model", str(checkpoint),
+                "--audio", str(probe),
+                "--reference-audio", str(reference),
+                "--no-strip",
+            ]
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "1 of 1 similarity scores are not finite" in captured.err
+        assert "relapse" not in captured.out
 
     def test_score25_checkpoint_is_usage_error(self, tmp_path):
         checkpoint = tmp_path / "score25.oswt"

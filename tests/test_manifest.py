@@ -189,6 +189,13 @@ class TestWavIO:
         with pytest.raises(DataError, match="WAV"):
             read_wav(path)
 
+    def test_data_cut_mid_sample_is_data_error(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        write_wav(path, Signal(np.zeros(1000), 16000))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match=r"odd\.wav.*1999 bytes.*whole number of 16-bit"):
+            read_wav(path)
+
     def test_record_validation(self, tmp_path):
         with pytest.raises(ValueError):
             SubjectRecord("s", Path("a"), Path("t"), 2, 0, "train")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vocalsim.autodiff import RMSProp, Tensor, rmse_loss
-from vocalsim.errors import DataError
+from vocalsim.errors import DataError, NumericError
 from vocalsim.models import (
     FeatureSet,
     ModelSpec,
@@ -318,6 +318,18 @@ class TestRelapse:
             detect_relapse(model, [], [features(1)])
         with pytest.raises(ValueError):
             detect_relapse(model, [features(1)], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_is_numeric_error(self, bad):
+        model = _ScriptedModel([0.9, bad, 0.2])
+        with pytest.raises(NumericError, match="2 of 6 similarity scores are not finite"):
+            detect_relapse(model, [features(1), features(2)], [features(3)] * 3)
+
+    def test_nan_weight_is_numeric_error(self):
+        model = build_model(small_spec())
+        model.dense2.weight.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="2 of 2 similarity scores"):
+            detect_relapse(model, [features(1)], [features(2), features(3)])
 
     @pytest.mark.parametrize("variant", ["mfcc", "vggish", "fusion"])
     def test_encode_once_matches_pairwise_scores(self, variant):

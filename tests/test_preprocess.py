@@ -308,6 +308,15 @@ class TestPitchShift:
         with pytest.raises(ValueError):
             pitch_shift(tone(440.0, 100), 13.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 1001, SEG_SAMPLES])
+    @pytest.mark.parametrize("semis", [-12.0, -3.0, -0.5, -1e-9, 1e-9, 0.5, 2.5, 12.0])
+    def test_matches_wrapped_interpolation_bit_for_bit(self, n, semis):
+        x = np.random.default_rng(n).normal(size=n)
+        ratio = 2.0 ** (-semis / 12.0)
+        base = np.arange(n, dtype=np.float64)
+        want = np.interp(np.mod(base * ratio, n), base, x)
+        np.testing.assert_array_equal(pitch_shift(Signal(x, SR), semis).samples, want)
+
     def test_length_and_rate_preserved_on_odd_sizes(self):
         sig = tone(123.0, 54321)
         out = pitch_shift(sig, 2.5)

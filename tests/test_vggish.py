@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from vocalsim.container import LayerDesc
-from vocalsim.dsp import LOG_FLOOR, Signal
+from vocalsim.container import LayerDesc, write_container
+from vocalsim.dsp import LOG_FLOOR, Signal, dft_magnitude, mel_filterbank
 from vocalsim.errors import DataError
 from vocalsim.vggish import (
     EMBED_DIM,
+    FRAME_LENGTH,
+    HOP_LENGTH,
+    N_FFT,
     NUM_BANDS,
     NUM_FRAMES,
     SEGMENT_SAMPLES,
@@ -64,6 +67,53 @@ def naive_forward(patch: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     return x
 
 
+def per_patch_embed(patch: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
+    """One patch through the network with the products a per-patch loop
+    makes: `np.tensordot` for a conv layer and `w @ x` for a dense one."""
+    x = np.asarray(patch, dtype=np.float64).T
+    for layer in weights:
+        if layer.kind == "conv1d":
+            w, b = layer.weight, layer.bias
+            taps = np.lib.stride_tricks.sliding_window_view(x, w.shape[2], axis=1)
+            x = np.tensordot(w, taps, axes=[(1, 2), (0, 2)]) + b[:, None]
+        elif layer.kind == "dense":
+            x = layer.weight @ x + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        elif layer.kind == "flatten":
+            x = x.ravel()
+    return x
+
+
+def flatten_dense_network(seed: int = 3) -> list[LayerDesc]:
+    rng = np.random.default_rng(seed)
+    return [
+        LayerDesc("flatten"),
+        LayerDesc("dense", [rng.normal(size=(64, 96 * 64)) / 80, rng.normal(size=64)]),
+        LayerDesc("relu"),
+        LayerDesc("dense", [rng.normal(size=(EMBED_DIM, 64)) / 8, rng.normal(size=EMBED_DIM)]),
+    ]
+
+
+def one_conv_network(seed: int = 4) -> list[LayerDesc]:
+    rng = np.random.default_rng(seed)
+    conv = rng.normal(size=(2, 64, 5)).astype(np.float32)
+    flat = 2 * (96 - 5 + 1)
+    return [
+        LayerDesc("conv1d", [conv, rng.normal(size=2).astype(np.float32)]),
+        LayerDesc("flatten"),
+        LayerDesc("dense", [rng.normal(size=(EMBED_DIM, flat)) / 14, np.zeros(EMBED_DIM)]),
+    ]
+
+
+def near_silent_segment() -> np.ndarray:
+    """Faint noise after a quarter of digital silence: the silent frames
+    floor every band, and the faint ones floor some of them."""
+    x = 1e-11 * np.random.default_rng(4).normal(size=SEGMENT_SAMPLES)
+    x[: SEGMENT_SAMPLES // 4] = 0.0
+    return x
+
+
 class TestLogMel:
     def test_periodic_hann_endpoints(self):
         w = periodic_hann(4)
@@ -83,6 +133,29 @@ class TestLogMel:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             log_mel_spectrogram(make_segment(np.zeros(SEGMENT_SAMPLES - 160)))
+
+    @pytest.mark.parametrize("kind", ["noise", "near-silent"])
+    def test_rows_match_composed_operations_bit_for_bit(self, kind):
+        if kind == "noise":
+            x = np.random.default_rng(9).normal(size=SEGMENT_SAMPLES)
+        else:
+            x = near_silent_segment()
+        window = periodic_hann(FRAME_LENGTH)
+        spectra = np.stack(
+            [
+                dft_magnitude(x[t * HOP_LENGTH : t * HOP_LENGTH + FRAME_LENGTH] * window, N_FFT)
+                for t in range(NUM_FRAMES)
+            ]
+        )
+        mel = spectra @ mel_filterbank(NUM_BANDS, N_FFT, SR).weights.T
+        got = log_mel_spectrogram(make_segment(x))
+        np.testing.assert_array_equal(got, np.log(np.maximum(mel, LOG_FLOOR)))
+        floored = np.sum(mel < LOG_FLOOR, axis=1)
+        if kind == "noise":
+            assert not floored.any()
+        else:
+            # whole rows and parts of others reach the floor
+            assert NUM_BANDS in floored and np.any((floored > 0) & (floored < NUM_BANDS))
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -146,6 +219,38 @@ class TestEmbed:
         got = embed(patch, layers)
         want = naive_forward(patch, layers)
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "network", [make_test_network, flatten_dense_network, one_conv_network]
+    )
+    def test_stack_matches_per_patch_products_bit_for_bit(self, network):
+        layers = network()
+        rng = np.random.default_rng(10)
+        for amplitude in (1.0, 1e-3, 30.0):
+            patches = amplitude * rng.normal(size=(14, 96, 64))
+            got = embed(patches, layers)
+            assert got.shape == (14, EMBED_DIM)
+            want = np.stack([per_patch_embed(p, layers) for p in patches])
+            np.testing.assert_array_equal(got, want)
+
+    def test_segment_patches_match_per_patch_products_bit_for_bit(self):
+        layers = make_test_network()
+        seg = make_segment(np.random.default_rng(11).normal(size=SEGMENT_SAMPLES))
+        patches = patchify(log_mel_spectrogram(seg))
+        want = np.stack([per_patch_embed(p, layers) for p in patches])
+        np.testing.assert_array_equal(embed(patches, layers), want)
+        np.testing.assert_array_equal(extract_vggish(seg, layers, identity_pca()), want)
+
+    def test_single_patch_is_a_stack_of_one(self):
+        layers = make_test_network()
+        patch = np.random.default_rng(12).normal(size=(96, 64))
+        single = embed(patch, layers)
+        assert single.shape == (EMBED_DIM,)
+        np.testing.assert_array_equal(single, embed(patch[None], layers)[0])
+
+    def test_patch_of_wrong_rank_rejected(self):
+        with pytest.raises(ValueError, match="stack of patches"):
+            embed(np.ones(96 * 64), make_test_network())
 
     def test_dim_mismatch_names_layer_index(self):
         layers = [
@@ -253,9 +358,24 @@ class TestExtract:
             extract_vggish(seg, net, pca), extract_vggish(seg, net2, pca2)
         )
 
-    def test_embedding_file_requires_pca(self, tmp_path):
-        from vocalsim.container import write_container
+    @pytest.mark.parametrize("layer, bad", [(0, np.nan), (2, np.inf), (5, -np.inf)])
+    def test_embedding_file_rejects_non_finite_layer(self, tmp_path, layer, bad):
+        net = make_test_network()
+        net[layer].weight.flat[7] = bad
+        path = tmp_path / "bad.oswt"
+        save_embedding_file(path, net, identity_pca())
+        with pytest.raises(DataError, match=rf"bad\.oswt: embedding network layer {layer} "):
+            load_embedding_file(path)
 
+    def test_embedding_file_rejects_non_finite_pca(self, tmp_path):
+        path = tmp_path / "badpca.oswt"
+        write_container(
+            path, make_test_network(), {"pca_mean": np.full(128, np.nan), "pca_matrix": np.eye(128)}
+        )
+        with pytest.raises(DataError, match="badpca.oswt: PCA parameters must be finite"):
+            load_embedding_file(path)
+
+    def test_embedding_file_requires_pca(self, tmp_path):
         path = tmp_path / "nopca.oswt"
         write_container(path, make_test_network(), {"pca_mean": np.zeros(128)})
         with pytest.raises(DataError, match="pca"):
