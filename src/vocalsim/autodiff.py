@@ -29,6 +29,13 @@ mask holds one CPU. A split changes no bit of any result: a product is split
 by output column, so every output element is the same dot product computed
 by the same BLAS kernel, and the update is elementwise. conv1d's products
 stay on one thread.
+
+float32 weights: a dense or gather_dense weight may be a read-only float32
+array, such as a view of a mapped checkpoint. A weight of the shape
+casts_in_blocks() accepts is cast block by block inside each forward share,
+with the bits of its float64 copy; any other is cast whole in each product
+that reads it. cast_params() makes float64 copies once, and RMSProp does
+so for its parameters.
 """
 
 import functools
@@ -46,6 +53,12 @@ _SPLIT_MADDS = 1 << 24
 # BLAS computes a share's trailing columns with a narrower kernel whose sums
 # can differ in the last bit, so every share must end on a kernel boundary
 _SPLIT_COLUMNS = 64
+# a float32 right operand of _matmul is cast in blocks only when its inner
+# dimension is at least this: a 2-row product of one _SPLIT_COLUMNS block
+# then holds 2^21 multiply-adds, above the size (measured near 2^20) below
+# which the BLAS takes a small-matrix kernel whose sums can differ in the
+# last bit from those of the whole product
+_CAST_INNER = 1 << 14
 
 
 class Tensor:
@@ -208,28 +221,70 @@ def _cut(n: int, i: int, parts: int, unit: int = 1) -> slice:
     return slice(i * units // parts * unit, (i + 1) * units // parts * unit)
 
 
+def casts_in_blocks(shape) -> bool:
+    """Whether dense and gather_dense can take an (out, in) weight as
+    float32 and cast it to float64 one block of _SPLIT_COLUMNS output
+    columns at a time, with every bit of the product over its float64 copy:
+    out must be a whole number of blocks and in at least _CAST_INNER."""
+    return len(shape) == 2 and shape[0] % _SPLIT_COLUMNS == 0 and shape[1] >= _CAST_INNER
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d a and b, split by output column when every share
-    carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
-    share's columns of the output, with the bits of a @ b."""
+    """a @ b for 2-d float64 a and 2-d b, split by output column when every
+    share carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
+    share's columns of the output, with the bits of a @ b.
+
+    A float32 b, such as the transpose of a weight mapped from a checkpoint,
+    is cast to float64 whole, or, when casts_in_blocks(b.T.shape), block by
+    block inside each share (see _cast_matmul), so that no float64 copy of
+    b is made."""
     rows, inner = a.shape
     cols = b.shape[1]
+    blocked = b.dtype != np.float64 and casts_in_blocks((cols, inner))
+    if not blocked:
+        b = b.astype(np.float64, copy=False)  # keeps b's memory order
+    limit = 1
     unit_madds = rows * inner * _SPLIT_COLUMNS
-    if cols % _SPLIT_COLUMNS or unit_madds == 0:
-        return a @ b
-    # each share holds at least this many whole units of columns
-    least = -(-_SPLIT_MADDS // unit_madds)
-    limit = cols // _SPLIT_COLUMNS // least
-    if limit < 2:
+    if cols % _SPLIT_COLUMNS == 0 and unit_madds:
+        # each share holds at least this many whole units of columns
+        least = -(-_SPLIT_MADDS // unit_madds)
+        limit = cols // _SPLIT_COLUMNS // least
+    if limit < 2 and not blocked:
         return a @ b
     out = np.empty((rows, cols))
+    product = _cast_matmul if blocked else np.matmul
 
     def share(i, parts):
         cut = _cut(cols, i, parts, _SPLIT_COLUMNS)
-        np.matmul(a, b[:, cut], out=out[:, cut])
+        product(a, b[:, cut], out=out[:, cut])
 
     _in_shares(share, limit)
     return out
+
+
+def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b for a float32 b of whole _SPLIT_COLUMNS blocks of columns
+    and at least _CAST_INNER rows: each block is cast into one reused
+    float64 buffer, laid out as the transpose of a C-ordered weight, and
+    multiplied into its columns of out. A block of 2 rows or more is whole
+    kernel blocks above the small-matrix cut-off, and a 1-row product is
+    one dot product per column, so every bit is that of the product with
+    b.astype(float64)."""
+    buf = np.empty((_SPLIT_COLUMNS, b.shape[0]))
+    for start in range(0, b.shape[1], _SPLIT_COLUMNS):
+        cols = slice(start, start + _SPLIT_COLUMNS)
+        buf[...] = b[:, cols].T
+        np.matmul(a, buf.T, out=out[:, cols])
+
+
+def cast_params(params) -> None:
+    """Give each float32 parameter, such as a weight mapped from a
+    checkpoint, an owned float64 copy of its data, once. For callers that
+    run more than one pass over the weights: a pass over resident float64
+    weights costs less than one that casts them block by block."""
+    for p in params:
+        if p.data.dtype != np.float64:
+            p.data = p.data.astype(np.float64)
 
 
 def as_tensor(x) -> Tensor:
@@ -604,6 +659,7 @@ class RMSProp:
         if not 0.0 <= rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
         self.params = list(params)
+        cast_params(self.params)
         self.lr = lr
         self.decay = decay
         self.rho = rho

@@ -61,10 +61,10 @@ def _pack_tensor(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 class _Reader:
-    """Parses a bytes object or a mapped file without taking views of it:
-    headers are unpacked in place, names are copied out and tensor data is
-    converted straight out of the buffer, so no view of a mapped file
-    outlives the call that made it."""
+    """Parses a bytes object or a mapped file into a layout: headers are
+    unpacked in place, names are copied out, and each tensor is recorded as
+    its dims and data offset. Parsing takes no view of the buffer, so a
+    failed parse leaves nothing that holds a mapped file open."""
 
     def __init__(self, buf, path: str):
         self.buf = buf
@@ -86,19 +86,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack_from("<I", self.buf, self.skip(4))[0]
 
-    def tensor(self) -> np.ndarray:
+    def tensor(self) -> tuple[tuple[int, ...], int]:
+        """The dims of the next tensor and the offset of its data."""
         ndim = self.u32()
         if ndim > _MAX_NDIM:
             raise DataError(f"{self.path}: implausible tensor rank {ndim}")
         dims = struct.unpack_from(f"<{ndim}I", self.buf, self.skip(4 * ndim))
-        count = math.prod(dims)
-        offset = self.skip(4 * count)
-        # one expression, so no name holds the buffer past the copy
-        return (
-            np.frombuffer(self.buf, dtype="<f4", count=count, offset=offset)
-            .reshape(dims)
-            .astype(np.float64)
-        )
+        return dims, self.skip(4 * math.prod(dims))
 
 
 def write_container(
@@ -139,6 +133,39 @@ def write_container(
         raise
 
 
+def _open_map(path):
+    """The file mapped read-only, or b"" for an empty file, which cannot be
+    mapped and parses as a truncated one."""
+    try:
+        with open(path, "rb") as fh:
+            if not os.fstat(fh.fileno()).st_size:
+                return b""
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise DataError(f"cannot read container {path}: {exc}") from exc
+
+
+def _close_map(buf) -> None:
+    if not isinstance(buf, bytes):
+        buf.close()
+
+
+def _build(buf, layout, make) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
+    """The layers and named tensors of a parsed layout, each tensor made by
+    make(view) from a float32 view of its data in buf."""
+
+    def tensor(spec):
+        dims, offset = spec
+        # one expression, so no name holds the view past make
+        return make(np.frombuffer(buf, "<f4", math.prod(dims), offset).reshape(dims))
+
+    layers, named = layout
+    return (
+        [LayerDesc(kind, [tensor(t) for t in tensors]) for kind, tensors in layers],
+        {name: tensor(t) for name, t in named.items()},
+    )
+
+
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
     """Parse a container file; tensors come back as float64 arrays that own
     their data.
@@ -147,21 +174,34 @@ def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
     of the page cache, so no copy of the whole file is made. The map is
     closed before returning, on error paths too.
     """
+    buf = _open_map(path)
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            # an empty file cannot be mapped; it parses as a truncated one
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
-    except OSError as exc:
-        raise DataError(f"cannot read container {path}: {exc}") from exc
-    try:
-        return _parse(_Reader(buf, str(path)))
+        return _build(buf, _parse(_Reader(buf, str(path))), lambda v: v.astype(np.float64))
     finally:
-        if size:
-            buf.close()
+        _close_map(buf)
 
 
-def _parse(r: _Reader) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
+def map_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
+    """Parse a container file; tensors come back as read-only float32 views
+    of the mapped file, so reading one costs only the pages it touches.
+
+    The map stays open while any view lives and is closed when the last one
+    is freed; a file that fails to parse has its map closed before the
+    DataError is raised. write_container replaces a file rather than
+    rewriting it, so a view keeps the contents it was mapped with.
+    """
+    buf = _open_map(path)
+    try:
+        layout = _parse(_Reader(buf, str(path)))
+    except BaseException:
+        _close_map(buf)
+        raise
+    return _build(buf, layout, lambda v: v)
+
+
+def _parse(r: _Reader) -> tuple[list, dict]:
+    """The layout of a container: [(kind, [tensor])] and {name: tensor},
+    each tensor a (dims, data offset) pair."""
     path = r.path
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: not a weight container (bad magic)")
@@ -173,8 +213,7 @@ def _parse(r: _Reader) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
         code = r.u32()
         if code not in CODE_TO_KIND:
             raise DataError(f"{path}: unknown layer kind code {code}")
-        tensors = [r.tensor() for _ in range(r.u32())]
-        layers.append(LayerDesc(CODE_TO_KIND[code], tensors))
+        layers.append((CODE_TO_KIND[code], [r.tensor() for _ in range(r.u32())]))
     named = {}
     for _ in range(r.u32()):
         name_len = r.u32()

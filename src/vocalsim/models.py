@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Constant, Conv1dLayer, DenseLayer, Tensor
-from .container import read_container, write_container
+from .container import map_container, write_container
 from .errors import DataError, NumericError
 
 # the FeatureSet fields each model variant reads, in feature-cache order
@@ -282,13 +282,17 @@ class SiameseModel:
 
         Each of the N+M sets is encoded once, in encode calls of at most
         ENCODE_BATCH rows, and all N*M pairs are scored in one score() call.
-        Binary head only; dropout is off, so the scores are deterministic.
+        More than one encode call first gives the weights float64 copies
+        (ad.cast_params). Binary head only; dropout is off, so the scores
+        are deterministic.
         """
         if self.spec.head != "binary":
             raise ValueError("similarity scores require the binary head")
         if not left_sets or not right_sets:
             raise ValueError("need at least one feature set on each side")
         sets = list(left_sets) + list(right_sets)
+        if len(sets) > ENCODE_BATCH:
+            ad.cast_params(self.params())
         encodings = np.concatenate(
             [
                 self.encode_sets(sets[i : i + ENCODE_BATCH])
@@ -413,7 +417,11 @@ def _spec_value(path, named: dict, name: str, kind: type):
 
 
 def load_checkpoint(path) -> SiameseModel:
-    _, named = read_container(path)
+    """The model a checkpoint holds. The file is mapped: a dense weight that
+    ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
+    read-only float32 view of it, which keeps the file's pages mapped while
+    the model lives; every other tensor is cast to float64 here."""
+    _, named = map_container(path)
     values = {
         field.name: _spec_value(path, named, field.name, field.type)
         for field in dataclasses.fields(ModelSpec)
@@ -432,5 +440,5 @@ def load_checkpoint(path) -> SiameseModel:
             raise DataError(
                 f"{path}: tensor {key} has shape {stored.shape}, expected {p.data.shape}"
             )
-        p.data = stored  # read_container already returns float64
+        p.data = stored if ad.casts_in_blocks(stored.shape) else stored.astype(np.float64)
     return model

@@ -100,7 +100,9 @@ def load_transcript(path) -> list[TranscriptUtterance]:
 def load_lexicon(path, synonyms: dict[str, str] | None = None) -> Lexicon:
     """Parse a text-format vector file: one "word v1 ... v300" line per entry.
 
-    An optional first line "count dim" (two integers) is skipped.
+    An optional first line "count dim" (two integers) is skipped. A line
+    with a wrong field count or a component that is not a finite number is
+    a DataError naming the file and line.
     """
     lines = read_text(path, "lexicon").splitlines()
     start = 0
@@ -121,6 +123,12 @@ def load_lexicon(path, synonyms: dict[str, str] | None = None) -> Lexicon:
             vec = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad vector component: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise DataError(
+                f"{path}:{lineno}: {bad.size} of {VECTOR_DIM} vector components are not finite, "
+                f"the first at position {bad[0] + 1} ({parts[bad[0] + 1]})"
+            )
         vectors[parts[0]] = vec
     if not vectors:
         raise DataError(f"{path}: lexicon holds no vectors")

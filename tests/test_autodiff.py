@@ -897,6 +897,97 @@ class TestSplitWork:
             np.testing.assert_array_equal(g, w_)
 
 
+@pytest.fixture(scope="class")
+def mapped_shape_weight():
+    """A read-only float32 weight of the smallest in-dim casts_in_blocks
+    accepts for dense1 of a 64-filter MFCC branch, 4 blocks wide, with its
+    float64 copy."""
+    rng = np.random.default_rng(47)
+    w32 = rng.normal(size=(256, 23936)).astype(np.float32)
+    w32.flags.writeable = False
+    return w32, w32.astype(np.float64), rng.normal(size=256)
+
+
+class TestFloat32Weights:
+    """A float32 weight, as a mapped checkpoint holds, gives every bit of the
+    product over its float64 copy."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 11, 14, 100, 200])
+    def test_dense_equals_float64_weight(self, workers, mapped_shape_weight, rows, width):
+        w32, w64, b = mapped_shape_weight
+        x = np.random.default_rng(rows).normal(size=(rows, w32.shape[1]))
+        workers(1)
+        want = dense(Tensor(x), Tensor(w64), Tensor(b)).data
+        workers(width)
+        weight = Tensor(w64)
+        weight.data = w32
+        np.testing.assert_array_equal(dense(Tensor(x), weight, Tensor(b)).data, want)
+
+    def test_gather_dense_equals_float64_weight(self, mapped_shape_weight):
+        w32, w64, b = mapped_shape_weight
+        rng = np.random.default_rng(48)
+        x, index = rng.normal(size=(6, w32.shape[1])), rng.integers(0, 6, size=14)
+        dropped = ([0, 3, 13], [5, 7000, 23935])
+        weight = Tensor(w64)
+        weight.data = w32
+        got = gather_dense(Tensor(x), index, weight, Tensor(b), dropped, 1.25).data
+        want = gather_dense(Tensor(x), index, Tensor(w64), Tensor(b), dropped, 1.25).data
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 14])
+    def test_dense_makes_no_float64_copy_of_the_weight(self, workers, rows):
+        workers(2)  # two shares at most, each with one 64-column block buffer
+        w32 = np.ones((512, 1 << 14), dtype=np.float32)
+        x = np.ones((rows, 1 << 14))
+        weight = Tensor(np.zeros(1))
+        weight.data = w32
+        tracemalloc.start()
+        try:
+            out = dense(Tensor(x), weight, Tensor(np.zeros(512)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(out.data == 1 << 14)
+        assert peak < w32.nbytes  # half the float64 copy
+
+    @pytest.mark.parametrize(
+        "shape, blocked",
+        [
+            ((1024, 23936), True),  # dense1 of the paper MFCC model
+            ((64, 1 << 14), True),
+            ((64, (1 << 14) - 1), False),
+            ((1024, 1024), False),  # dense2: 2-7 row blocks change bits
+            ((540, 25116), False),  # the fusion layer: 540 is not whole blocks
+            ((1000, 23936), False),
+            ((64, 3, 1 << 14), False),
+        ],
+    )
+    def test_shape_rule(self, shape, blocked):
+        assert autodiff.casts_in_blocks(shape) == blocked
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_rejected_shape_is_cast_whole(self, rows):
+        rng = np.random.default_rng(49)
+        w64 = rng.normal(size=(1024, 1024)).astype(np.float32).astype(np.float64)
+        x, b = rng.normal(size=(rows, 1024)), rng.normal(size=1024)
+        weight = Tensor(w64)
+        weight.data = w64.astype(np.float32)
+        got = dense(Tensor(x), weight, Tensor(b)).data
+        np.testing.assert_array_equal(got, dense(Tensor(x), Tensor(w64), Tensor(b)).data)
+
+    def test_rmsprop_casts_float32_params_once(self):
+        w32 = np.arange(6, dtype=np.float32).reshape(2, 3)
+        w32.flags.writeable = False
+        p, q = Tensor(np.zeros(1)), Tensor(np.ones(3))
+        p.data = w32
+        kept = q.data
+        RMSProp([p, q])
+        assert p.data.dtype == np.float64 and p.data.flags.writeable
+        np.testing.assert_array_equal(p.data, w32)
+        assert q.data is kept
+
+
 class TestToyConvergence:
     def test_two_layer_net_fits_separable_points(self):
         rng = np.random.default_rng(9)

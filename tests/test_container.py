@@ -1,16 +1,21 @@
 """Round-trip and corruption tests for the OSWT weight container."""
 
+import gc
 import mmap
 import struct
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vocalsim import container as container_module
 from vocalsim.container import (
     KIND_TO_CODE,
     LayerDesc,
+    map_container,
     read_container,
     write_container,
 )
@@ -158,12 +163,8 @@ def test_non_utf8_name_is_data_error(tmp_path):
         read_container(path)
 
 
-@pytest.mark.parametrize("cut", [None, 3, 30, 40])
-def test_file_map_closed_on_every_path(tmp_path, monkeypatch, cut):
-    path = tmp_path / "net.oswt"
-    write_container(path, [LayerDesc("dense", [np.ones((4, 4)), np.zeros(4)])], {"a": np.ones(2)})
-    if cut is not None:
-        path.write_bytes(path.read_bytes()[:cut])
+def record_maps(monkeypatch) -> list:
+    """Every map the container module makes, as it is made."""
     maps = []
 
     def recording_mmap(*args, **kwargs):
@@ -172,12 +173,116 @@ def test_file_map_closed_on_every_path(tmp_path, monkeypatch, cut):
 
     fake = SimpleNamespace(mmap=recording_mmap, ACCESS_READ=mmap.ACCESS_READ)
     monkeypatch.setattr(container_module, "mmap", fake)
-    if cut is None:
-        read_container(path)
-    else:
-        with pytest.raises(DataError, match="truncated"):
-            read_container(path)
-    assert maps and all(m.closed for m in maps)
+    return maps
+
+
+@pytest.mark.parametrize("cut", [None, 3, 30, 40])
+def test_file_map_closed_on_every_path(tmp_path, monkeypatch, cut):
+    path = tmp_path / "net.oswt"
+    write_container(path, [LayerDesc("dense", [np.ones((4, 4)), np.zeros(4)])], {"a": np.ones(2)})
+    if cut is not None:
+        path.write_bytes(path.read_bytes()[:cut])
+    maps = record_maps(monkeypatch)
+    for read in (read_container, map_container):
+        if cut is None:
+            read(path)
+        else:
+            with pytest.raises(DataError, match="truncated"):
+                read(path)
+    # a mapped read that succeeds leaves its map to its views, which close
+    # it when freed (test_mapped_views_hold_the_map_open)
+    closed = maps[:1] if cut is None else maps
+    assert len(maps) == 2 and all(m.closed for m in closed)
+
+
+def test_mapped_views_hold_the_map_open(tmp_path, monkeypatch):
+    path = tmp_path / "net.oswt"
+    w = np.arange(12, dtype=np.float32).reshape(3, 4)
+    write_container(path, [LayerDesc("dense", [w, np.ones(3)])], {"s": np.float32(2.0)})
+    maps = record_maps(monkeypatch)
+    layers, named = map_container(path)
+    mapped = weakref.ref(maps.pop())
+    arrays = layers[0].tensors + [named["s"]]
+    del layers, named
+    for arr in arrays:
+        assert arr.dtype == np.float32 and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0, 0] = 7.0
+    # a replaced and unlinked file still backs the views
+    write_container(path, [LayerDesc("dense", [-w, np.zeros(3)])], {"s": np.float32(5.0)})
+    path.unlink()
+    gc.collect()
+    assert not mapped().closed
+    np.testing.assert_array_equal(arrays[0], w)
+    np.testing.assert_array_equal(arrays[1], np.ones(3))
+    assert float(arrays[2]) == 2.0
+    arrays.pop(0)
+    assert mapped() is not None  # the others still hold it
+    del arrays, arr
+    gc.collect()
+    assert mapped() is None  # freed, and so unmapped
+
+
+def test_mapped_read_equals_owned_read(tmp_path):
+    rng = np.random.default_rng(1)
+    layers = [LayerDesc("conv1d", [rng.normal(size=(3, 2, 5)), rng.normal(size=3)])]
+    named = {"odd-length-name": rng.normal(size=(7,)), "x": np.float32(3.5), "e": np.zeros((0, 4))}
+    path = tmp_path / "net.oswt"
+    write_container(path, layers + [LayerDesc("relu")], named)
+    owned, mapped = read_container(path), map_container(path)
+    assert [l.kind for l in mapped[0]] == [l.kind for l in owned[0]]
+    for a, b in zip(owned[0][0].tensors, mapped[0][0].tensors):
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == b.shape
+    assert set(mapped[1]) == set(owned[1])
+    for name, arr in owned[1].items():
+        assert arr.shape == mapped[1][name].shape
+        np.testing.assert_array_equal(arr, mapped[1][name])
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """A path to overwrite, and the bytes of a container with every section:
+    two layers, one without tensors, and named tensors of ranks 0 to 3."""
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.oswt"
+    write_container(
+        path,
+        [LayerDesc("dense", [np.ones((3, 2)), np.zeros(3)]), LayerDesc("flatten")],
+        {"a": np.float32(1.0), "bb": np.arange(4.0), "ccc": np.ones((2, 1, 2))},
+    )
+    return path, path.read_bytes()
+
+
+_fuzz = settings(max_examples=150, deadline=None)
+
+
+@_fuzz
+@given(at=st.integers(0, 1 << 16))
+def test_fuzz_truncation_is_data_error(fuzz_file, at):
+    path, base = fuzz_file
+    path.write_bytes(base[: at % len(base)])
+    for read in (read_container, map_container):
+        with pytest.raises(DataError):
+            read(path)
+
+
+@_fuzz
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1, max_size=4
+    )
+)
+def test_fuzz_byte_flips_raise_only_data_error(fuzz_file, flips):
+    path, base = fuzz_file
+    raw = bytearray(base)
+    for at, mask in flips:
+        raw[at % len(raw)] ^= mask
+    path.write_bytes(bytes(raw))
+    for read in (read_container, map_container):
+        try:
+            read(path)
+        except DataError:
+            pass  # any other exception fails the test
 
 
 def test_read_arrays_are_owned_copies(tmp_path):

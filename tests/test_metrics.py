@@ -33,6 +33,9 @@ class ScriptedModel:
         self._cursor += len(pairs)
         return Tensor(rows)
 
+    def params(self):
+        return []
+
 
 def binary_pairs(labels):
     return [

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from vocalsim.autodiff import RMSProp, Tensor, rmse_loss
+from vocalsim.container import read_container
 from vocalsim.errors import DataError, NumericError
+from vocalsim.metrics import evaluate
 from vocalsim.models import (
+    ENCODE_BATCH,
     FeatureSet,
     ModelSpec,
     RelapseDecision,
@@ -18,6 +21,8 @@ from vocalsim.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from vocalsim.pairs import PairRecord
+from vocalsim.training import evaluate_loss
 
 
 def small_spec(variant="mfcc", head="binary"):
@@ -275,6 +280,134 @@ class TestCheckpoint:
         write_container(path, [], {"something": np.zeros(3)})
         with pytest.raises(DataError, match="spec"):
             load_checkpoint(path)
+
+
+def mapped_spec(seed=3):
+    """The smallest MFCC model whose dense1 load_checkpoint keeps mapped:
+    64 filters make the branch 23,936 wide, and dense_width 64 is one
+    block of output columns."""
+    return ModelSpec(filters=64, dense_width=64, init_seed=seed)
+
+
+@pytest.fixture(scope="module")
+def mapped_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mapped") / "model.oswt"
+    save_checkpoint(path, build_model(mapped_spec()))
+    return path
+
+
+def float64_copies(path) -> SiameseModel:
+    """The checkpoint's model with every parameter read_container's owned
+    float64 copy, as load_checkpoint gave it before weights were mapped."""
+    model = load_checkpoint(path)
+    _, named = read_container(path)
+    for i, p in enumerate(model.params()):
+        p.data = named[f"param/{i}"]
+    return model
+
+
+class TestMappedCheckpoint:
+    """load_checkpoint keeps dense1 of a model like the paper's as a
+    read-only float32 view of the file, with every output bit unchanged."""
+
+    def test_dense1_is_a_read_only_float32_view(self, mapped_checkpoint):
+        model = load_checkpoint(mapped_checkpoint)
+        w = model.dense1.weight.data
+        assert w.shape == (64, 23936) and w.dtype == np.float32
+        assert not w.flags.writeable and not w.flags.owndata
+        others = [p.data for p in model.params() if p is not model.dense1.weight]
+        assert all(d.dtype == np.float64 and d.flags.writeable for d in others)
+
+    def test_writing_a_mapped_weight_raises(self, mapped_checkpoint):
+        before = mapped_checkpoint.read_bytes()
+        model = load_checkpoint(mapped_checkpoint)
+        with pytest.raises(ValueError, match="read-only"):
+            model.dense1.weight.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.dense1.weight.data *= 2.0
+        assert mapped_checkpoint.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [
+            (ModelSpec(variant="vggish", init_seed=3), (1024, 1024)),  # dense2
+            (ModelSpec(variant="fusion", dense_width=64, init_seed=3), (540, 25116)),
+        ],
+    )
+    def test_rejected_shapes_load_as_float64(self, tmp_path, spec, shape):
+        path = tmp_path / "model.oswt"
+        save_checkpoint(path, build_model(spec))
+        params = load_checkpoint(path).params()
+        assert shape in [p.data.shape for p in params]
+        assert all(p.data.dtype == np.float64 and p.data.flags.writeable for p in params)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 10), (2, 10), (4, 10), (60, 60)])
+    def test_scores_equal_float64_copies(self, mapped_checkpoint, n, m):
+        sets = [features(seed) for seed in range(n + m)]
+        model = load_checkpoint(mapped_checkpoint)
+        want = float64_copies(mapped_checkpoint)
+        np.testing.assert_array_equal(
+            model.similarities(sets[:n], sets[n:]), want.similarities(sets[:n], sets[n:])
+        )
+        if n + m <= ENCODE_BATCH:
+            np.testing.assert_array_equal(model.encode_sets(sets), want.encode_sets(sets))
+        # more sets than one encode call takes are scored over float64 copies
+        assert (model.dense1.weight.data.dtype == np.float64) == (n + m > ENCODE_BATCH)
+
+    @pytest.mark.parametrize("batch_size", [3, 2])
+    def test_evaluation_equals_float64_copies(self, mapped_checkpoint, batch_size):
+        feats = {f"s{i}": features(i) for i in range(4)}
+        pairs = [
+            PairRecord("s0", "s1", True, 0, "test"),
+            PairRecord("s2", "s3", False, 5, "test"),
+            PairRecord("s1", "s2", True, 0, "test"),
+        ]
+        model = load_checkpoint(mapped_checkpoint)
+        want = float64_copies(mapped_checkpoint)
+        report = evaluate(model, pairs, feats, batch_size)
+        assert report.to_json() == evaluate(want, pairs, feats, batch_size).to_json()
+        loss = evaluate_loss(model, pairs, feats, batch_size)
+        assert loss == evaluate_loss(want, pairs, feats, batch_size)
+        # evaluate scores more than one batch over float64 copies
+        assert (model.dense1.weight.data.dtype == np.float64) == (batch_size < len(pairs))
+
+    def test_training_step_equals_float64_copies(self, mapped_checkpoint):
+        before = mapped_checkpoint.read_bytes()
+
+        def step(model):
+            opt = RMSProp(model.params(), lr=1e-3)
+            opt.zero_grad()
+            out = model.forward(
+                model.stack_inputs([features(1), features(2)]),
+                model.stack_inputs([features(3), features(1)]),
+                training=True,
+                rng=np.random.default_rng(5),
+            )
+            loss = rmse_loss(out, np.array([[1.0, 0.0], [0.0, 1.0]]))
+            loss.backward()
+            opt.step()
+            return float(loss.data), model.params()
+
+        loss, params = step(load_checkpoint(mapped_checkpoint))
+        want_loss, want_params = step(float64_copies(mapped_checkpoint))
+        assert loss == want_loss
+        for p, q in zip(params, want_params):
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, q.data)
+        assert mapped_checkpoint.read_bytes() == before
+
+    def test_scores_survive_checkpoint_replacement(self, tmp_path, mapped_checkpoint):
+        path = tmp_path / "model.oswt"
+        path.write_bytes(mapped_checkpoint.read_bytes())
+        model = load_checkpoint(path)
+        left, right = [features(1)], [features(2), features(3)]
+        before = model.similarities(left, right)
+        save_checkpoint(path, build_model(mapped_spec(seed=4)))  # a new file, renamed over
+        replaced = load_checkpoint(path).similarities(left, right)
+        path.unlink()
+        gc.collect()
+        np.testing.assert_array_equal(model.similarities(left, right), before)
+        assert not np.array_equal(replaced, before)
 
 
 class _ScriptedModel:

@@ -158,6 +158,18 @@ class TestLexiconIO:
         with pytest.raises(DataError, match=":1"):
             load_lexicon(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_component_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.vec"
+        good = "calm " + " ".join(["0.1"] * 300)
+        p.write_text(good + "\nquiet " + " ".join(["0.1"] * 299 + [bad]) + "\n", encoding="utf-8")
+        message = (
+            r"bad\.vec:2: 1 of 300 vector components are not finite, "
+            rf"the first at position 300 \({bad}\)"
+        )
+        with pytest.raises(DataError, match=message):
+            load_lexicon(p)
+
     def test_empty_lexicon_rejected(self, tmp_path):
         p = tmp_path / "empty.vec"
         p.write_text("\n", encoding="utf-8")
