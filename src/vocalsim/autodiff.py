@@ -34,8 +34,8 @@ float32 weights: a dense or gather_dense weight may be a read-only float32
 array, such as a view of a mapped checkpoint. A weight of the shape
 casts_in_blocks() accepts is cast block by block inside each forward share,
 with the bits of its float64 copy; any other is cast whole in each product
-that reads it. cast_params() makes float64 copies once, and RMSProp does
-so for its parameters.
+that reads it. Inference never copies such a weight to float64; RMSProp,
+which writes its parameters, gives each an owned float64 copy once.
 """
 
 import functools
@@ -234,13 +234,15 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     share carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
     share's columns of the output, with the bits of a @ b.
 
-    A float32 b, such as the transpose of a weight mapped from a checkpoint,
-    is cast to float64 whole, or, when casts_in_blocks(b.T.shape), block by
-    block inside each share (see _cast_matmul), so that no float64 copy of
-    b is made."""
+    A float32 b is cast to float64 whole, or, when it is the transpose of a
+    C-ordered weight that casts_in_blocks accepts (as in the forward pass
+    over a weight mapped from a checkpoint), block by block inside each
+    share (see _cast_matmul), so that no float64 copy of b is made."""
     rows, inner = a.shape
     cols = b.shape[1]
-    blocked = b.dtype != np.float64 and casts_in_blocks((cols, inner))
+    blocked = (
+        b.dtype != np.float64 and b.flags.f_contiguous and casts_in_blocks((cols, inner))
+    )
     if not blocked:
         b = b.astype(np.float64, copy=False)  # keeps b's memory order
     limit = 1
@@ -275,16 +277,6 @@ def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         cols = slice(start, start + _SPLIT_COLUMNS)
         buf[...] = b[:, cols].T
         np.matmul(a, buf.T, out=out[:, cols])
-
-
-def cast_params(params) -> None:
-    """Give each float32 parameter, such as a weight mapped from a
-    checkpoint, an owned float64 copy of its data, once. For callers that
-    run more than one pass over the weights: a pass over resident float64
-    weights costs less than one that casts them block by block."""
-    for p in params:
-        if p.data.dtype != np.float64:
-            p.data = p.data.astype(np.float64)
 
 
 def as_tensor(x) -> Tensor:
@@ -659,7 +651,11 @@ class RMSProp:
         if not 0.0 <= rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
         self.params = list(params)
-        cast_params(self.params)
+        for p in self.params:
+            # a weight mapped from a checkpoint is read-only float32; the
+            # update writes an owned float64 copy
+            if p.data.dtype != np.float64:
+                p.data = p.data.astype(np.float64)
         self.lr = lr
         self.decay = decay
         self.rho = rho

@@ -187,8 +187,12 @@ def map_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
 
     The map stays open while any view lives and is closed when the last one
     is freed; a file that fails to parse has its map closed before the
-    DataError is raised. write_container replaces a file rather than
-    rewriting it, so a view keeps the contents it was mapped with.
+    DataError is raised. write_container replaces a file by renaming a new
+    one over it, so a view keeps the contents it was mapped with. The map is
+    shared with the file: a file rewritten in place while a view lives
+    changes what the view reads, and a truncated one raises SIGBUS when the
+    view reads a page past the new end. Replace a mapped file only by
+    rename.
     """
     buf = _open_map(path)
     try:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .models import SIMILAR_INDEX, SiameseModel
 
 BINARY_CLASSES = ("NS", "S")  # non-similar, similar
@@ -81,16 +80,13 @@ def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> Eva
     """Score `pairs` with dropout off and summarize the four metrics.
 
     Binary mode uses P(similar) as the numeric prediction against 0/1 labels;
-    score25 uses the arg-max class index against label_score. More than one
-    batch first gives the weights float64 copies (ad.cast_params).
+    score25 uses the arg-max class index against label_score.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot evaluate an empty pair list")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if len(pairs) > batch_size:
-        ad.cast_params(model.params())
     head_size = model.spec.head_size
     binary = head_size == 2
 

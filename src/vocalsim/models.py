@@ -282,17 +282,13 @@ class SiameseModel:
 
         Each of the N+M sets is encoded once, in encode calls of at most
         ENCODE_BATCH rows, and all N*M pairs are scored in one score() call.
-        More than one encode call first gives the weights float64 copies
-        (ad.cast_params). Binary head only; dropout is off, so the scores
-        are deterministic.
+        Binary head only; dropout is off, so the scores are deterministic.
         """
         if self.spec.head != "binary":
             raise ValueError("similarity scores require the binary head")
         if not left_sets or not right_sets:
             raise ValueError("need at least one feature set on each side")
         sets = list(left_sets) + list(right_sets)
-        if len(sets) > ENCODE_BATCH:
-            ad.cast_params(self.params())
         encodings = np.concatenate(
             [
                 self.encode_sets(sets[i : i + ENCODE_BATCH])
@@ -420,7 +416,13 @@ def load_checkpoint(path) -> SiameseModel:
     """The model a checkpoint holds. The file is mapped: a dense weight that
     ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
     read-only float32 view of it, which keeps the file's pages mapped while
-    the model lives; every other tensor is cast to float64 here."""
+    the model lives; every other tensor is cast to float64 here.
+
+    While the model lives, replace its file only by renaming a new file over
+    it, as save_checkpoint does: the view keeps the old file's contents.
+    Rewriting the file in place (copying over it, or opening it for writing)
+    changes the weights the model scores with, and truncating it kills the
+    process with SIGBUS when the model next reads a page past the end."""
     _, named = map_container(path)
     values = {
         field.name: _spec_value(path, named, field.name, field.type)

@@ -976,6 +976,24 @@ class TestFloat32Weights:
         got = dense(Tensor(x), weight, Tensor(b)).data
         np.testing.assert_array_equal(got, dense(Tensor(x), Tensor(w64), Tensor(b)).data)
 
+    def test_c_ordered_operand_is_cast_whole(self, monkeypatch):
+        """Only the transpose of a C-ordered weight, as the forward pass
+        reads it, is cast in blocks; a C-ordered float32 right operand of a
+        shape the rule accepts, as an input grad reads the weight, is cast
+        whole."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a C-ordered operand was cast in blocks")
+
+        monkeypatch.setattr(autodiff, "_cast_matmul", refuse)
+        rng = np.random.default_rng(50)
+        b = rng.normal(size=(1 << 14, 64)).astype(np.float32)
+        assert autodiff.casts_in_blocks(b.T.shape) and b.flags.c_contiguous
+        for rows in (1, 2, 14):
+            a = rng.normal(size=(rows, 1 << 14))
+            got = autodiff._matmul(a, b)
+            np.testing.assert_array_equal(got, a @ b.astype(np.float64))
+
     def test_rmsprop_casts_float32_params_once(self):
         w32 = np.arange(6, dtype=np.float32).reshape(2, 3)
         w32.flags.writeable = False

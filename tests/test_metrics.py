@@ -33,9 +33,6 @@ class ScriptedModel:
         self._cursor += len(pairs)
         return Tensor(rows)
 
-    def params(self):
-        return []
-
 
 def binary_pairs(labels):
     return [
