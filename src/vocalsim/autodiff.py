@@ -18,17 +18,14 @@ closure holds the op's inputs and saved arrays and receives the node's grad
 as its argument, never the node itself. The graph therefore has no
 reference cycles, and dropping the loss frees every intermediate at once.
 
-CPUs: the engine uses every CPU in the process's affinity mask. Each
-product in dense and gather_dense (forward, weight grad, input grad) and
-the RMSProp update of each large parameter is split into one share per
-CPU; the calling thread computes one share and a private pool of threads,
-created on first use and again in a forked child, the others. Products
-below two shares of _SPLIT_MADDS multiply-adds, and parameters below two
-_STEP_BLOCKs, run on the calling thread alone, as does everything when the
-mask holds one CPU. A split changes no bit of any result: a product is split
-by output column, so every output element is the same dot product computed
-by the same BLAS kernel, and the update is elementwise. conv1d's products
-stay on one thread.
+CPUs: each product in dense and gather_dense (forward, weight grad, input
+grad) and the RMSProp update of each large parameter is cut into one share
+per CPU and run on the package's workers (see workers.py). Products below
+two shares of _SPLIT_MADDS multiply-adds, and parameters below two
+_STEP_BLOCKs, run on the calling thread alone. A split changes no bit of
+any result: a product is split by output column, so every output element
+is the same dot product computed by the same BLAS kernel, and the update is
+elementwise. conv1d's products stay on one thread.
 
 float32 weights: a dense or gather_dense weight may be a read-only float32
 array, such as a view of a mapped checkpoint. A weight of the shape
@@ -39,10 +36,10 @@ which writes its parameters, gives each an owned float64 copy once.
 """
 
 import functools
-import os
-import threading
 
 import numpy as np
+
+from .workers import _cut, _in_shares
 
 _STEP_BLOCK = 32768  # RMSProp update block: 256 KB per float64 operand
 # least multiply-adds per share of a split product: the smallest power of two
@@ -137,88 +134,6 @@ class Constant(Tensor):
 
     def _accumulate(self, g: np.ndarray) -> None:
         pass
-
-
-class _Workers:
-    """Jobs cut into shares: run(task, limit) runs task(i, parts) for each
-    share i < parts = min(limit, width), share 0 on the calling thread and
-    the others on a pool of width - 1 threads.
-
-    A task must be a leaf NumPy call that submits no work itself, so that
-    no task waits on one queued behind it.
-    """
-
-    def __init__(self, width: int):
-        # imported here, so that a process that never splits loads none of it
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.width = width
-        self._pool = ThreadPoolExecutor(width - 1, "autodiff") if width > 1 else None
-
-    def run(self, task, limit: int) -> None:
-        """Return when every share has finished; an exception from any of
-        them is raised then, the calling thread's first."""
-        parts = min(limit, self.width)
-        if parts < 2:
-            task(0, 1)
-            return
-        futures = [self._pool.submit(task, i, parts) for i in range(1, parts)]
-        try:
-            task(0, parts)
-        finally:
-            errors = [future.exception() for future in futures]  # waits for each
-        for error in errors:
-            if error is not None:
-                raise error
-
-
-_workers_lock = threading.Lock()
-_workers_now = None
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _workers() -> _Workers:
-    """The process's workers, one per CPU it may run on; made on first use."""
-    global _workers_now
-    with _workers_lock:
-        if _workers_now is None:
-            _workers_now = _Workers(_cpu_count())
-        return _workers_now
-
-
-def _forget_workers() -> None:
-    # a forked child has only the forking thread: the parent's pool threads
-    # are gone, and the lock may have been copied held
-    global _workers_lock, _workers_now
-    _workers_lock = threading.Lock()
-    _workers_now = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _in_shares(task, limit: int) -> None:
-    """task(i, parts) for the shares of a job that can be cut into at most
-    limit shares (see _Workers.run); below two, task(0, 1) alone, and no
-    pool is made."""
-    if limit < 2:
-        task(0, 1)
-    else:
-        _workers().run(task, limit)
-
-
-def _cut(n: int, i: int, parts: int, unit: int = 1) -> slice:
-    """Share i of parts of range(n) in whole units: the shares are
-    contiguous, disjoint and, when unit divides n, cover range(n)."""
-    units = n // unit
-    return slice(i * units // parts * unit, (i + 1) * units // parts * unit)
 
 
 def casts_in_blocks(shape) -> bool:

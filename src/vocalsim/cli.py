@@ -25,7 +25,7 @@ from .config import (
     load_config,
 )
 from .container import write_container
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, replace_text
 from .manifest import SPLITS, load_manifest, write_wav
 from .metrics import evaluate, render_confusion
 from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
@@ -41,6 +41,7 @@ from .pipeline import (
     run_pipeline,
     train_and_save,
 )
+from .workers import _map_in_shares
 
 _DEFAULTS = ExperimentConfig()
 
@@ -183,9 +184,9 @@ def _cmd_eval(args) -> int:
         raise DataError(f"{args.pairs}: no pairs in split {args.split!r}")
     report = evaluate(model, pairs, features, config.batch_size)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        replace_text(args.report, report.to_json() + "\n")
     if args.confusion:
-        Path(args.confusion).write_text(render_confusion(report), encoding="utf-8")
+        replace_text(args.confusion, render_confusion(report))
     print(render_confusion(report))
     print(
         f"accuracy {report.accuracy:.2f}%  rmse {report.rmse:.4f}  "
@@ -219,10 +220,14 @@ def _cmd_predict_relapse(args) -> int:
     else:
         refs_t = [None] * len(args.reference_audio)
     tools = feature_tools(config)
-    subject_sets = _recording_sets(config, args.audio, args.transcript, tools, args.strip)
-    reference_sets = []
-    for audio, transcript in zip(args.reference_audio, refs_t):
-        reference_sets.extend(_recording_sets(config, audio, transcript, tools, args.strip))
+    # the subject recording, then each reference: each is featurized in a
+    # share of its own, and a bad one is reported as the loop in argument
+    # order would report it
+    recordings = [(args.audio, args.transcript), *zip(args.reference_audio, refs_t)]
+    subject_sets, *reference_groups = _map_in_shares(
+        lambda rec: _recording_sets(config, *rec, tools, args.strip), recordings
+    )
+    reference_sets = [fs for group in reference_groups for fs in group]
     decision = detect_relapse(model, subject_sets, reference_sets, config.relapse_threshold)
     verdict = "relapse" if decision.relapse else "no relapse"
     print(

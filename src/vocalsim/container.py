@@ -11,7 +11,6 @@ Layout, all integers unsigned 32-bit little-endian:
 Layer kind codes: conv1d=1, dense=2, relu=3, flatten=4.
 """
 
-import contextlib
 import math
 import mmap
 import os
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, replace_file
 
 MAGIC = b"OSWT"
 VERSION = 1
@@ -104,10 +103,10 @@ def write_container(
     """Serialize layers plus named tensors. Named entries are written in
     sorted-name order so equal content produces byte-identical files.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over `path`, so a reader never sees a half-written file,
-    and a file another process has mapped is replaced, never rewritten
-    under it. A failed write leaves the old file as it was."""
+    The file replaces `path` whole (errors.replace_file), so a reader
+    never sees a half-written file, and a file another process has mapped
+    is replaced, never rewritten under it. A failed write leaves the old
+    file as it was."""
     named = named or {}
     parts = [MAGIC, struct.pack("<II", version, len(layers))]
     for layer in layers:
@@ -121,16 +120,8 @@ def write_container(
             raise ValueError(f"bad tensor name {name!r}")
         parts.append(struct.pack("<I", len(raw)) + raw)
         parts.extend(_pack_tensor(np.asarray(named[name])))
-    directory, base = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with replace_file(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def _open_map(path):

@@ -92,15 +92,15 @@ def frame_signal(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(signal.samples, frame_len)[::hop]
 
 
-def windowed_frames(signal: Signal, window: np.ndarray, hop: int, n_fft: int) -> np.ndarray:
+def windowed_frames(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.ndarray:
     """Every frame times the window, zero-padded to n_fft: (n_frames, n_fft).
 
-    The products go straight from the strided frame view into the padded
-    buffer, so neither the frames nor the padding are copied again, and
-    `np.fft.rfft(buffer, axis=1)` needs no `n=`. Its spectra are the same
-    bits as `rfft(frame * window, n=n_fft)` frame by frame.
+    `frames` is a run of rows of `frame_signal`'s strided view. The products
+    go straight from it into the padded buffer, so neither the frames nor
+    the padding are copied again, and `np.fft.rfft(buffer, axis=1)` needs
+    no `n=`. Its spectra are the same bits as `rfft(frame * window,
+    n=n_fft)` frame by frame.
     """
-    frames = frame_signal(signal, window.size, hop)
     out = np.zeros((frames.shape[0], n_fft))
     np.multiply(frames, window, out=out[:, : window.size])
     return out

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the file checks and the
-text-file reader that raise them."""
+"""Exception types shared across the package, and the file helpers every
+module uses: the file checks and the text-file reader that raise them, and
+the writer that replaces a file whole."""
 
+import contextlib
+import os
 from pathlib import Path
 
 
@@ -30,3 +33,32 @@ def is_file(path, what: str) -> bool:
         return Path(path).is_file()
     except OSError as exc:
         raise DataError(f"{what}: cannot look up {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def replace_file(path, mode: str = "w", **open_args):
+    """An open file ("w" or "wb" mode) whose contents replace `path` when
+    the block ends.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over `path`, so a reader never sees a half-written file,
+    and a file another process has mapped is replaced, never rewritten
+    under it. A block that raises leaves the old file as it was and no
+    temporary file behind."""
+    directory, base = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def replace_text(path, text: str) -> None:
+    """Replace the file at `path` by one holding `text` in UTF-8 (see
+    replace_file)."""
+    with replace_file(path, encoding="utf-8") as fh:
+        fh.write(text)

@@ -2,16 +2,22 @@
 magnitude spectra, 60 mel power bands, log10 + cosine transform, 60
 coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix.
 
-The window multiplies the strided frame view straight into a zero-padded
-(378, 1024) buffer (`dsp.windowed_frames`), so no frame is copied and the
-FFT pads nothing; the buffer holds the bits that `rfft(frame * window,
-n=1024)` would pad each frame to. All 378 frames go through
-one batched real FFT. The filter bank and the cosine transform are then
-one stacked `np.matmul` each, matrix times a (378, n, 1) stack of column
-vectors. Each stack item is the same BLAS matrix-vector call (`dgemv`)
+The 378 frames are cut into row shares on the package's workers (see
+`workers.py`), at least _SHARE_FRAMES frames each. A share multiplies its
+rows of the strided frame view by the window straight into its own
+zero-padded (rows, 1024) buffer (`dsp.windowed_frames`), so no frame is
+copied and the FFT pads nothing; the buffer holds the bits that
+`rfft(frame * window, n=1024)` would pad each frame to. The share's frames
+go through one batched real FFT. The filter bank and the cosine transform
+are then one stacked `np.matmul` each, matrix times a (rows, n, 1) stack of
+column vectors, and the share writes its rows of the output. Each FFT row
+and each stack item is the same call, on the same operands, however the
+frames are cut: the stack item is the BLAS matrix-vector call (`dgemv`)
 that `bank.weights @ spectrum` makes for one frame, so every row stays
 bit-identical to the per-frame dft_magnitude -> apply_filterbank -> log_dct
 chain of `dsp` (a single matrix-matrix product rounds differently)."""
+
+import functools
 
 import numpy as np
 
@@ -23,10 +29,12 @@ from .dsp import (
     Signal,
     WindowSpec,
     dct_basis,
+    frame_signal,
     hamming_window,
     mel_filterbank,
     windowed_frames,
 )
+from .workers import _cut, _in_shares
 
 FRAME_LENGTH = 960  # 60 ms
 HOP_LENGTH = 320  # 20 ms
@@ -35,18 +43,18 @@ NUM_FILTERS = 60
 NUM_COEFFS = 60
 NUM_FRAMES = 1 + (SEGMENT_SAMPLES - FRAME_LENGTH) // HOP_LENGTH  # 378
 
-_tables: tuple[np.ndarray, MelFilterBank, np.ndarray] | None = None
+# least frames per share: a share of a segment's analysis then takes over a
+# millisecond, well above the cost of handing it to a worker
+_SHARE_FRAMES = 64
 
 
+@functools.cache
 def _analysis_tables() -> tuple[np.ndarray, MelFilterBank, np.ndarray]:
-    global _tables
-    if _tables is None:
-        _tables = (
-            hamming_window(WindowSpec(FRAME_LENGTH)),
-            mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE),
-            dct_basis(NUM_COEFFS, NUM_FILTERS),
-        )
-    return _tables
+    return (
+        hamming_window(WindowSpec(FRAME_LENGTH)),
+        mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE),
+        dct_basis(NUM_COEFFS, NUM_FILTERS),
+    )
 
 
 def extract_mfcc(segment: Signal) -> np.ndarray:
@@ -63,8 +71,16 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
             f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
         )
     window, bank, basis = _analysis_tables()
-    power = np.abs(np.fft.rfft(windowed_frames(segment, window, HOP_LENGTH, N_FFT), axis=1))
-    power *= power
-    energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
-    logs = np.log10(np.maximum(energies, LOG_FLOOR))
-    return np.matmul(basis, logs[:, :, None])[:, :, 0]
+    frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
+    out = np.empty((len(frames), NUM_COEFFS))
+
+    def share(i, parts):
+        rows = _cut(len(frames), i, parts)
+        power = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
+        power *= power
+        energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
+        logs = np.log10(np.maximum(energies, LOG_FLOOR))
+        out[rows] = np.matmul(basis, logs[:, :, None])[:, :, 0]
+
+    _in_shares(share, len(frames) // _SHARE_FRAMES)
+    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError, read_text, replace_file
 from .manifest import SPLITS
 
 PAIRS_PER_SAMPLE = 8
@@ -154,7 +154,7 @@ def make_pairs(
 
 
 def write_pairs_csv(pairs: PairSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_file(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["left_id", "right_id", "label_binary", "label_score", "split"])
         for record in pairs.all_pairs():

@@ -11,7 +11,9 @@ into `stage_state.json` under the working directory; a stage whose hash
 matches and whose outputs still exist is skipped, so re-running a finished
 experiment touches nothing and changing one knob re-runs only the stages
 downstream of it. A stage drops its entry before it rewrites its outputs, so
-outputs left by a crashed run are never served under an older hash.
+outputs left by a crashed run are never served under an older hash. Every
+output and the state file are written under a temporary name and renamed
+into place (`errors.replace_file`), so none is ever left half-written.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .container import read_container, write_container
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, replace_text
 from .manifest import load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
 from .mfcc import extract_mfcc
@@ -94,9 +96,7 @@ def _load_state(workdir: Path) -> dict:
 
 
 def _store_state(workdir: Path, state: dict) -> None:
-    (workdir / STATE_FILE).write_text(
-        json.dumps(state, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    replace_text(workdir / STATE_FILE, json.dumps(state, sort_keys=True, indent=2))
 
 
 def _stage_current(workdir: Path, state: dict, name: str, digest: str) -> bool:
@@ -296,9 +296,7 @@ def train_and_save(
             "best_epoch": result.best_epoch,
             "stopped_early": result.stopped_early,
         }
-        Path(history).write_text(
-            json.dumps(payload, sort_keys=True, indent=2), encoding="utf-8"
-        )
+        replace_text(history, json.dumps(payload, sort_keys=True, indent=2))
     return model, result
 
 
@@ -446,8 +444,8 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         else:
             report = evaluate(model, pair_set.test, features, config.batch_size)
             _drop_stage(workdir, state, "eval")
-            paths["report"].write_text(report.to_json() + "\n", encoding="utf-8")
-            paths["confusion"].write_text(render_confusion(report), encoding="utf-8")
+            replace_text(paths["report"], report.to_json() + "\n")
+            replace_text(paths["confusion"], render_confusion(report))
             _mark_stage(
                 workdir,
                 state,

@@ -1,28 +1,47 @@
 """Log-mel front-end, 96-frame patching, loadable embedding network, and PCA
 post-processing. A 7.6 s segment becomes a 14x128 embedding matrix.
 
-The front end windows the strided frame view straight into a zero-padded
-(758, 512) buffer (`dsp.windowed_frames`) and takes one batched real FFT
-of it, with the bits of `rfft(frame * window, n=512)` per frame.
+Both the front end and `embed` cut their rows into shares on the package's
+workers (see `workers.py`), and each share writes its rows of one output.
+Every row keeps its bits however the rows are cut.
 
-`embed` runs a segment's 14 patches through each layer as one stacked
-pass, as the VGGish reference runs its [examples, 96, 64] batch. A conv
-layer is one `np.matmul` of the (F, C*K) weight matrix with a C-contiguous
-(P, C*K, T) tap stack, and a dense layer one `np.matmul` of the weight
-matrix with a (P, n, 1) stack of column vectors. Each stack item is the
-`dgemm` or `dgemv` call that `np.tensordot` or `w @ x` makes for a single
-patch, on operands of the same layout, so every embedding keeps the bits
-of the per-patch loop (a single matrix-matrix product over all patches
-would round differently)."""
+The front end cuts the 758 frames into shares of at least _SHARE_FRAMES. A
+share windows its rows of the strided frame view straight into its own
+zero-padded (rows, 512) buffer (`dsp.windowed_frames`), takes one batched
+real FFT of it, with the bits of `rfft(frame * window, n=512)` per frame,
+and projects the magnitudes onto the mel bank in one product. That product
+holds over 10^6 multiply-adds, above the size below which the BLAS takes a
+small-matrix kernel, so its rows are those of the product over all frames.
 
+`embed` cuts the patch stack into shares of at least _SHARE_PATCHES and
+runs each share's patches through each layer as one stacked pass, as the
+VGGish reference runs its [examples, 96, 64] batch. A conv layer is one
+`np.matmul` of the (F, C*K) weight matrix with a C-contiguous (P, C*K, T)
+tap stack, and a dense layer one `np.matmul` of the weight matrix with a
+(P, n, 1) stack of column vectors. Each stack item is the `dgemm` or
+`dgemv` call that `np.tensordot` or `w @ x` makes for a single patch, on
+operands of the same layout, so every embedding keeps the bits of the
+per-patch loop (a single matrix-matrix product over all patches would
+round differently)."""
+
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import glorot_uniform
 from .container import LayerDesc, read_container, write_container
-from .dsp import LOG_FLOOR, SAMPLE_RATE, SEGMENT_SAMPLES, Signal, mel_filterbank, windowed_frames
+from .dsp import (
+    LOG_FLOOR,
+    SAMPLE_RATE,
+    SEGMENT_SAMPLES,
+    Signal,
+    frame_signal,
+    mel_filterbank,
+    windowed_frames,
+)
 from .errors import DataError
+from .workers import _cut, _in_shares
 
 FRAME_LENGTH = 400  # 25 ms
 HOP_LENGTH = 160  # 10 ms
@@ -33,7 +52,13 @@ PATCH_LENGTH = 96
 PATCH_HOP = 48
 EMBED_DIM = 128
 
-_tables: tuple[np.ndarray, np.ndarray] | None = None
+# least frames per front-end share: the share's (frames, 257) @ (257, 64)
+# mel product then holds 2.1 M multiply-adds, twice the size (measured near
+# 10^6) below which the BLAS takes a small-matrix kernel whose sums can
+# differ in the last bit from those of the product over all frames
+_SHARE_FRAMES = 128
+# least patches per embedding share, about half a millisecond of work
+_SHARE_PATCHES = 4
 
 
 def periodic_hann(length: int) -> np.ndarray:
@@ -43,13 +68,9 @@ def periodic_hann(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
+@functools.cache
 def _front_end_tables() -> tuple[np.ndarray, np.ndarray]:
-    global _tables
-    if _tables is None:
-        window = periodic_hann(FRAME_LENGTH)
-        bank = mel_filterbank(NUM_BANDS, N_FFT, SAMPLE_RATE)
-        _tables = (window, bank.weights)
-    return _tables
+    return periodic_hann(FRAME_LENGTH), mel_filterbank(NUM_BANDS, N_FFT, SAMPLE_RATE).weights
 
 
 def log_mel_spectrogram(segment: Signal) -> np.ndarray:
@@ -65,10 +86,16 @@ def log_mel_spectrogram(segment: Signal) -> np.ndarray:
             f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
         )
     window, weights = _front_end_tables()
-    frames = windowed_frames(segment, window, HOP_LENGTH, N_FFT)
-    magnitudes = np.abs(np.fft.rfft(frames, axis=1))
-    mel = magnitudes @ weights.T
-    return np.log(np.maximum(mel, LOG_FLOOR))
+    frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
+    out = np.empty((len(frames), NUM_BANDS))
+
+    def share(i, parts):
+        rows = _cut(len(frames), i, parts)
+        magnitudes = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
+        out[rows] = np.log(np.maximum(magnitudes @ weights.T, LOG_FLOOR))
+
+    _in_shares(share, len(frames) // _SHARE_FRAMES)
+    return out
 
 
 def patchify(
@@ -104,9 +131,10 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     patch enters as channels x length (bands become channels). Conv layers
     are valid, stride 1; dense weights are (out, in). The output must be a
     128-vector per patch; any dimension mismatch names the offending layer.
-    Every layer is one stacked pass over the P patches whose items are the
-    BLAS calls a single patch makes, so each row has the bits of a
-    one-patch call (see the module docstring).
+    The patches are cut into shares, and every layer is one stacked pass
+    over a share's patches whose items are the BLAS calls a single patch
+    makes, so each row has the bits of a one-patch call (see the module
+    docstring).
     """
     x = np.asarray(patches, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -115,6 +143,18 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     if single:
         x = x[None]
     x = x.transpose(0, 2, 1)
+    out = np.empty((x.shape[0], EMBED_DIM))
+
+    def share(i, parts):
+        rows = _cut(len(x), i, parts)
+        out[rows] = _embed_stack(x[rows], weights)
+
+    _in_shares(share, len(x) // _SHARE_PATCHES)
+    return out[0] if single else out
+
+
+def _embed_stack(x: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
+    """The (P, 128) embeddings of a (P, bands, frames) stack of patches."""
     count = x.shape[0]
     for i, layer in enumerate(weights):
         try:
@@ -153,7 +193,7 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
         raise DataError(
             f"embedding network must end in a {EMBED_DIM}-vector, got shape {x.shape[1:]}"
         )
-    return x[0] if single else x
+    return x
 
 
 @dataclass

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vocalsim import autodiff
+from vocalsim import workers as pool
 from vocalsim.autodiff import (
     Constant,
     Conv1dLayer,
@@ -642,41 +643,6 @@ class TestRMSProp:
             RMSProp([Tensor([1.0])], rho=1.0)
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """install(n) gives the engine n workers and a split rule low enough for
-    test-sized products: each share still carries 2**20 multiply-adds, above
-    the BLAS's small-matrix cut-off, as the production minimum is."""
-    monkeypatch.setattr(autodiff, "_SPLIT_MADDS", 1 << 20)
-    original = autodiff._workers_now  # restored afterwards, so left running
-
-    def install(width):
-        shut_down()
-        monkeypatch.setattr(autodiff, "_cpu_count", lambda: width)
-        monkeypatch.setattr(autodiff, "_workers_now", None)
-
-    def shut_down():
-        made = autodiff._workers_now
-        if made is not None and made is not original and made._pool is not None:
-            made._pool.shutdown()
-
-    yield install
-    shut_down()
-
-
-def count_splits(monkeypatch) -> list:
-    """The limit of every job handed to the workers, as it is handed."""
-    limits = []
-    run = autodiff._Workers.run
-
-    def spy(self, task, limit):
-        limits.append(limit)
-        run(self, task, limit)
-
-    monkeypatch.setattr(autodiff._Workers, "run", spy)
-    return limits
-
-
 class TestSplitWork:
     """With the split forced, every result equals the one-thread result bit
     for bit, and the pool survives errors and forks."""
@@ -697,21 +663,21 @@ class TestSplitWork:
             (1, 2048, 1024),  # one row
         ],
     )
-    def test_dense_equals_one_thread(self, workers, monkeypatch, rows, n_in, n_out):
+    def test_dense_equals_one_thread(self, workers, count_splits, rows, n_in, n_out):
         rng = np.random.default_rng(40)
         x, w = rng.normal(size=(rows, n_in)), rng.normal(size=(n_out, n_in))
         b, probe = rng.normal(size=n_out), rng.normal(size=(rows, n_out))
         workers(1)
         want = self.dense_run(x, w, b, probe)
         workers(2)
-        limits = count_splits(monkeypatch)
+        limits = count_splits()
         got = self.dense_run(x, w, b, probe)
         assert any(limit >= 2 for limit in limits)
         for g, w_ in zip(got, want):
             np.testing.assert_array_equal(g, w_)
 
     @pytest.mark.parametrize("dropped", [([0, 5, 5, 39], [3, 3, 4000, 64]), None])
-    def test_gather_dense_equals_one_thread(self, workers, monkeypatch, dropped):
+    def test_gather_dense_equals_one_thread(self, workers, count_splits, dropped):
         rng = np.random.default_rng(41)
         index = rng.integers(0, 6, size=40)
         x, w = rng.normal(size=(6, 4096)), rng.normal(size=(192, 4096))
@@ -726,7 +692,7 @@ class TestSplitWork:
         workers(1)
         want = run()
         workers(2)
-        limits = count_splits(monkeypatch)
+        limits = count_splits()
         got = run()
         assert sum(limit >= 2 for limit in limits) >= 3  # forward, weight grad, input grad
         for g, w_ in zip(got, want):
@@ -743,22 +709,22 @@ class TestSplitWork:
 
     @pytest.mark.parametrize("n, parts, unit", [(10, 3, 1), (7, 7, 1), (640, 3, 64), (1, 1, 1)])
     def test_shares_partition_the_range(self, n, parts, unit):
-        cuts = [autodiff._cut(n, i, parts, unit) for i in range(parts)]
+        cuts = [pool._cut(n, i, parts, unit) for i in range(parts)]
         assert [c.start for c in cuts[1:]] == [c.stop for c in cuts[:-1]]
         assert cuts[0].start == 0 and cuts[-1].stop == n
         assert all(c.start % unit == 0 and c.stop > c.start for c in cuts)
 
-    def test_small_product_submits_nothing(self, workers, monkeypatch):
+    def test_small_product_submits_nothing(self, workers, count_splits):
         workers(2)
-        limits = count_splits(monkeypatch)
+        limits = count_splits()
         rng = np.random.default_rng(43)
         x, w, b = rng.normal(size=(8, 64)), rng.normal(size=(128, 64)), rng.normal(size=128)
         weighted_sum(dense(Tensor(x), Tensor(w), Tensor(b)), np.ones((8, 128))).backward()
         assert limits == []
-        assert autodiff._workers_now is None  # no pool was even made
+        assert pool._workers_now is None  # no pool was even made
 
     def test_one_cpu_makes_no_pool(self):
-        assert autodiff._Workers(1)._pool is None
+        assert pool._Workers(1)._pool is None
 
     def test_chunk_error_reaches_caller_and_pool_survives(self, workers):
         workers(2)
@@ -783,7 +749,7 @@ class TestSplitWork:
                 raise KeyError("share 1")
 
         with pytest.raises(KeyError, match="share 1"):
-            autodiff._workers().run(task, 2)
+            pool._workers().run(task, 2)
         assert finished == [0]
 
         def slow_worker(i, parts):
@@ -793,7 +759,7 @@ class TestSplitWork:
             finished.append(i)
 
         with pytest.raises(KeyError, match="share 0"):
-            autodiff._workers().run(slow_worker, 2)
+            pool._workers().run(slow_worker, 2)
         assert finished == [0, 1]  # share 1 ended before the error was raised
 
     def test_concurrent_callers_share_one_pool(self, workers, monkeypatch):
@@ -801,13 +767,13 @@ class TestSplitWork:
         # own exact product, and the first use makes exactly one pool
         workers(2)
         made = []
-        init = autodiff._Workers.__init__
+        init = pool._Workers.__init__
 
         def counting_init(self, width):
             made.append(width)
             init(self, width)
 
-        monkeypatch.setattr(autodiff._Workers, "__init__", counting_init)
+        monkeypatch.setattr(pool._Workers, "__init__", counting_init)
         rng = np.random.default_rng(47)
         a = [rng.normal(size=(32, 512)) for _ in range(6)]
         b = rng.normal(size=(512, 256))
@@ -841,13 +807,13 @@ class TestSplitWork:
         a, b = rng.normal(size=(32, 512)), rng.normal(size=(512, 256))
         want = a @ b
         autodiff._matmul(a, b)  # the parent's pool now has a thread
-        parent_workers = autodiff._workers_now
+        parent_workers = pool._workers_now
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 same = np.array_equal(autodiff._matmul(a, b), want)
-                code = 0 if same and autodiff._workers_now is not parent_workers else 1
+                code = 0 if same and pool._workers_now is not parent_workers else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30.0
@@ -864,7 +830,7 @@ class TestSplitWork:
 
     @pytest.mark.parametrize("shape", [(20,), (5, 7), ()])
     @pytest.mark.parametrize("strided", [False, True])
-    def test_step_equals_one_thread(self, workers, monkeypatch, shape, strided):
+    def test_step_equals_one_thread(self, workers, monkeypatch, count_splits, shape, strided):
         # 8-element blocks: 20 elements are two full blocks and a partial one
         monkeypatch.setattr(autodiff, "_STEP_BLOCK", 8)
         rng = np.random.default_rng(46)
@@ -890,7 +856,7 @@ class TestSplitWork:
         workers(1)
         want = run()
         workers(2)
-        limits = count_splits(monkeypatch)
+        limits = count_splits()
         got = run()
         assert (max(limits, default=0) >= 2) == (start.size >= 16)
         for g, w_ in zip(got, want):

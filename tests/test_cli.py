@@ -387,6 +387,55 @@ class TestPredictRelapse:
         assert code == 2
 
 
+    @staticmethod
+    def relapse_argv(checkpoint, audio, references) -> list:
+        argv = ["predict-relapse", "--model", str(checkpoint), "--audio", str(audio)]
+        for reference in references:
+            argv += ["--reference-audio", str(reference)]
+        return argv
+
+    def test_same_output_on_one_and_two_cpus(
+        self, trained, tmp_path, capsys, workers, count_splits
+    ):
+        recordings = [tmp_path / f"r{i}.wav" for i in range(4)]
+        for i, wav in enumerate(recordings):
+            tone_wav(wav, 880 if i % 2 else 220, seconds=16.0, seed=40 + i)
+        argv = self.relapse_argv(trained["checkpoint"], recordings[0], recordings[1:])
+        workers(1)
+        assert main(argv) == 0
+        one_cpu = capsys.readouterr().out
+        workers(2)
+        limits = count_splits()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == one_cpu
+        assert limits[0] == 4  # the subject and three references, a share each
+        assert "over 12 pairs" in one_cpu  # 2 segments against 3 x 2
+
+    @pytest.mark.parametrize("cut_first", [True, False])
+    def test_earliest_bad_recording_is_reported(
+        self, trained, tmp_path, capsys, workers, cut_first
+    ):
+        good = tmp_path / "good.wav"
+        tone_wav(good, 880, seconds=16.0, seed=41)
+        cut = tmp_path / "cut.wav"
+        tone_wav(cut, 880, seconds=16.0, seed=42)
+        cut.write_bytes(cut.read_bytes()[:-1])
+        missing = tmp_path / "missing.wav"
+        first, second = (cut, missing) if cut_first else (missing, cut)
+        workers(1)
+        assert main(self.relapse_argv(trained["checkpoint"], good, [good])) == 0
+        want = capsys.readouterr().out
+        workers(2)
+        for _ in range(10):
+            # the two bad recordings race in the two shares
+            assert main(self.relapse_argv(trained["checkpoint"], first, [second, good])) == 3
+            err = capsys.readouterr().err
+            assert first.name in err and second.name not in err
+        # the pool still serves a request after featurization shares raised
+        assert main(self.relapse_argv(trained["checkpoint"], good, [good])) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestRun:
     def test_run_emits_report_and_confusion(self, trained, capsys):
         # second run over the same workdir: everything cached

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocalsim import container as container_module
+from vocalsim import errors as errors_module
 from vocalsim.container import (
     KIND_TO_CODE,
     LayerDesc,
@@ -330,7 +331,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, budget):
     def failing_open(file, mode="r", *args, **kwargs):
         return _FailingFile(open(file, mode, *args, **kwargs), budget)
 
-    monkeypatch.setattr(container_module, "open", failing_open, raising=False)
+    monkeypatch.setattr(errors_module, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="No space"):
         write_container(path, [LayerDesc("dense", [2 * np.ones((8, 8)), np.ones(8)])], {"a": np.zeros(5)})
     monkeypatch.undo()

@@ -1,8 +1,15 @@
 """Tests for segment-level MFCC extraction."""
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from vocalsim import mfcc
+from vocalsim import workers as pool
 from vocalsim.dsp import (
     LOG_FLOOR,
     Signal,
@@ -129,3 +136,90 @@ def test_augmented_variants_keep_shape():
     seg = Segment(make_segment(0.5 * np.sin(2.0 * np.pi * 220.0 * t)))
     for variant in augment_corpus([seg], seed=3):
         assert extract_mfcc(variant.signal).shape == (378, 60)
+
+
+def noise_segment(seed: int = 21) -> Signal:
+    return make_segment(np.random.default_rng(seed).normal(size=SEGMENT_SAMPLES))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_frame_shares_equal_one_worker_bit_for_bit(workers, count_splits, width):
+    seg = noise_segment()
+    workers(1)
+    want = extract_mfcc(seg)
+    workers(width)
+    limits = count_splits()
+    got = extract_mfcc(seg)
+    assert limits == [NUM_FRAMES // mfcc._SHARE_FRAMES]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_frames_below_two_shares_submit_nothing(workers, count_splits, monkeypatch):
+    monkeypatch.setattr(mfcc, "_SHARE_FRAMES", NUM_FRAMES // 2 + 1)
+    workers(2)
+    limits = count_splits()
+    extract_mfcc(noise_segment())
+    assert limits == []
+    assert pool._workers_now is None  # no pool was even made
+
+
+def test_extraction_inside_a_share_runs_inline(workers, monkeypatch):
+    """A share that extracts MFCC does not split again: with one pool thread
+    a nested split would wait forever on work queued behind its own share,
+    so the spy raises instead of running one."""
+    workers(2)
+    seg = noise_segment()
+    want = extract_mfcc(seg)
+    run = pool._Workers.run
+    running = []
+
+    def run_once(self, task, limit):
+        if running:
+            raise AssertionError("a share submitted work")
+        running.append(limit)
+        try:
+            run(self, task, limit)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(pool._Workers, "run", run_once)
+    got = [None, None]
+
+    def task(i, parts):
+        got[i] = extract_mfcc(seg)
+
+    thread = threading.Thread(target=pool._in_shares, args=(task, 2), daemon=True)
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive(), "a share that extracts MFCC hung"
+    for g in got:
+        np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_extracts_in_shares(workers):
+    workers(2)
+    seg = noise_segment()
+    want = extract_mfcc(seg)  # the parent's pool now has a thread
+    parent_workers = pool._workers_now
+    assert parent_workers is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = np.array_equal(extract_mfcc(seg), want)
+            made = pool._workers_now
+            code = 0 if same and made is not None and made is not parent_workers else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung extracting MFCC")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -171,3 +171,28 @@ class TestPairCsv:
         ps.for_split("val").append(record)
         assert ps.val == [record]
         assert ps.all_pairs() == [record]
+
+
+class _FailingScore:
+    """A label score whose serialization fails, after checking that earlier
+    rows already reached the temporary file: the write fails midway."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def __str__(self):
+        temps = [p for p in self.directory.iterdir() if p.name.endswith(".tmp")]
+        assert len(temps) == 1 and temps[0].stat().st_size > 0
+        raise RuntimeError("serializer failed")
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "pairs.csv"
+    write_pairs_csv(PairSet(train=[PairRecord("a", "b", True, 0, "train")]), path)
+    before = path.read_bytes()
+    rows = [PairRecord(f"left{i}", f"right{i}", False, 3, "train") for i in range(2000)]
+    rows.append(PairRecord("x", "y", True, _FailingScore(tmp_path), "train"))
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_pairs_csv(PairSet(train=rows), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.csv"]

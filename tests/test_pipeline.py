@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocalsim import pipeline
 from vocalsim.config import ExperimentConfig
-from vocalsim.errors import DataError
+from vocalsim.errors import DataError, replace_file, replace_text
 from vocalsim.manifest import write_wav
 from vocalsim.dsp import Signal
 from vocalsim.pipeline import (
@@ -280,3 +281,44 @@ class TestCacheReload:
         write_container(path, [], {"junk": np.zeros(3)})
         with pytest.raises(DataError, match="junk"):
             features_from_cache(path)
+
+
+class TestReplaceFile:
+    """Every artifact is written through errors.replace_file."""
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_block_that_raises_keeps_previous_file(self, tmp_path, mode):
+        path = tmp_path / "report.json"
+        replace_text(path, "old\n")
+        part = "x" * 100_000  # past the write buffer, so it reaches the file
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            with replace_file(path, mode) as fh:
+                fh.write(part if mode == "w" else part.encode())
+                fh.flush()
+                (temp,) = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+                assert temp.stat().st_size == len(part)
+                raise RuntimeError("serializer failed")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_replaces_by_rename(self, tmp_path):
+        path = tmp_path / "stage_state.json"
+        replace_text(path, "{}")
+        inode = path.stat().st_ino
+        replace_text(path, "{\"a\": 1}")
+        assert path.read_text(encoding="utf-8") == "{\"a\": 1}"
+        assert path.stat().st_ino != inode
+        assert [p.name for p in tmp_path.iterdir()] == ["stage_state.json"]
+
+    def test_run_writes_text_artifacts_through_it(self, tmp_path, monkeypatch):
+        written = []
+
+        def spy(path, text):
+            written.append(Path(path).name)
+            replace_text(path, text)
+
+        monkeypatch.setattr(pipeline, "replace_text", spy)
+        manifest = build_corpus(tmp_path)
+        run_pipeline(fast_config(manifest, tmp_path / "run"))
+        for name in ("stage_state.json", "history.json", "report.json", "confusion.txt"):
+            assert name in written

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from vocalsim import vggish
+from vocalsim import workers as pool
 from vocalsim.container import LayerDesc, write_container
 from vocalsim.dsp import LOG_FLOOR, Signal, dft_magnitude, mel_filterbank
 from vocalsim.errors import DataError
@@ -380,3 +382,54 @@ class TestExtract:
         write_container(path, make_test_network(), {"pca_mean": np.zeros(128)})
         with pytest.raises(DataError, match="pca"):
             load_embedding_file(path)
+
+
+class TestShares:
+    """Frame and patch shares give every bit of the one-worker result."""
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_front_end_equals_one_worker(self, workers, count_splits, width):
+        # 3 divides neither 758 frames nor 14 patches: the shares are uneven
+        seg = make_segment(np.random.default_rng(20).normal(size=SEGMENT_SAMPLES))
+        layers = make_test_network()
+        workers(1)
+        logmel = log_mel_spectrogram(seg)
+        embedded = embed(patchify(logmel), layers)
+        features = extract_vggish(seg, layers, identity_pca())
+        workers(width)
+        limits = count_splits()
+        np.testing.assert_array_equal(log_mel_spectrogram(seg), logmel)
+        assert limits == [NUM_FRAMES // vggish._SHARE_FRAMES]
+        np.testing.assert_array_equal(embed(patchify(logmel), layers), embedded)
+        assert limits[1:] == [14 // vggish._SHARE_PATCHES]
+        np.testing.assert_array_equal(extract_vggish(seg, layers, identity_pca()), features)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("network", [flatten_dense_network, one_conv_network])
+    def test_patch_shares_equal_one_worker(self, workers, width, network):
+        layers = network()
+        patches = np.random.default_rng(21).normal(size=(14, 96, 64))
+        workers(1)
+        want = embed(patches, layers)
+        workers(width)
+        np.testing.assert_array_equal(embed(patches, layers), want)
+
+    @pytest.mark.parametrize("count", [1, 2 * vggish._SHARE_PATCHES - 1])
+    def test_stack_below_two_shares_submits_nothing(self, workers, count_splits, count):
+        workers(2)
+        limits = count_splits()
+        patches = np.random.default_rng(22).normal(size=(count, 96, 64))
+        assert embed(patches, make_test_network()).shape == (count, EMBED_DIM)
+        assert limits == []
+        assert pool._workers_now is None  # no pool was even made
+
+    def test_pool_survives_shares_that_raise(self, workers):
+        patches = np.random.default_rng(23).normal(size=(14, 96, 64))
+        workers(1)
+        want = embed(patches, make_test_network())
+        workers(2)
+        bad = make_test_network()
+        bad[2] = LayerDesc("conv1d", [np.ones((16, 31, 3)), np.zeros(16)])
+        with pytest.raises(DataError, match="layer 2"):
+            embed(patches, bad)
+        np.testing.assert_array_equal(embed(patches, make_test_network()), want)
