@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import SAMPLE_RATE, Signal
-from .errors import DataError, is_file, read_text
+from .errors import DataError, is_file, read_text, replace_file
 
 MANIFEST_FIELDS = (
     "subject_id",
@@ -142,27 +142,31 @@ def load_manifest(path, split_seed: int = SPLIT_SEED, check_audio: bool = True) 
             what = key.replace("_", " ")
             if not is_file(row[key], f"{path}:{line}: {what}"):
                 raise DataError(f"{path}:{line}: {what} not found: {row[key]}")
-        if check_audio:
-            _check_wav_header(row["audio_path"], line, path)
         try:
+            if check_audio:
+                _pcm16_mono(row["audio_path"], read_frames=False)
             records.append(SubjectRecord(**row))
-        except ValueError as exc:
+        except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{line}: {exc}") from None
     return records
 
 
-def _check_wav_header(audio_path, line, manifest_path) -> None:
+def _pcm16_mono(path, read_frames: bool = True) -> tuple:
+    """(rate, sample bytes) of a PCM 16-bit mono WAV, the bytes empty unless
+    `read_frames`; a DataError headed by the path if it is no such file."""
     try:
-        with wave.open(str(audio_path), "rb") as handle:
+        with wave.open(str(path), "rb") as handle:
             channels = handle.getnchannels()
             width = handle.getsampwidth()
+            rate = handle.getframerate()
+            frames = handle.readframes(handle.getnframes()) if read_frames else b""
     except (wave.Error, EOFError) as exc:
-        raise DataError(f"{manifest_path}:{line}: {audio_path}: not a WAV file ({exc})") from None
+        raise DataError(f"{path}: not a WAV file ({exc})") from None
     if channels != 1 or width != 2:
         raise DataError(
-            f"{manifest_path}:{line}: {audio_path}: need PCM 16-bit mono, "
-            f"got {width * 8}-bit {channels}-channel"
+            f"{path}: need PCM 16-bit mono, got {width * 8}-bit {channels}-channel"
         )
+    return rate, frames
 
 
 def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> Signal:
@@ -174,18 +178,7 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> 
     path = Path(path)
     if not is_file(path, "audio file"):
         raise DataError(f"audio file not found: {path}")
-    try:
-        with wave.open(str(path), "rb") as handle:
-            channels = handle.getnchannels()
-            width = handle.getsampwidth()
-            rate = handle.getframerate()
-            frames = handle.readframes(handle.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise DataError(f"{path}: not a WAV file ({exc})") from None
-    if channels != 1 or width != 2:
-        raise DataError(
-            f"{path}: need PCM 16-bit mono, got {width * 8}-bit {channels}-channel"
-        )
+    rate, frames = _pcm16_mono(path)
     if len(frames) % 2:
         raise DataError(
             f"{path}: audio data of {len(frames)} bytes is not a whole number of 16-bit samples"
@@ -210,9 +203,10 @@ def _resample(samples: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
 
 
 def write_wav(path, signal: Signal) -> None:
-    """Store a signal as PCM 16-bit mono, clipping to the representable range."""
+    """Store a signal as PCM 16-bit mono, clipping to the representable
+    range. The file is replaced whole (see errors.replace_file)."""
     scaled = np.clip(np.round(signal.samples * PCM16_SCALE), -32768, 32767)
-    with wave.open(str(path), "wb") as handle:
+    with replace_file(path, "wb") as fh, wave.open(fh, "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
         handle.setframerate(signal.sample_rate)

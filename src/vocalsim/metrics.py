@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError, read_text
 from .models import SIMILAR_INDEX, SiameseModel
 
 BINARY_CLASSES = ("NS", "S")  # non-similar, similar
@@ -74,6 +75,25 @@ class EvalReport:
             "confusion": self.confusion.tolist(),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
+
+    @classmethod
+    def from_json(cls, path) -> "EvalReport":
+        """The report `to_json` wrote to the file at `path`; a DataError
+        naming the file if it is not such a report."""
+        try:
+            payload = json.loads(read_text(path, "report"))
+            return cls(
+                mode=payload["mode"],
+                total=payload["total"],
+                accuracy=payload["accuracy"],
+                rmse=payload["rmse"],
+                pearson_cc=payload["pearson_cc"],
+                confusion=np.asarray(payload["confusion"], dtype=np.int64),
+                class_names=tuple(payload["class_names"]),
+                normalized_rmse=payload["normalized_rmse"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: unreadable report ({exc})") from exc
 
 
 def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> EvalReport:

@@ -6,20 +6,23 @@ This module alone decides how a recording becomes feature tensors
 model is trained and saved (`train_and_save`); the command line calls the
 same functions.
 
-Every stage hashes its inputs (files plus the config fields it depends on)
-into `stage_state.json` under the working directory; a stage whose hash
-matches and whose outputs still exist is skipped, so re-running a finished
-experiment touches nothing and changing one knob re-runs only the stages
-downstream of it. A stage drops its entry before it rewrites its outputs, so
-outputs left by a crashed run are never served under an older hash. Every
-output and the state file are written under a temporary name and renamed
-into place (`errors.replace_file`), so none is ever left half-written.
+Every cached stage (features, pairs, train, eval) runs through one rule,
+`_cached_stage`. A stage whose input hash (files plus the config fields it
+depends on) matches its entry in `stage_state.json` under the working
+directory, and whose outputs still exist, loads those outputs, so re-running
+a finished experiment touches nothing and changing one knob re-runs only the
+stages downstream of it. Any other stage drops its entry, builds and writes
+its outputs, then records its new entry: outputs of a crashed or failed build
+are never served under any hash, and a failed build costs at most a rebuild.
+Every output and the state file are written under a temporary name and
+renamed into place (`errors.replace_file`), so none is ever left half-written.
 """
 
 import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .container import read_container, write_container
 from .errors import DataError, NumericError, replace_text
-from .manifest import load_manifest, read_wav
+from .manifest import SPLITS, load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
 from .mfcc import extract_mfcc
 from .models import (
@@ -67,11 +70,6 @@ def _stage(name: str):
         raise NumericError(f"stage {name}: {exc}") from exc
 
 
-def _say(log, message: str) -> None:
-    if log is not None:
-        log(message)
-
-
 def _digest(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -107,12 +105,6 @@ def _stage_current(workdir: Path, state: dict, name: str, digest: str) -> bool:
     if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
         return False
     return all((workdir / out).is_file() for out in outputs)
-
-
-def _drop_stage(workdir: Path, state: dict, name: str) -> None:
-    """Forget a stage's hash before the stage rewrites its outputs."""
-    if state.pop(name, None) is not None:
-        _store_state(workdir, state)
 
 
 def _mark_stage(workdir: Path, state: dict, name: str, digest: str, outputs) -> None:
@@ -300,7 +292,7 @@ def train_and_save(
     return model, result
 
 
-def _feature_digest(config: ExperimentConfig, records) -> str:
+def _feature_parts(config: ExperimentConfig, records) -> list:
     parts = [
         "features",
         config.variant,
@@ -326,7 +318,27 @@ def _feature_digest(config: ExperimentConfig, records) -> str:
     for optional in (config.vggish_weights, config.lexicon, config.synonyms):
         if optional:
             parts.append(Path(optional))
-    return _digest(parts)
+    return parts
+
+
+def _cached_stage(workdir, state, log, name, what, parts, outputs, build, load):
+    """Run one cached stage and return its value. When the digest of `parts`
+    matches the stage's entry and its `outputs` exist, the value is
+    `load(outputs[0])` and the log says `<name>: <what> up to date`.
+    Otherwise the entry is dropped, `build()` writes the outputs and returns
+    the value with its log line, and the new entry is recorded."""
+    with _stage(name):
+        digest = _digest(parts)
+        if _stage_current(workdir, state, name, digest):
+            value = load(outputs[0])
+            log(f"{name}: {what} up to date")
+            return value
+        if state.pop(name, None) is not None:
+            _store_state(workdir, state)
+        value, line = build()
+        _mark_stage(workdir, state, name, digest, [o.relative_to(workdir) for o in outputs])
+        log(line)
+        return value
 
 
 def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
@@ -335,6 +347,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
     config.validate()
     if not config.manifest:
         raise DataError("config.manifest is not set")
+    log = log or (lambda message: None)
     workdir = Path(config.workdir)
     (workdir / "cache").mkdir(parents=True, exist_ok=True)
     state = _load_state(workdir)
@@ -346,141 +359,91 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         "report": workdir / "report.json",
         "confusion": workdir / "confusion.txt",
     }
-    relative = {name: path.relative_to(workdir) for name, path in paths.items()}
+    stage = partial(_cached_stage, workdir, state, log)
 
     with _stage("ingest"):
         records = load_manifest(config.manifest, config.split_seed)
-    _say(log, f"ingest: {len(records)} subjects")
+    log(f"ingest: {len(records)} subjects")
 
-    with _stage("features"):
-        digest = _feature_digest(config, records)
-        if _stage_current(workdir, state, "features", digest):
-            _say(log, "features: cache up to date")
-        else:
-            tensors = extract_corpus_features(config, records)
-            _drop_stage(workdir, state, "features")
-            write_container(paths["cache"], [], tensors)
-            _mark_stage(workdir, state, "features", digest, [relative["cache"]])
-            _say(log, f"features: cached {len(tensors)} tensors")
-        features, refs = load_feature_table(paths["cache"], records)
+    load_features = partial(load_feature_table, records=records)
 
+    def build_features():
+        tensors = extract_corpus_features(config, records)
+        write_container(paths["cache"], [], tensors)
+        # train on the float32 values the cache holds, as a warm rerun does
+        return load_features(paths["cache"]), f"features: cached {len(tensors)} tensors"
+
+    feature_parts = _feature_parts(config, records)
+    features, refs = stage(
+        "features", "cache", feature_parts, [paths["cache"]], build_features, load_features
+    )
+
+    def build_pairs():
+        pair_set = pair_samples(config, refs)
+        write_pairs_csv(pair_set, paths["pairs"])
+        counts = "/".join(str(len(getattr(pair_set, split))) for split in SPLITS)
+        return pair_set, f"pairs: train/val/test = {counts}"
+
+    pair_parts = [
+        "pairs",
+        state["features"]["hash"],
+        config.pair_mode,
+        config.pairs_per_sample,
+        config.seed,
+    ]
+    pair_set = stage("pairs", "list", pair_parts, [paths["pairs"]], build_pairs, read_pairs_csv)
     with _stage("pairs"):
-        digest = _digest(
-            [
-                "pairs",
-                state["features"]["hash"],
-                config.pair_mode,
-                config.pairs_per_sample,
-                config.seed,
-            ]
-        )
-        if _stage_current(workdir, state, "pairs", digest):
-            pair_set = read_pairs_csv(paths["pairs"])
-            _say(log, "pairs: list up to date")
-        else:
-            pair_set = pair_samples(config, refs)
-            _drop_stage(workdir, state, "pairs")
-            write_pairs_csv(pair_set, paths["pairs"])
-            _mark_stage(workdir, state, "pairs", digest, [relative["pairs"]])
-            _say(
-                log,
-                "pairs: train/val/test = "
-                f"{len(pair_set.train)}/{len(pair_set.val)}/{len(pair_set.test)}",
-            )
-        if not pair_set.train:
-            raise DataError("pairing produced no train pairs; check the train split")
-        if not pair_set.val:
-            raise DataError("pairing produced no val pairs; check the val split")
-        if not pair_set.test:
-            raise DataError("pairing produced no test pairs; check the test split")
+        for split in SPLITS:
+            if not getattr(pair_set, split):
+                raise DataError(f"pairing produced no {split} pairs; check the {split} split")
 
-    with _stage("train"):
-        digest = _digest(
-            [
-                "train",
-                state["pairs"]["hash"],
-                config.seed,
-                config.batch_size,
-                config.epochs,
-                config.lr,
-                config.decay,
-                config.patience,
-                config.dropout,
-                config.filters,
-                config.kernel,
-                config.stride,
-                config.dense_width,
-                config.fusion_width,
-            ]
+    def build_model():
+        model, result = train_and_save(
+            config, pair_set, features, paths["checkpoint"], paths["history"]
         )
-        train_result = None
-        if _stage_current(workdir, state, "train", digest):
-            model = load_checkpoint(paths["checkpoint"])
-            _say(log, "train: checkpoint up to date")
-        else:
-            _drop_stage(workdir, state, "train")
-            model, train_result = train_and_save(
-                config, pair_set, features, paths["checkpoint"], paths["history"]
-            )
-            _mark_stage(
-                workdir,
-                state,
-                "train",
-                digest,
-                [relative["checkpoint"], relative["history"]],
-            )
-            _say(
-                log,
-                f"train: {len(train_result.val_losses)} epochs, "
-                f"best val loss {min(train_result.val_losses):.4f} "
-                f"at epoch {train_result.best_epoch}",
-            )
+        line = (
+            f"train: {len(result.val_losses)} epochs, "
+            f"best val loss {min(result.val_losses):.4f} at epoch {result.best_epoch}"
+        )
+        return (model, result), line
 
-    with _stage("eval"):
-        digest = _digest(["eval", state["train"]["hash"]])
-        if _stage_current(workdir, state, "eval", digest):
-            report = _read_report(paths["report"])
-            _say(log, "eval: report up to date")
-        else:
-            report = evaluate(model, pair_set.test, features, config.batch_size)
-            _drop_stage(workdir, state, "eval")
-            replace_text(paths["report"], report.to_json() + "\n")
-            replace_text(paths["confusion"], render_confusion(report))
-            _mark_stage(
-                workdir,
-                state,
-                "eval",
-                digest,
-                [relative["report"], relative["confusion"]],
-            )
-            _say(log, f"eval: accuracy {report.accuracy:.2f}% on {report.total} pairs")
+    train_parts = [
+        "train",
+        state["pairs"]["hash"],
+        config.seed,
+        config.batch_size,
+        config.epochs,
+        config.lr,
+        config.decay,
+        config.patience,
+        config.dropout,
+        config.filters,
+        config.kernel,
+        config.stride,
+        config.dense_width,
+        config.fusion_width,
+    ]
+    model, train_result = stage(
+        "train", "checkpoint", train_parts, [paths["checkpoint"], paths["history"]],
+        build_model, lambda checkpoint: (load_checkpoint(checkpoint), None),
+    )
+
+    def build_report():
+        report = evaluate(model, pair_set.test, features, config.batch_size)
+        replace_text(paths["report"], report.to_json() + "\n")
+        replace_text(paths["confusion"], render_confusion(report))
+        return report, f"eval: accuracy {report.accuracy:.2f}% on {report.total} pairs"
+
+    report = stage(
+        "eval", "report", ["eval", state["train"]["hash"]],
+        [paths["report"], paths["confusion"]], build_report, EvalReport.from_json,
+    )
 
     return PipelineResult(
         workdir=workdir,
         report=report,
         paths=paths,
         sample_count=len(features),
-        pair_counts={
-            "train": len(pair_set.train),
-            "val": len(pair_set.val),
-            "test": len(pair_set.test),
-        },
+        pair_counts={split: len(getattr(pair_set, split)) for split in SPLITS},
         train_result=train_result,
     )
-
-
-def _read_report(path) -> EvalReport:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return EvalReport(
-            mode=payload["mode"],
-            total=payload["total"],
-            accuracy=payload["accuracy"],
-            rmse=payload["rmse"],
-            pearson_cc=payload["pearson_cc"],
-            confusion=np.asarray(payload["confusion"], dtype=np.int64),
-            class_names=tuple(payload["class_names"]),
-            normalized_rmse=payload["normalized_rmse"],
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: unreadable report ({exc})") from exc

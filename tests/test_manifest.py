@@ -1,5 +1,6 @@
 """Tests for manifest loading, auto splits, and WAV round trips."""
 
+import errno
 import wave
 from pathlib import Path
 
@@ -177,6 +178,22 @@ class TestWavIO:
         back = read_wav(path)
         assert back.samples.max() <= 1.0
         assert back.samples.min() >= -1.0
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.wav"
+        write_wav(path, Signal(np.full(16000, 0.25), 16000))
+        before = path.read_bytes()
+        writeframes = wave.Wave_write.writeframes
+
+        def half_then_fail(self, data):
+            writeframes(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            write_wav(path, Signal(np.full(16000, -0.5), 16000))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
 
     def test_name_too_long(self, tmp_path):
         path = tmp_path / ("a" * 300 + ".wav")

@@ -202,3 +202,57 @@ class TestEvaluate:
         assert payload["confusion"] == report.confusion.tolist()
         keys = list(json.loads(report.to_json(), object_pairs_hook=dict).keys())
         assert keys == sorted(keys)
+
+
+class TestReportFile:
+    """EvalReport.from_json reads back what to_json wrote."""
+
+    def write(self, tmp_path, report):
+        path = tmp_path / "report.json"
+        path.write_text(report.to_json() + "\n", encoding="utf-8")
+        return path
+
+    def assert_same(self, back, report):
+        assert back.to_json() == report.to_json()
+        assert back.class_names == report.class_names
+        assert back.confusion.dtype == np.int64
+        np.testing.assert_array_equal(back.confusion, report.confusion)
+
+    def test_binary_round_trip(self, tmp_path):
+        report = evaluate(
+            ScriptedModel([[0.9, 0.1], [0.3, 0.7], [0.2, 0.8]]),
+            binary_pairs([1, 0, 1]),
+            DummyFeatures(),
+        )
+        assert report.normalized_rmse is None
+        back = EvalReport.from_json(self.write(tmp_path, report))
+        self.assert_same(back, report)
+        assert back.normalized_rmse is None
+
+    def test_score25_round_trip(self, tmp_path):
+        outputs = np.zeros((3, 25))
+        outputs[0, 0] = outputs[1, 9] = outputs[2, 24] = 1.0
+        report = evaluate(
+            ScriptedModel(outputs, head="score25"), score_pairs([0, 5, 24]), DummyFeatures()
+        )
+        back = EvalReport.from_json(self.write(tmp_path, report))
+        self.assert_same(back, report)
+        assert back.normalized_rmse == report.normalized_rmse
+        assert back.confusion.shape == (25, 25)
+
+    def test_truncated_json_is_data_error(self, tmp_path):
+        report = evaluate(ScriptedModel([[0.9, 0.1]]), binary_pairs([1]), DummyFeatures())
+        path = self.write(tmp_path, report)
+        path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        with pytest.raises(DataError, match=r"report\.json: unreadable report"):
+            EvalReport.from_json(path)
+
+    @pytest.mark.parametrize("key", ["mode", "confusion", "normalized_rmse"])
+    def test_missing_key_is_data_error(self, tmp_path, key):
+        report = evaluate(ScriptedModel([[0.9, 0.1]]), binary_pairs([1]), DummyFeatures())
+        payload = json.loads(report.to_json())
+        del payload[key]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"report\.json: unreadable report .*{key}"):
+            EvalReport.from_json(path)

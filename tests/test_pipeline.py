@@ -164,6 +164,36 @@ class TestPipeline:
         assert result.paths["cache"].name == "features-vggish.oswt"
         assert result.paths["cache"].is_file()
 
+    def test_stage_digests_and_log_lines_are_pinned(self, tmp_path):
+        """Each stage's hash covers the same inputs in the same order, and
+        each stage logs the same line, run after run of the code."""
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        cold, warm = [], []
+        run_pipeline(fast_config(manifest, workdir), log=cold.append)
+        run_pipeline(fast_config(manifest, workdir), log=warm.append)
+        state = json.loads((workdir / pipeline.STATE_FILE).read_text(encoding="utf-8"))
+        assert {name: entry["hash"] for name, entry in state.items()} == {
+            "features": "ab00998513ebaa2ed4bfff168cf8fc349bbb1e2f29a4d83866001b872601edb9",
+            "pairs": "acea54dc05e22d328c878d7ba057178dc46bebeaaa0bbd74e684dcde94c1bf7c",
+            "train": "4042691749fe54b82d2bf70e500f6badb58f637e029a9fbb8fca198362a838c8",
+            "eval": "eb360fbc4b4aa2951c20792769c4df7628da7b975bf9e78f7462878cc0d1d105",
+        }
+        assert cold == [
+            "ingest: 8 subjects",
+            "features: cached 8 tensors",
+            "pairs: train/val/test = 24/4/4",
+            "train: 2 epochs, best val loss 0.5975 at epoch 1",
+            "eval: accuracy 50.00% on 4 pairs",
+        ]
+        assert warm == [
+            "ingest: 8 subjects",
+            "features: cache up to date",
+            "pairs: list up to date",
+            "train: checkpoint up to date",
+            "eval: report up to date",
+        ]
+
     def test_missing_manifest_is_stage_error(self, tmp_path):
         config = fast_config(tmp_path / "none.csv", tmp_path / "run")
         with pytest.raises(DataError, match="stage ingest"):
@@ -213,6 +243,27 @@ class TestCrashSafety:
         assert not any(m.startswith(f"{stage}:") and "up to date" in m for m in messages)
         for name in outputs:
             assert file_hash(first.paths[name]) == hashes[name], name
+
+    def test_failed_build_forgets_previous_entry(self, tmp_path, monkeypatch):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        first = run_pipeline(fast_config(manifest, workdir))
+        cache_hash = file_hash(first.paths["cache"])
+
+        def fail(config, records):
+            raise DataError("extractor failed")
+
+        monkeypatch.setattr(pipeline, "extract_corpus_features", fail)
+        with pytest.raises(DataError, match="stage features: extractor failed"):
+            run_pipeline(fast_config(manifest, workdir, augment=True))
+        monkeypatch.undo()
+        state = json.loads((workdir / pipeline.STATE_FILE).read_text(encoding="utf-8"))
+        assert "features" not in state
+
+        messages = []
+        run_pipeline(fast_config(manifest, workdir), log=messages.append)
+        assert messages[1] == "features: cached 8 tensors"
+        assert file_hash(first.paths["cache"]) == cache_hash
 
     def test_undecodable_state_file_reruns_stages(self, tmp_path):
         manifest = build_corpus(tmp_path, seconds=8.0)
