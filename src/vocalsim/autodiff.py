@@ -33,6 +33,14 @@ casts_in_blocks() accepts is cast block by block inside each forward share,
 with the bits of its float64 copy; any other is cast whole in each product
 that reads it. Inference never copies such a weight to float64; RMSProp,
 which writes its parameters, gives each an owned float64 copy once.
+
+Factored weight grads: gather_dense leaves the grad of a weight whose input
+dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
+a weight-sized array. RMSProp.step expands it one column tile at a time,
+each tile starting on a multiple of _SPLIT_COLUMNS, so every element is the
+same dot product by the same BLAS kernel as in the whole product, and the
+step has the bits of the dense grad's. Reading .grad, or a second
+contribution to the same weight, makes the dense array.
 """
 
 import functools
@@ -56,6 +64,12 @@ _SPLIT_COLUMNS = 64
 # which the BLAS takes a small-matrix kernel whose sums can differ in the
 # last bit from those of the whole product
 _CAST_INNER = 1 << 14
+# RMSProp expands a factored grad in tiles of at least this many columns,
+# each a whole number of _SPLIT_COLUMNS. Each tile's product packs G.T
+# again: at U = 200 distinct rows a dense1 step took 0.34-0.43 s in
+# 64-column tiles and 0.32-0.36 s in 256-column ones (2 CPUs, one BLAS
+# thread); at U = 10 both took 0.18-0.26 s
+_TILE_COLUMNS = 256
 
 
 class Tensor:
@@ -63,7 +77,9 @@ class Tensor:
 
     The grad buffer is created by the first backward contribution and
     accumulates the later ones, also across backward passes; an unset grad
-    reads as zeros. Parameter grads must be cleared between steps
+    reads as zeros. A first contribution may be a _FactoredGrad, which
+    stays factored until .grad is read or a second contribution arrives,
+    and is then made dense. Parameter grads must be cleared between steps
     (RMSProp.zero_grad drops them).
     """
 
@@ -77,20 +93,23 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        return np.zeros_like(self.data) if self._grad is None else self._grad
+        if self._grad is None:
+            return np.zeros_like(self.data)
+        self._grad = _dense(self._grad)
+        return self._grad
 
     @grad.setter
     def grad(self, value) -> None:
         self._grad = value
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g) -> None:
         """Add one backward contribution. The first becomes the grad buffer
         itself and later ones are added into it in place, so a contribution
-        must be an array that nothing reads afterwards."""
+        must be an array (or a _FactoredGrad) that nothing reads afterwards."""
         if self._grad is None:
             self._grad = g
         else:
-            self._grad += g
+            self.grad += _dense(g)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -192,6 +211,36 @@ def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         cols = slice(start, start + _SPLIT_COLUMNS)
         buf[...] = b[:, cols].T
         np.matmul(a, buf.T, out=out[:, cols])
+
+
+class _FactoredGrad:
+    """The (m, n) weight grad G.T @ xs, less `correction` on its `touched`
+    columns, kept as those factors: g is (U, m), xs (U, n), touched the
+    sorted distinct columns and correction (m, len(touched))."""
+
+    __slots__ = ("g", "xs", "touched", "correction")
+
+    def __init__(self, g, xs, touched, correction):
+        self.g, self.xs, self.touched, self.correction = g, xs, touched, correction
+
+    def dense(self) -> np.ndarray:
+        gw = _matmul(self.g.T, self.xs)
+        gw[:, self.touched] -= self.correction
+        return gw
+
+    def tile(self, cols: slice, out: np.ndarray) -> None:
+        """Write columns cols of the grad, with the bits of dense()'s, into
+        the (m, cols) array out. cols must start on a multiple of
+        _SPLIT_COLUMNS. The correction comes whole from gather_dense: the
+        product over a tile's few touched columns could fall below the
+        BLAS's small-matrix cut-off and change bits."""
+        np.matmul(self.g.T, self.xs[:, cols], out=out)
+        lo, hi = np.searchsorted(self.touched, (cols.start, cols.stop))
+        out[:, self.touched[lo:hi] - cols.start] -= self.correction[:, lo:hi]
+
+
+def _dense(grad) -> np.ndarray:
+    return grad.dense() if isinstance(grad, _FactoredGrad) else grad
 
 
 def as_tensor(x) -> Tensor:
@@ -369,7 +418,10 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     of x: with G the sum of each source row's output grads, the weight grad
     is G.T @ (scale * x) and the input grad scale * (G @ W). The dropped
     entries' terms are then subtracted as products over the touched columns
-    only, which at a low rate are a small share of n.
+    only, which at a low rate are a small share of n. When n is a multiple
+    of _SPLIT_COLUMNS the weight grad is left as those factors (a
+    _FactoredGrad) for RMSProp to expand tile by tile; the correction is
+    computed here, whole.
     """
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -393,9 +445,8 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
         # them, the composition does not
         dropped_y = np.zeros((len(index), len(touched)))
         dropped_y[rows, at] = xs[index[rows], cols]
-        gw = _matmul(g.T, xs)
-        gw[:, touched] -= _matmul(grad.T, dropped_y)
-        weight._accumulate(gw)
+        gw = _FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y))
+        weight._accumulate(gw if w.shape[1] % _SPLIT_COLUMNS == 0 else gw.dense())
         bias._accumulate(grad.sum(axis=0))
         if isinstance(x, Constant):
             return
@@ -557,6 +608,12 @@ class RMSProp:
     worker (see the module docstring), each walked in blocks of its own slice
     of the two _STEP_BLOCK scratch buffers; the update is elementwise, so the
     bits are those of one walk.
+
+    A parameter whose grad is factored (gather_dense's weight) is walked in
+    column tiles instead: each tile of the grad is expanded into scratch and
+    updates its columns of cache and parameter with the same expression
+    chain, so the dense grad is never made. Its workers take shares of whole
+    _SPLIT_COLUMNS units, each at least one _TILE_COLUMNS tile wide.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6,
@@ -591,6 +648,12 @@ class RMSProp:
         for p, cache in zip(self.params, self.cache):
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
+            if isinstance(p._grad, _FactoredGrad):
+                _in_shares(
+                    functools.partial(self._tile_share, p.data, cache, p._grad, lr_t),
+                    p.data.shape[1] // _TILE_COLUMNS,
+                )
+                continue
             # flat views of data and cache; grad is copied only if strided
             data, cache, grad = p.data.reshape(-1), cache.reshape(-1), p.grad.reshape(-1)
             _in_shares(
@@ -602,22 +665,50 @@ class RMSProp:
     def _update_share(self, data, cache, grad, scratch, lr_t: float, i: int, parts: int) -> None:
         """Update share i of parts of the flat data and cache in place, in
         blocks as wide as the share's slice of the scratch buffers."""
-        rho, eps = self.rho, self.epsilon
         size = scratch.shape[1] // parts
         scratch = scratch[:, i * size : (i + 1) * size]
         span = _cut(data.size, i, parts)
         for start in range(span.start, span.stop, size):
             block = slice(start, min(start + size, span.stop))
-            d, c, g = data[block], cache[block], grad[block]
+            g = grad[block]
             s, t = scratch[0, : g.size], scratch[1, : g.size]
-            # the same expression chain, and so the same bits, as
-            # cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)
-            c *= rho
-            np.multiply(g, 1.0 - rho, out=s)
-            s *= g
-            c += s
-            np.sqrt(c, out=s)
-            s += eps
-            np.multiply(g, lr_t, out=t)
-            t /= s
-            d -= t
+            self._update(data[block], cache[block], g, s, t, lr_t)
+
+    def _tile_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
+        """Update share i of parts of the (m, n) data and cache in place, one
+        column tile at a time: the share's whole _SPLIT_COLUMNS units are cut
+        into tiles of at least _TILE_COLUMNS (or one tile, when the share is
+        narrower), each expanded from the factored grad into scratch."""
+        m = data.shape[0]
+        span = _cut(data.shape[1], i, parts, _SPLIT_COLUMNS)
+        width = span.stop - span.start
+        tiles = max(1, width // _TILE_COLUMNS)
+        # a tile is under two _TILE_COLUMNS wide; untouched pages cost nothing
+        tile, scratch = np.empty(m * 2 * _TILE_COLUMNS), np.empty(_STEP_BLOCK)
+        for k in range(tiles):
+            cols = _cut(width, k, tiles, _SPLIT_COLUMNS)
+            cols = slice(span.start + cols.start, span.start + cols.stop)
+            g = tile[: m * (cols.stop - cols.start)].reshape(m, -1)
+            grad.tile(cols, g)
+            # blocks of whole rows of about _STEP_BLOCK elements stay in cache
+            # through the update; g is scratch, so it takes lr_t * g in place
+            rows = max(1, _STEP_BLOCK // g.shape[1])
+            for r in range(0, m, rows):
+                block = g[r : r + rows]
+                s = scratch[: block.size].reshape(block.shape)
+                self._update(data[r : r + rows, cols], cache[r : r + rows, cols], block, s, block, lr_t)
+
+    def _update(self, d, c, g, s, t, lr_t: float) -> None:
+        """The update of one block in place: s and t are scratch of g's
+        shape, and t may be g itself. The same expression chain, and so the
+        same bits, as
+        cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)."""
+        c *= self.rho
+        np.multiply(g, 1.0 - self.rho, out=s)
+        s *= g
+        c += s
+        np.sqrt(c, out=s)
+        s += self.epsilon
+        np.multiply(g, lr_t, out=t)
+        t /= s
+        d -= t

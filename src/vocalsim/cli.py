@@ -31,11 +31,11 @@ from .metrics import evaluate, render_confusion
 from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
 from .pairs import read_pairs_csv, write_pairs_csv
 from .pipeline import (
+    cache_refs,
     feature_sets,
     feature_tools,
     features_from_cache,
     featurize_recording,
-    load_feature_table,
     pair_samples,
     recording_segments,
     run_pipeline,
@@ -150,7 +150,7 @@ def _cmd_extract(args) -> int:
 def _cmd_pair(args) -> int:
     config = _config(args)
     records = load_manifest(config.manifest, config.split_seed, check_audio=False)
-    _, refs = load_feature_table(args.cache, records)
+    refs = cache_refs(args.cache, records)
     pair_set = pair_samples(config, refs)
     write_pairs_csv(pair_set, args.out)
     print(

@@ -194,6 +194,18 @@ def map_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
     return _build(buf, layout, lambda v: v)
 
 
+def tensor_names(path) -> list[str]:
+    """The names of a container file's named tensors, in file order, read
+    from its headers alone: no tensor data is read. The whole layout is
+    checked as read_container checks it, and the map is closed before
+    returning."""
+    buf = _open_map(path)
+    try:
+        return list(_parse(_Reader(buf, str(path)))[1])
+    finally:
+        _close_map(buf)
+
+
 def _parse(r: _Reader) -> tuple[list, dict]:
     """The layout of a container: [(kind, [tensor])] and {name: tensor},
     each tensor a (dims, data offset) pair."""

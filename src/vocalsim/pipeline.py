@@ -16,19 +16,22 @@ its outputs, then records its new entry: outputs of a crashed or failed build
 are never served under any hash, and a failed build costs at most a rebuild.
 Every output and the state file are written under a temporary name and
 renamed into place (`errors.replace_file`), so none is ever left half-written.
+A skipped stage reads only what a later stage uses: the features stage yields
+the sample refs from the cache's tensor names, the feature tensors are read
+only when train or eval rebuilds, and the checkpoint only when eval does.
 """
 
 import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .container import read_container, write_container
+from .container import read_container, tensor_names, write_container
 from .errors import DataError, NumericError, replace_text
 from .manifest import SPLITS, load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
@@ -70,11 +73,16 @@ def _stage(name: str):
         raise NumericError(f"stage {name}: {exc}") from exc
 
 
+_DIGEST_CHUNK = 1 << 20  # a file is hashed in reads of this many bytes
+
+
 def _digest(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, Path):
-            h.update(part.read_bytes())
+            with open(part, "rb") as fh:
+                for chunk in iter(partial(fh.read, _DIGEST_CHUNK), b""):
+                    h.update(chunk)
         else:
             h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")
@@ -217,14 +225,20 @@ def extract_corpus_features(config: ExperimentConfig, records) -> dict:
     return tensors
 
 
+def _sample_field(name: str, source) -> tuple[str, str]:
+    """The (sample id, FeatureSet field) a `sample/field` tensor name holds."""
+    sample_id, _, field_name = name.rpartition("/")
+    if not sample_id or field_name not in FeatureSet.__dataclass_fields__:
+        raise DataError(f"{source}: unexpected tensor name {name!r}")
+    return sample_id, field_name
+
+
 def feature_sets(named: dict, source) -> dict:
     """Group `sample/field` tensors into FeatureSets keyed by sample id, in
     the order the samples first appear."""
     grouped: dict[str, dict] = {}
     for name, tensor in named.items():
-        sample_id, _, field_name = name.rpartition("/")
-        if not sample_id or field_name not in FeatureSet.__dataclass_fields__:
-            raise DataError(f"{source}: unexpected tensor name {name!r}")
+        sample_id, field_name = _sample_field(name, source)
         grouped.setdefault(sample_id, {})[field_name] = tensor
     return {sid: FeatureSet(**parts) for sid, parts in grouped.items()}
 
@@ -241,9 +255,23 @@ def features_from_cache(cache_path) -> dict:
 def load_feature_table(cache_path, records) -> tuple:
     """Read a feature cache back into FeatureSets plus pairing SampleRefs."""
     features = features_from_cache(cache_path)
+    return features, _sample_refs(features, records, cache_path)
+
+
+def cache_refs(cache_path, records) -> list[SampleRef]:
+    """load_feature_table's SampleRefs from the cache's tensor names alone:
+    no tensor data is read."""
+    ids = {_sample_field(name, cache_path)[0] for name in tensor_names(cache_path)}
+    if not ids:
+        raise DataError(f"{cache_path}: empty feature cache")
+    return _sample_refs(ids, records, cache_path)
+
+
+def _sample_refs(sample_ids, records, cache_path) -> list[SampleRef]:
+    """The pairing SampleRef of each sample id, in sorted id order."""
     by_subject = {r.subject_id: r for r in records}
     refs = []
-    for sample_id in sorted(features):
+    for sample_id in sorted(sample_ids):
         subject = sample_id.rsplit("/", 2)[0]
         record = by_subject.get(subject)
         if record is None:
@@ -255,7 +283,7 @@ def load_feature_table(cache_path, records) -> tuple:
                 sample_id, subject, record.phq_binary, record.phq_score, record.split
             )
         )
-    return features, refs
+    return refs
 
 
 def pair_samples(config: ExperimentConfig, refs) -> PairSet:
@@ -365,17 +393,19 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         records = load_manifest(config.manifest, config.split_seed)
     log(f"ingest: {len(records)} subjects")
 
-    load_features = partial(load_feature_table, records=records)
+    load_refs = partial(cache_refs, records=records)
+    # read once, when train or eval rebuilds: the float32 values the cache
+    # holds, whether this run wrote it or a previous one did
+    features = cache(partial(features_from_cache, paths["cache"]))
 
     def build_features():
         tensors = extract_corpus_features(config, records)
         write_container(paths["cache"], [], tensors)
-        # train on the float32 values the cache holds, as a warm rerun does
-        return load_features(paths["cache"]), f"features: cached {len(tensors)} tensors"
+        return load_refs(paths["cache"]), f"features: cached {len(tensors)} tensors"
 
     feature_parts = _feature_parts(config, records)
-    features, refs = stage(
-        "features", "cache", feature_parts, [paths["cache"]], build_features, load_features
+    refs = stage(
+        "features", "cache", feature_parts, [paths["cache"]], build_features, load_refs
     )
 
     def build_pairs():
@@ -399,7 +429,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
 
     def build_model():
         model, result = train_and_save(
-            config, pair_set, features, paths["checkpoint"], paths["history"]
+            config, pair_set, features(), paths["checkpoint"], paths["history"]
         )
         line = (
             f"train: {len(result.val_losses)} epochs, "
@@ -423,13 +453,15 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         config.dense_width,
         config.fusion_width,
     ]
+    # a skipped train stage loads no model: eval loads it when it rebuilds
     model, train_result = stage(
         "train", "checkpoint", train_parts, [paths["checkpoint"], paths["history"]],
-        build_model, lambda checkpoint: (load_checkpoint(checkpoint), None),
+        build_model, lambda checkpoint: (None, None),
     )
 
     def build_report():
-        report = evaluate(model, pair_set.test, features, config.batch_size)
+        scorer = model if model is not None else load_checkpoint(paths["checkpoint"])
+        report = evaluate(scorer, pair_set.test, features(), config.batch_size)
         replace_text(paths["report"], report.to_json() + "\n")
         replace_text(paths["confusion"], render_confusion(report))
         return report, f"eval: accuracy {report.accuracy:.2f}% on {report.total} pairs"
@@ -443,7 +475,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         workdir=workdir,
         report=report,
         paths=paths,
-        sample_count=len(features),
+        sample_count=len(refs),
         pair_counts={split: len(getattr(pair_set, split)) for split in SPLITS},
         train_result=train_result,
     )

@@ -118,7 +118,8 @@ def train(
     stopper = EarlyStopper(config.patience)
     result = TrainResult()
     # a copy of the best epoch's weights, made only when a later epoch will
-    # run and move them; None while the best weights are the current ones
+    # run and move them, and refreshed in place, so that no second copy is
+    # ever made; None while the best weights are the current ones
     best_weights = None
 
     for epoch in range(config.epochs):
@@ -145,8 +146,13 @@ def train(
         result.val_losses.append(val_loss)
 
         if val_loss < stopper.best:
-            last = epoch == config.epochs - 1
-            best_weights = None if last else [p.data.copy() for p in params]
+            if epoch == config.epochs - 1:
+                best_weights = None
+            elif best_weights is None:
+                best_weights = [p.data.copy() for p in params]
+            else:
+                for best, p in zip(best_weights, params):
+                    np.copyto(best, p.data)
         if stopper.update(val_loss):
             result.stopped_early = True
             break

@@ -643,6 +643,122 @@ class TestRMSProp:
             RMSProp([Tensor([1.0])], rho=1.0)
 
 
+class TestFactoredGrad:
+    """gather_dense leaves the grad of a weight whose input dim is whole
+    _SPLIT_COLUMNS blocks factored, and RMSProp expands it tile by tile
+    with every bit of the step over the dense grad."""
+
+    # five _TILE_COLUMNS tiles of 20 column blocks, each updated in two row
+    # blocks (128 rows of 256 columns make one _STEP_BLOCK)
+    N_OUT, N_IN = 200, 1280
+
+    @staticmethod
+    def backward(u, n_out, n_in, dropped_rate, seed, weight=None):
+        """One gather_dense backward over u distinct rows; returns the
+        weight, the output grad, and the op's inputs."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(u, n_in))
+        index = np.concatenate([np.arange(u), rng.integers(0, u, size=u)])
+        dropped = np.nonzero(rng.random((len(index), n_in)) < dropped_rate)
+        probe = rng.normal(size=(len(index), n_out))
+        if weight is None:
+            weight = Tensor(rng.normal(size=(n_out, n_in)))
+        out = gather_dense(Tensor(x), index, weight, Tensor(np.zeros(n_out)), dropped, 1.25)
+        weighted_sum(out, probe).backward()
+        return weight, probe, x, index, dropped
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    @pytest.mark.parametrize("u", [1, 2, 10, 200])
+    def test_step_equals_dense_step(self, workers, u, rate, width):
+        workers(width)
+        start = np.random.default_rng(u).normal(size=(self.N_OUT, self.N_IN))
+        tiled, dense_ = Tensor(start.copy()), Tensor(start.copy())
+        opts = [RMSProp([p], lr=1e-3, decay=0.1) for p in (tiled, dense_)]
+        for step in range(2):
+            for opt, p in zip(opts, (tiled, dense_)):
+                opt.zero_grad()
+                self.backward(u, self.N_OUT, self.N_IN, rate, 10 * u + step, p)
+            assert isinstance(tiled._grad, autodiff._FactoredGrad)
+            dense_.grad  # read: the dense grad, stepped the flat way
+            assert isinstance(dense_._grad, np.ndarray)
+            for opt in opts:
+                opt.step()
+            np.testing.assert_array_equal(tiled.data, dense_.data)
+            np.testing.assert_array_equal(opts[0].cache[0], opts[1].cache[0])
+
+    def test_grad_reads_dense(self):
+        weight, probe, x, index, (rows, cols) = self.backward(10, self.N_OUT, self.N_IN, 0.01, 3)
+        assert isinstance(weight._grad, autodiff._FactoredGrad)
+        xs = x * 1.25
+        g = np.zeros((len(x), self.N_OUT))
+        for row, src in enumerate(index):
+            g[src] += probe[row]
+        touched, at = np.unique(cols, return_inverse=True)
+        dropped_y = np.zeros((len(index), len(touched)))
+        dropped_y[rows, at] = xs[index[rows], cols]
+        want = g.T @ xs
+        want[:, touched] -= probe.T @ dropped_y
+        got = weight.grad
+        np.testing.assert_array_equal(got, want)
+        assert weight.grad is got  # made once, then kept
+
+    @pytest.mark.parametrize("factored_first", [True, False])
+    def test_contributions_add(self, factored_first):
+        rng = np.random.default_rng(4)
+        x2, probe2 = rng.normal(size=(3, self.N_IN)), rng.normal(size=(3, self.N_OUT))
+        start = rng.normal(size=(self.N_OUT, self.N_IN))
+
+        def factored(weight):
+            self.backward(10, self.N_OUT, self.N_IN, 0.01, 5, weight)
+
+        def plain(weight):
+            weighted_sum(dense(Tensor(x2), weight, Tensor(np.zeros(self.N_OUT))), probe2).backward()
+
+        alone = []
+        for contribute in (factored, plain):
+            weight = Tensor(start.copy())
+            contribute(weight)
+            alone.append(weight.grad)
+        both = Tensor(start.copy())
+        for contribute in (factored, plain) if factored_first else (plain, factored):
+            contribute(both)
+        first, second = alone if factored_first else alone[::-1]
+        np.testing.assert_array_equal(both.grad, first + second)
+
+    def test_zero_grad_drops_factored_grad(self):
+        weight, *_ = self.backward(10, self.N_OUT, self.N_IN, 0.01, 6)
+        RMSProp([weight]).zero_grad()
+        assert weight._grad is None
+
+    @pytest.mark.parametrize("n_in", [1300, 25116])  # the fusion layer's 25,116
+    def test_input_dim_off_the_blocks_keeps_dense_grad(self, n_in):
+        weight, *_ = self.backward(10, 8, n_in, 0.01, 7)
+        assert isinstance(weight._grad, np.ndarray)
+
+    def test_backward_and_step_make_no_weight_sized_array(self, workers):
+        """At dense1's input width (23,936 columns, fewer outputs to keep the
+        test small), backward plus step allocate less than the weight."""
+        workers(2)
+        n_out, n_in = 128, 23936
+        rng = np.random.default_rng(8)
+        weight = Tensor(rng.normal(size=(n_out, n_in)))
+        x = Tensor(rng.normal(size=(10, n_in)))
+        index = np.concatenate([np.arange(10), rng.integers(0, 10, size=190)])
+        dropped = np.nonzero(rng.random((200, n_in)) < 1e-4)
+        opt = RMSProp([weight])
+        out = gather_dense(x, index, weight, Tensor(np.zeros(n_out)), dropped, 1.0 / (1 - 1e-4))
+        loss = weighted_sum(out, rng.normal(size=(200, n_out)))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight.data.nbytes
+
+
 class TestSplitWork:
     """With the split forced, every result equals the one-thread result bit
     for bit, and the pool survives errors and forks."""

@@ -18,6 +18,7 @@ from vocalsim.container import (
     LayerDesc,
     map_container,
     read_container,
+    tensor_names,
     write_container,
 )
 from vocalsim.errors import DataError
@@ -194,6 +195,23 @@ def test_file_map_closed_on_every_path(tmp_path, monkeypatch, cut):
     # it when freed (test_mapped_views_hold_the_map_open)
     closed = maps[:1] if cut is None else maps
     assert len(maps) == 2 and all(m.closed for m in closed)
+
+
+@pytest.mark.parametrize("cut", [None, 30, 40])
+def test_tensor_names_read_headers_only(tmp_path, monkeypatch, cut):
+    path = tmp_path / "net.oswt"
+    named = {"b/mfcc": np.ones((3, 2)), "a/text": np.ones(4)}
+    write_container(path, [LayerDesc("dense", [np.ones((4, 4)), np.zeros(4)])], named)
+    if cut is not None:
+        path.write_bytes(path.read_bytes()[:cut])
+    maps = record_maps(monkeypatch)
+    monkeypatch.setattr(np, "frombuffer", None)  # no tensor is viewed, so none is read
+    if cut is None:
+        assert tensor_names(path) == ["a/text", "b/mfcc"]
+    else:
+        with pytest.raises(DataError, match="truncated"):
+            tensor_names(path)
+    assert len(maps) == 1 and maps[0].closed
 
 
 def test_mapped_views_hold_the_map_open(tmp_path, monkeypatch):

@@ -194,6 +194,45 @@ class TestPipeline:
             "eval: report up to date",
         ]
 
+    def test_warm_rerun_reads_no_tensor_and_no_checkpoint(self, tmp_path, monkeypatch):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        cold = run_pipeline(fast_config(manifest, workdir))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a skipped stage read tensor data")
+
+        monkeypatch.setattr(pipeline, "read_container", refuse)
+        monkeypatch.setattr(pipeline, "load_checkpoint", refuse)
+        warm = run_pipeline(fast_config(manifest, workdir))
+        assert warm.sample_count == cold.sample_count
+        assert warm.report.to_json() == cold.report.to_json()
+
+    def test_eval_rebuild_after_skipped_train_reads_both(self, tmp_path, monkeypatch):
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        cold = run_pipeline(fast_config(manifest, workdir))
+        cold.paths["report"].unlink()
+        calls = []
+        for name in ("read_container", "load_checkpoint"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        log = []
+        run_pipeline(fast_config(manifest, workdir), log=log.append)
+        assert log[3:] == ["train: checkpoint up to date", "eval: accuracy 50.00% on 4 pairs"]
+        assert sorted(calls) == ["load_checkpoint", "read_container"]
+        assert cold.paths["report"].is_file()
+
+    def test_digest_streams_files_in_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "part.bin"
+        path.write_bytes(bytes(range(256)) * 5)
+        want = hashlib.sha256(b"a\x1f" + path.read_bytes() + b"\x1f").hexdigest()
+        assert pipeline._digest(["a", path]) == want
+        monkeypatch.setattr(pipeline, "_DIGEST_CHUNK", 7)  # many reads, a partial last one
+        assert pipeline._digest(["a", path]) == want
+
     def test_missing_manifest_is_stage_error(self, tmp_path):
         config = fast_config(tmp_path / "none.csv", tmp_path / "run")
         with pytest.raises(DataError, match="stage ingest"):
