@@ -36,11 +36,13 @@ which writes its parameters, gives each an owned float64 copy once.
 
 Factored weight grads: gather_dense leaves the grad of a weight whose input
 dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
-a weight-sized array. RMSProp.step expands it one column tile at a time,
-each tile starting on a multiple of _SPLIT_COLUMNS, so every element is the
-same dot product by the same BLAS kernel as in the whole product, and the
-step has the bits of the dense grad's. Reading .grad, or a second
-contribution to the same weight, makes the dense array.
+a weight-sized array. RMSProp.step expands it one band of whole rows at a
+time into scratch and updates those rows of the weight and its cache, which
+are contiguous in memory. Each band starts on a multiple of _BAND_ALIGN rows
+and is never a single row, so every element is the same dot product by the
+same BLAS kernel as in the whole product, and the step has the bits of the
+dense grad's. Reading .grad, or a second contribution to the same weight,
+makes the dense array.
 """
 
 import functools
@@ -64,12 +66,16 @@ _SPLIT_COLUMNS = 64
 # which the BLAS takes a small-matrix kernel whose sums can differ in the
 # last bit from those of the whole product
 _CAST_INNER = 1 << 14
-# RMSProp expands a factored grad in tiles of at least this many columns,
-# each a whole number of _SPLIT_COLUMNS. Each tile's product packs G.T
-# again: at U = 200 distinct rows a dense1 step took 0.34-0.43 s in
-# 64-column tiles and 0.32-0.36 s in 256-column ones (2 CPUs, one BLAS
-# thread); at U = 10 both took 0.18-0.26 s
-_TILE_COLUMNS = 256
+# RMSProp expands a factored grad in bands of this many whole rows of the
+# weight (the last band of a share may be shorter, or one row longer)
+_BAND_ROWS = 32
+# bands, and the worker shares that hold them, start on multiples of this
+# many rows, and none is a single row. A band's product then has the bits
+# of the whole product's rows at every shape measured (OpenBLAS, one and
+# two threads); a 1-row band, a matrix-vector call, did not, nor did bands
+# of 2 or 4 rows cut on their own grid at 1,021 x 2,560, of 3 rows at
+# 1,024 x 23,936, or of 7 rows at 64 x 2,560
+_BAND_ALIGN = 8
 
 
 class Tensor:
@@ -216,7 +222,8 @@ def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 class _FactoredGrad:
     """The (m, n) weight grad G.T @ xs, less `correction` on its `touched`
     columns, kept as those factors: g is (U, m), xs (U, n), touched the
-    sorted distinct columns and correction (m, len(touched))."""
+    sorted distinct columns and correction (m, len(touched)). RMSProp
+    expands it one band of whole rows at a time (rows())."""
 
     __slots__ = ("g", "xs", "touched", "correction")
 
@@ -228,15 +235,15 @@ class _FactoredGrad:
         gw[:, self.touched] -= self.correction
         return gw
 
-    def tile(self, cols: slice, out: np.ndarray) -> None:
-        """Write columns cols of the grad, with the bits of dense()'s, into
-        the (m, cols) array out. cols must start on a multiple of
-        _SPLIT_COLUMNS. The correction comes whole from gather_dense: the
-        product over a tile's few touched columns could fall below the
-        BLAS's small-matrix cut-off and change bits."""
-        np.matmul(self.g.T, self.xs[:, cols], out=out)
-        lo, hi = np.searchsorted(self.touched, (cols.start, cols.stop))
-        out[:, self.touched[lo:hi] - cols.start] -= self.correction[:, lo:hi]
+    def rows(self, band: slice, out: np.ndarray) -> None:
+        """Write rows band of the grad, with the bits of dense()'s, into the
+        (rows, n) array out. band must start on a multiple of _BAND_ALIGN,
+        end on one or at m, and hold more than one row unless m is 1. The
+        correction comes whole from gather_dense: its product over a band's
+        rows could fall below the BLAS's small-matrix cut-off and change
+        bits."""
+        np.matmul(self.g.T[band], self.xs, out=out)
+        out[:, self.touched] -= self.correction[band]
 
 
 def _dense(grad) -> np.ndarray:
@@ -420,7 +427,7 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     entries' terms are then subtracted as products over the touched columns
     only, which at a low rate are a small share of n. When n is a multiple
     of _SPLIT_COLUMNS the weight grad is left as those factors (a
-    _FactoredGrad) for RMSProp to expand tile by tile; the correction is
+    _FactoredGrad) for RMSProp to expand band by band; the correction is
     computed here, whole.
     """
     w, b = weight.data, bias.data
@@ -610,10 +617,13 @@ class RMSProp:
     bits are those of one walk.
 
     A parameter whose grad is factored (gather_dense's weight) is walked in
-    column tiles instead: each tile of the grad is expanded into scratch and
-    updates its columns of cache and parameter with the same expression
-    chain, so the dense grad is never made. Its workers take shares of whole
-    _SPLIT_COLUMNS units, each at least one _TILE_COLUMNS tile wide.
+    bands of whole rows instead: each band of the grad is expanded into a
+    flat scratch buffer, and the band's rows of cache and parameter, which
+    are contiguous, are walked in the same _STEP_BLOCK blocks with the same
+    expression chain, so the dense grad is never made. Its workers take
+    shares of whole rows; bands and shares start on multiples of
+    _BAND_ALIGN rows and none is a single row, which keeps every grad
+    element the bits of the whole product (see _BAND_ALIGN).
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6,
@@ -648,55 +658,62 @@ class RMSProp:
         for p, cache in zip(self.params, self.cache):
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
+            # flat views of data and cache
+            data, cache = p.data.reshape(-1), cache.reshape(-1)
             if isinstance(p._grad, _FactoredGrad):
-                _in_shares(
-                    functools.partial(self._tile_share, p.data, cache, p._grad, lr_t),
-                    p.data.shape[1] // _TILE_COLUMNS,
-                )
-                continue
-            # flat views of data and cache; grad is copied only if strided
-            data, cache, grad = p.data.reshape(-1), cache.reshape(-1), p.grad.reshape(-1)
-            _in_shares(
-                functools.partial(self._update_share, data, cache, grad, scratch, lr_t),
-                data.size // _STEP_BLOCK,
-            )
+                task = functools.partial(self._band_share, data, cache, p._grad, lr_t)
+                limit = min(data.size // _STEP_BLOCK, len(p.data) // _BAND_ALIGN)
+            else:
+                # grad is copied only if strided
+                task = functools.partial(self._update_share, data, cache, p.grad.reshape(-1), scratch, lr_t)
+                limit = data.size // _STEP_BLOCK
+            _in_shares(task, limit)
         self.step_count += 1
 
     def _update_share(self, data, cache, grad, scratch, lr_t: float, i: int, parts: int) -> None:
         """Update share i of parts of the flat data and cache in place, in
         blocks as wide as the share's slice of the scratch buffers."""
         size = scratch.shape[1] // parts
-        scratch = scratch[:, i * size : (i + 1) * size]
         span = _cut(data.size, i, parts)
-        for start in range(span.start, span.stop, size):
-            block = slice(start, min(start + size, span.stop))
-            g = grad[block]
-            s, t = scratch[0, : g.size], scratch[1, : g.size]
-            self._update(data[block], cache[block], g, s, t, lr_t)
+        self._walk(data[span], cache[span], grad[span], scratch[:, i * size : (i + 1) * size], lr_t)
 
-    def _tile_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
-        """Update share i of parts of the (m, n) data and cache in place, one
-        column tile at a time: the share's whole _SPLIT_COLUMNS units are cut
-        into tiles of at least _TILE_COLUMNS (or one tile, when the share is
-        narrower), each expanded from the factored grad into scratch."""
-        m = data.shape[0]
-        span = _cut(data.shape[1], i, parts, _SPLIT_COLUMNS)
-        width = span.stop - span.start
-        tiles = max(1, width // _TILE_COLUMNS)
-        # a tile is under two _TILE_COLUMNS wide; untouched pages cost nothing
-        tile, scratch = np.empty(m * 2 * _TILE_COLUMNS), np.empty(_STEP_BLOCK)
-        for k in range(tiles):
-            cols = _cut(width, k, tiles, _SPLIT_COLUMNS)
-            cols = slice(span.start + cols.start, span.start + cols.stop)
-            g = tile[: m * (cols.stop - cols.start)].reshape(m, -1)
-            grad.tile(cols, g)
-            # blocks of whole rows of about _STEP_BLOCK elements stay in cache
-            # through the update; g is scratch, so it takes lr_t * g in place
-            rows = max(1, _STEP_BLOCK // g.shape[1])
-            for r in range(0, m, rows):
-                block = g[r : r + rows]
-                s = scratch[: block.size].reshape(block.shape)
-                self._update(data[r : r + rows, cols], cache[r : r + rows, cols], block, s, block, lr_t)
+    def _band_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
+        """Update share i of parts of the flat (m, n) data and cache in
+        place, one band of whole rows at a time: each band of the factored
+        grad is expanded into scratch and walked like a flat grad. Shares
+        start on multiples of _BAND_ALIGN rows and the last one ends at m;
+        a share's bands are _BAND_ROWS long, and a last row that would be a
+        band of its own joins the band before it. Each share walks in
+        whole _STEP_BLOCK blocks of its own scratch, since the band scratch
+        outweighs it."""
+        n = grad.xs.shape[1]
+        m = data.size // n
+        span = _cut(m, i, parts, _BAND_ALIGN)
+        stop = m if i == parts - 1 else span.stop
+        band = np.empty(min(_BAND_ROWS + 1, stop - span.start) * n)
+        scratch = np.empty((1, _STEP_BLOCK))
+        start = span.start
+        while start < stop:
+            end = min(start + _BAND_ROWS, stop)
+            if stop - end == 1:
+                end = stop
+            g = band[: (end - start) * n]
+            grad.rows(slice(start, end), g.reshape(end - start, n))
+            # g is scratch, so it takes lr_t * g in place
+            self._walk(data[start * n : end * n], cache[start * n : end * n], g, scratch, lr_t)
+            start = end
+
+    def _walk(self, data, cache, grad, scratch, lr_t: float) -> None:
+        """Update the flat data and cache in place from the flat grad, in
+        blocks as wide as the scratch rows: with two rows the grad is only
+        read, with one it is scratch too and takes lr_t * grad in place."""
+        size = scratch.shape[1]
+        for start in range(0, data.size, size):
+            block = slice(start, start + size)
+            g = grad[block]
+            s = scratch[0, : g.size]
+            t = scratch[1, : g.size] if len(scratch) > 1 else g
+            self._update(data[block], cache[block], g, s, t, lr_t)
 
     def _update(self, d, c, g, s, t, lr_t: float) -> None:
         """The update of one block in place: s and t are scratch of g's

@@ -79,17 +79,31 @@ class EvalReport:
     @classmethod
     def from_json(cls, path) -> "EvalReport":
         """The report `to_json` wrote to the file at `path`; a DataError
-        naming the file if it is not such a report."""
+        naming the file if it is not such a report. The confusion must be a
+        square matrix of non-negative integer counts, one row and column per
+        class name, summing to total."""
         try:
             payload = json.loads(read_text(path, "report"))
+            class_names = tuple(payload["class_names"])
+            confusion = np.asarray(payload["confusion"])
+            k = len(class_names)
+            if confusion.dtype != np.int64 or confusion.shape != (k, k) or (confusion < 0).any():
+                raise ValueError(
+                    f"confusion must be a {k}x{k} matrix of counts, "
+                    f"got {confusion.dtype} of shape {confusion.shape}"
+                )
+            if confusion.sum() != payload["total"]:
+                raise ValueError(
+                    f"confusion counts {confusion.sum()} pairs, total is {payload['total']!r}"
+                )
             return cls(
                 mode=payload["mode"],
                 total=payload["total"],
                 accuracy=payload["accuracy"],
                 rmse=payload["rmse"],
                 pearson_cc=payload["pearson_cc"],
-                confusion=np.asarray(payload["confusion"], dtype=np.int64),
-                class_names=tuple(payload["class_names"]),
+                confusion=confusion,
+                class_names=class_names,
                 normalized_rmse=payload["normalized_rmse"],
             )
         except (KeyError, TypeError, ValueError) as exc:

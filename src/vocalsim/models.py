@@ -209,7 +209,9 @@ class SiameseModel:
         rate = self.spec.dropout
         hit_rows, hit_cols, offset = [], [], 0
         for _, branch in self._branches():
-            r, c = np.nonzero(rng.random((rows, branch.flat_dim)) < rate)
+            # the np.nonzero indices of the 2-d draw, in the same order
+            r, c = np.divmod(np.flatnonzero(rng.random((rows, branch.flat_dim)) < rate),
+                             branch.flat_dim)
             hit_rows.append(r)
             hit_cols.append(c + offset)
             offset += branch.flat_dim

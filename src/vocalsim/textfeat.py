@@ -2,6 +2,7 @@
 speakers that overlap a 7.6 s segment become a 60x9 matrix (first 9 words,
 first 60 vector components, words as columns)."""
 
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -68,6 +69,8 @@ def load_transcript(path) -> list[TranscriptUtterance]:
     """Parse a tab-separated transcript: start_time, stop_time, speaker, value.
 
     The header row is required. Utterances come back sorted by start time.
+    A timestamp that is not a finite number is a DataError naming the file
+    and line.
     """
     lines = read_text(path, "transcript").splitlines()
     if not lines:
@@ -87,6 +90,8 @@ def load_transcript(path) -> list[TranscriptUtterance]:
             start, stop = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad timestamp: {exc}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DataError(f"{path}:{lineno}: timestamps must be finite, got {parts[0]!r}, {parts[1]!r}")
         try:
             utterances.append(
                 TranscriptUtterance(start, stop, parts[2].strip(), tuple(tokenize(text)))

@@ -645,11 +645,11 @@ class TestRMSProp:
 
 class TestFactoredGrad:
     """gather_dense leaves the grad of a weight whose input dim is whole
-    _SPLIT_COLUMNS blocks factored, and RMSProp expands it tile by tile
+    _SPLIT_COLUMNS blocks factored, and RMSProp expands it band by band
     with every bit of the step over the dense grad."""
 
-    # five _TILE_COLUMNS tiles of 20 column blocks, each updated in two row
-    # blocks (128 rows of 256 columns make one _STEP_BLOCK)
+    # six _BAND_ROWS bands and an 8-row one; a 32-row band of 1280 columns
+    # is walked in two _STEP_BLOCK blocks
     N_OUT, N_IN = 200, 1280
 
     @staticmethod
@@ -685,6 +685,33 @@ class TestFactoredGrad:
             for opt in opts:
                 opt.step()
             np.testing.assert_array_equal(tiled.data, dense_.data)
+            np.testing.assert_array_equal(opts[0].cache[0], opts[1].cache[0])
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("u", [1, 2, 10, 200])
+    @pytest.mark.parametrize(
+        "n_out, n_in",
+        [
+            (193, 1280),  # 193 = 24 * 8 + 1: the last band would be one row
+            (128, 23936),  # dense1's input width
+        ],
+    )
+    def test_band_step_equals_dense_step(self, workers, n_out, n_in, u, width):
+        """Bands and shares that end off a multiple of _BAND_ROWS still give
+        the dense step's bits, on any number of workers."""
+        workers(width)
+        start = np.random.default_rng(u).normal(size=(n_out, n_in))
+        banded, dense_ = Tensor(start.copy()), Tensor(start.copy())
+        opts = [RMSProp([p], lr=1e-3, decay=0.1) for p in (banded, dense_)]
+        for step in range(2):
+            for opt, p in zip(opts, (banded, dense_)):
+                opt.zero_grad()
+                self.backward(u, n_out, n_in, 0.01, 10 * u + step, p)
+            assert isinstance(banded._grad, autodiff._FactoredGrad)
+            dense_.grad  # read: the dense grad, stepped the flat way
+            for opt in opts:
+                opt.step()
+            np.testing.assert_array_equal(banded.data, dense_.data)
             np.testing.assert_array_equal(opts[0].cache[0], opts[1].cache[0])
 
     def test_grad_reads_dense(self):
@@ -757,6 +784,24 @@ class TestFactoredGrad:
         finally:
             tracemalloc.stop()
         assert peak < weight.data.nbytes
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_step_scratch_is_one_band_per_worker(self, workers, width):
+        """At dense1's input width, a step on a factored grad allocates one
+        band of at most _BAND_ROWS + 1 rows and one _STEP_BLOCK per share,
+        besides the step's two flat scratch blocks."""
+        workers(width)
+        n_out, n_in = 128, 23936
+        weight, *_ = self.backward(10, n_out, n_in, 1e-4, 8)
+        opt = RMSProp([weight])
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_share = ((autodiff._BAND_ROWS + 1) * n_in + autodiff._STEP_BLOCK) * 8
+        assert peak < width * per_share + 2 * autodiff._STEP_BLOCK * 8 + (1 << 16)
 
 
 class TestSplitWork:

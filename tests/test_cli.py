@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving main() in-process."""
 
 import json
+import shutil
 import wave
 from pathlib import Path
 
@@ -453,6 +454,20 @@ class TestRun:
         )
         assert code == 0
         assert (new_workdir / "report.json").is_file()
+
+    def test_malformed_stored_report_is_data_error(self, trained, tmp_path, capsys):
+        # a copy of the workdir whose every stage is current, but whose
+        # report holds a 1-d confusion
+        workdir = tmp_path / "run"
+        shutil.copytree(trained["workdir"], workdir)
+        report = workdir / "report.json"
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        payload["confusion"] = payload["confusion"][0]
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        config = trained["root"] / "run.cfg"
+        assert main(["run", "--config", str(config), "--set", f"workdir={workdir}"]) == 3
+        err = capsys.readouterr().err
+        assert f"{report}: unreadable report" in err and "Traceback" not in err
 
     def test_bad_override_is_data_error(self, trained):
         config = trained["root"] / "run.cfg"

@@ -256,3 +256,25 @@ class TestReportFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match=rf"report\.json: unreadable report .*{key}"):
             EvalReport.from_json(path)
+
+    @pytest.mark.parametrize(
+        "confusion, why",
+        [
+            ([[1.5, 2.0]], "float64 of shape"),  # once truncated to [[1, 2]]
+            ([[1.0, 0.0], [0.0, 0.0]], "float64 of shape"),
+            ([1, 0], r"shape \(2,\)"),  # a 1-d confusion
+            ([[1, 0, 0], [0, 0, 0]], r"shape \(2, 3\)"),
+            ([[1]], r"shape \(1, 1\)"),
+            ([[2, 0], [0, -1]], "matrix of counts"),
+            ([[1, 0], [0, 1]], "counts 2 pairs, total is 1"),
+            ([[1, 0], [0]], "inhomogeneous"),
+        ],
+    )
+    def test_malformed_confusion_is_data_error(self, tmp_path, confusion, why):
+        report = evaluate(ScriptedModel([[0.9, 0.1]]), binary_pairs([1]), DummyFeatures())
+        payload = json.loads(report.to_json())
+        payload["confusion"] = confusion
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"report\.json: unreadable report .*{why}"):
+            EvalReport.from_json(path)

@@ -184,6 +184,30 @@ class TestArchitecture:
         d = model.encode(inputs, training=True, rng=np.random.default_rng(1)).data
         assert not np.array_equal(c, d)
 
+    def test_dropout_mask_is_the_nonzero_indices(self):
+        """The mask of a two-branch fusion model: each branch's entries are
+        np.nonzero of its draw, in that order, offset by the branches before
+        it; branch columns are scaled and the text columns are not."""
+        spec = ModelSpec(variant="fusion", filters=4, dense_width=16, dropout=0.05)
+        model = build_model(spec)
+        widths = [branch.flat_dim for _, branch in model._branches()]
+        assert len(widths) == 2
+        width = model.fusion.weight.data.shape[1]  # the branches and the text columns
+        (rows, cols), scale = model._dropout_mask(7, width, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want_rows, want_cols, offset = [], [], 0
+        for w in widths:
+            r, c = np.nonzero(rng.random((7, w)) < 0.05)
+            want_rows.append(r)
+            want_cols.append(c + offset)
+            offset += w
+        assert rows.dtype == np.intp and cols.dtype == np.intp
+        np.testing.assert_array_equal(rows, np.concatenate(want_rows))
+        np.testing.assert_array_equal(cols, np.concatenate(want_cols))
+        assert all(len(c) for c in want_cols)  # both branches drop entries
+        np.testing.assert_array_equal(scale[:offset], 1.0 / 0.95)
+        np.testing.assert_array_equal(scale[offset:], 1.0)
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_behavior(self, tmp_path):

@@ -74,6 +74,20 @@ class TestTranscriptIO:
         with pytest.raises(DataError, match=":2"):
             load_transcript(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_timestamp_names_line(self, tmp_path, bad, column):
+        times = ["0.0", "3.0"]
+        times[column] = bad
+        p = tmp_path / "t.tsv"
+        p.write_text(
+            self.HEADER + "0.0\t1.0\tparticipant\tfine\n"
+            + "\t".join(times) + "\tparticipant\thello\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=r"t\.tsv:3: timestamps must be finite"):
+            load_transcript(p)
+
     def test_start_after_stop_rejected(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text(self.HEADER + "5.0\t3.0\tparticipant\thello\n", encoding="utf-8")
