@@ -8,6 +8,14 @@ gathered rows with dropout (gather_dense), flatten, concat, Euclidean
 distance, and an RMSE loss, plus an RMSProp optimizer with
 inverse-time learning-rate decay.
 
+gather_dense runs its products over the distinct source rows only: its
+forward equals dense(flatten(dropout(gather(...)))) under the same mask up
+to rounding (within 1e-12 absolute in the tests), not bit for bit. The
+model hands it the mask as the dropped entries alone, drawn by their
+positions (models.SiameseModel._dropout_mask): each entry is dropped
+independently with probability rate, the law of dropout's mask, but from
+another RNG stream than dropout's one uniform per entry.
+
 Batching convention: every op accepts its natural unbatched shape or the same
 shape with one leading batch axis (conv1d: (C,L) or (B,C,L); dense and the
 vector ops: (n,) or (B,n)). flatten collapses everything after the first axis
@@ -41,8 +49,9 @@ time into scratch and updates those rows of the weight and its cache, which
 are contiguous in memory. Each band starts on a multiple of _BAND_ALIGN rows
 and is never a single row, so every element is the same dot product by the
 same BLAS kernel as in the whole product, and the step has the bits of the
-dense grad's. Reading .grad, or a second contribution to the same weight,
-makes the dense array.
+dense grad's. The step takes only as many shares as fit their bands in
+_BAND_BUDGET, so its scratch does not grow with the CPU count. Reading
+.grad, or a second contribution to the same weight, makes the dense array.
 """
 
 import functools
@@ -76,6 +85,10 @@ _BAND_ROWS = 32
 # of 2 or 4 rows cut on their own grid at 1,021 x 2,560, of 3 rows at
 # 1,024 x 23,936, or of 7 rows at 64 x 2,560
 _BAND_ALIGN = 8
+# the most band scratch of one factored step, over all its shares, in
+# bytes: five shares' bands at dense1's 23,936 columns, however many CPUs
+# there are
+_BAND_BUDGET = 1 << 25
 
 
 class Tensor:
@@ -418,16 +431,20 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     x: (U, n); index: (R,), which may repeat, skip and reorder rows of x;
     weight: (m, n); bias: (m,); scale: a float or an (n,) factor per column,
     inverted dropout's 1/(1-rate) on the columns it covers; dropped: row and
-    column index arrays of distinct entries of y.
+    column index arrays of distinct entries of y, such as a dropout mask's
+    hits, each entry dropped independently with probability rate.
 
-    The forward builds the R rows and runs one GEMM, so it has the bits of
-    the composition. The backward takes both big products over the U rows
-    of x: with G the sum of each source row's output grads, the weight grad
-    is G.T @ (scale * x) and the input grad scale * (G @ W). The dropped
-    entries' terms are then subtracted as products over the touched columns
-    only, which at a low rate are a small share of n. When n is a multiple
-    of _SPLIT_COLUMNS the weight grad is left as those factors (a
-    _FactoredGrad) for RMSProp to expand band by band; the correction is
+    Every big product runs over the U rows of xs = scale * x, and the
+    dropped entries' terms are subtracted as products over the touched
+    columns only, which at a low rate are a small share of n. The forward
+    gathers xs @ W.T to the R rows, adds b and subtracts dropped_y @
+    W[:, touched].T, with dropped_y the (R, touched) matrix of the dropped
+    entries' values: the composition's values up to rounding (the tests
+    hold it to 1e-12 absolute), not its bits. The backward, with G the sum
+    of each source row's output grads, takes the weight grad G.T @ xs and
+    the input grad scale * (G @ W), less the same entries' terms. When n is
+    a multiple of _SPLIT_COLUMNS the weight grad is left as those factors
+    (a _FactoredGrad) for RMSProp to expand band by band; the correction is
     computed here, whole.
     """
     w, b = weight.data, bias.data
@@ -440,18 +457,17 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
         raise ValueError(f"gather index must be 1-d, got {index.ndim}-d")
     rows, cols = (np.asarray(a, dtype=np.intp) for a in (dropped or ([], [])))
     xs = x.data * scale
-    y = xs[index]
-    y[rows, cols] = 0.0
-    out = _matmul(y, w.T)
+    touched, at = np.unique(cols, return_inverse=True)
+    # the dropped entries of the R rows as an (R, touched) matrix: the
+    # products over xs count them, the composition does not
+    dropped_y = np.zeros((len(index), len(touched)))
+    dropped_y[rows, at] = xs[index[rows], cols]
+    out = _matmul(xs, w.T)[index]
     out += b
+    out -= _matmul(dropped_y, w[:, touched].T)
 
     def backward(grad):
         g = _sum_rows(grad, index, len(xs))
-        touched, at = np.unique(cols, return_inverse=True)
-        # the dropped entries of y as an (R, touched) matrix: G.T @ xs counts
-        # them, the composition does not
-        dropped_y = np.zeros((len(index), len(touched)))
-        dropped_y[rows, at] = xs[index[rows], cols]
         gw = _FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y))
         weight._accumulate(gw if w.shape[1] % _SPLIT_COLUMNS == 0 else gw.dense())
         bias._accumulate(grad.sum(axis=0))
@@ -601,6 +617,16 @@ class DenseLayer:
         return [self.weight, self.bias]
 
 
+def _band_shares(m: int, n: int) -> int:
+    """The most shares RMSProp.step cuts an (m, n) weight with a factored
+    grad into: each takes at least _STEP_BLOCK elements and _BAND_ALIGN
+    rows, and their scratch, one band of at most _BAND_ROWS + 1 rows and
+    one _STEP_BLOCK each, fits in _BAND_BUDGET. Below two, one share runs,
+    so a weight too wide for one band to fit still steps."""
+    per_share = ((_BAND_ROWS + 1) * n + _STEP_BLOCK) * 8
+    return min(m * n // _STEP_BLOCK, m // _BAND_ALIGN, _BAND_BUDGET // per_share)
+
+
 class RMSProp:
     """Running square-gradient scaling with inverse-time learning-rate decay.
 
@@ -621,7 +647,8 @@ class RMSProp:
     flat scratch buffer, and the band's rows of cache and parameter, which
     are contiguous, are walked in the same _STEP_BLOCK blocks with the same
     expression chain, so the dense grad is never made. Its workers take
-    shares of whole rows; bands and shares start on multiples of
+    shares of whole rows, few enough that their bands fit in _BAND_BUDGET
+    (see _band_shares); bands and shares start on multiples of
     _BAND_ALIGN rows and none is a single row, which keeps every grad
     element the bits of the whole product (see _BAND_ALIGN).
     """
@@ -662,7 +689,7 @@ class RMSProp:
             data, cache = p.data.reshape(-1), cache.reshape(-1)
             if isinstance(p._grad, _FactoredGrad):
                 task = functools.partial(self._band_share, data, cache, p._grad, lr_t)
-                limit = min(data.size // _STEP_BLOCK, len(p.data) // _BAND_ALIGN)
+                limit = _band_shares(*p.data.shape)
             else:
                 # grad is copied only if strided
                 task = functools.partial(self._update_share, data, cache, p.grad.reshape(-1), scratch, lr_t)

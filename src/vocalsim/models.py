@@ -202,16 +202,23 @@ class SiameseModel:
 
     def _dropout_mask(self, rows: int, width: int, rng):
         """The (rows, cols) entries of the first dense layer's (rows, width)
-        input that dropout zeroes, and the factor of each column: one uniform
-        draw per conv branch output entry, branch by branch, each for every
-        row; branch columns are scaled by 1/(1-rate), text columns neither
-        dropped nor scaled."""
+        input that dropout zeroes, as np.intp arrays, and the factor of each
+        column: branch columns are scaled by 1/(1-rate), text columns neither
+        dropped nor scaled.
+
+        Each conv branch output entry of each row is dropped independently
+        with probability rate, the Bernoulli(rate) law of inverted dropout.
+        Only the hits are drawn, branch by branch: a Binomial(rows x
+        flat_dim, rate) count, then that many distinct entries of the
+        branch, uniform given the count, which is the same law. Each
+        branch's entries come in row-major order, their columns offset by
+        the branches before it."""
         rate = self.spec.dropout
         hit_rows, hit_cols, offset = [], [], 0
         for _, branch in self._branches():
-            # the np.nonzero indices of the 2-d draw, in the same order
-            r, c = np.divmod(np.flatnonzero(rng.random((rows, branch.flat_dim)) < rate),
-                             branch.flat_dim)
+            total = rows * branch.flat_dim
+            hits = rng.choice(total, rng.binomial(total, rate), replace=False)
+            r, c = np.divmod(np.sort(hits).astype(np.intp, copy=False), branch.flat_dim)
             hit_rows.append(r)
             hit_cols.append(c + offset)
             offset += branch.flat_dim

@@ -136,6 +136,8 @@ def train(
                     f"batch starting at pair {start} (lr={optimizer.current_lr()})"
                 )
             loss.backward()
+            # free the graph and its saved arrays before the step's scratch
+            del loss
             optimizer.step()
             epoch_loss += value * len(batch)
         result.train_losses.append(epoch_loss / len(train_pairs))

@@ -474,7 +474,9 @@ class TestGatherDense:
         y = (x * self.SCALE)[self.INDEX]
         y[self.DROPPED] = 0.0
         out = gather_dense(Tensor(x), self.INDEX, Tensor(w), Tensor(b), self.DROPPED, self.SCALE)
-        np.testing.assert_array_equal(out.data, y @ w.T + b)
+        # the forward runs over x's rows and subtracts the dropped terms:
+        # the composition's values up to rounding
+        np.testing.assert_allclose(out.data, y @ w.T + b, rtol=0, atol=1e-12)
 
     def test_constant_input_gets_no_grad(self):
         rng = np.random.default_rng(27)
@@ -515,9 +517,24 @@ class TestGatherDense:
             return gather_dense(flatten(source), index, weight, bias, dropped, scale)
 
         want, got = run(composed), run(fused)
-        np.testing.assert_array_equal(got[0], want[0])
-        for g, w_ in zip(got[1:], want[1:]):
+        for g, w_ in zip(got, want):
             np.testing.assert_allclose(g, w_, rtol=0, atol=1e-12)
+
+    def test_forward_matches_composition_at_dense1_width(self):
+        """At dense1's input width and the paper's batch (10 distinct rows,
+        200 pair rows, rate 1e-4; 128 outputs keep the weight small), the
+        forward over the 10 rows matches the 200-row product of the masked
+        rows within 1e-12."""
+        rng = np.random.default_rng(30)
+        n_out, n_in, rate = 128, 23936, 1e-4
+        x, w, b = rng.normal(size=(10, n_in)), rng.normal(size=(n_out, n_in)), rng.normal(size=n_out)
+        index = np.concatenate([np.repeat(np.arange(10), 10), np.tile(np.arange(10), 10)])
+        dropped = np.nonzero(rng.random((200, n_in)) < rate)
+        scale = 1.0 / (1.0 - rate)
+        y = (x * scale)[index]
+        y[dropped] = 0.0
+        got = gather_dense(Tensor(x), index, Tensor(w), Tensor(b), dropped, scale).data
+        np.testing.assert_allclose(got, y @ w.T + b, rtol=0, atol=1e-12)
 
     def test_shape_checks(self):
         x, w, b = Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros(3))
@@ -802,6 +819,37 @@ class TestFactoredGrad:
             tracemalloc.stop()
         per_share = ((autodiff._BAND_ROWS + 1) * n_in + autodiff._STEP_BLOCK) * 8
         assert peak < width * per_share + 2 * autodiff._STEP_BLOCK * 8 + (1 << 16)
+
+    def test_band_scratch_fits_the_budget_at_32_cpus(self):
+        """With 32 CPUs, a step on a factored grad at dense1's input width
+        takes only as many shares as fit their bands in _BAND_BUDGET, and
+        its shares, each run here on the calling thread, give the bits of
+        the dense grad's step. At 2 CPUs dense1 takes its 2 shares."""
+        n_out, n_in = 128, 23936
+        assert min(autodiff._band_shares(1024, n_in), 2) == 2
+        parts = min(autodiff._band_shares(n_out, n_in), 32)
+        assert 2 <= parts < 32
+        start = np.random.default_rng(9).normal(size=(n_out, n_in))
+        banded, dense_ = Tensor(start.copy()), Tensor(start.copy())
+        opts = [RMSProp([p], lr=1e-3) for p in (banded, dense_)]
+        for p in (banded, dense_):
+            self.backward(10, n_out, n_in, 1e-4, 9, p)
+        grad = banded._grad
+        assert isinstance(grad, autodiff._FactoredGrad)
+        dense_.grad  # read: the dense grad, stepped the flat way
+        opts[1].step()
+        data, cache = banded.data.reshape(-1), opts[0].cache[0].reshape(-1)
+        peaks = []
+        for i in range(parts):
+            tracemalloc.start()
+            try:
+                opts[0]._band_share(data, cache, grad, opts[0].current_lr(), i, parts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert parts * max(peaks) <= autodiff._BAND_BUDGET
+        np.testing.assert_array_equal(banded.data, dense_.data)
+        np.testing.assert_array_equal(opts[0].cache[0], opts[1].cache[0])
 
 
 class TestSplitWork:

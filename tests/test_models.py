@@ -186,27 +186,65 @@ class TestArchitecture:
 
     def test_dropout_mask_is_the_nonzero_indices(self):
         """The mask of a two-branch fusion model: each branch's entries are
-        np.nonzero of its draw, in that order, offset by the branches before
-        it; branch columns are scaled and the text columns are not."""
+        the np.nonzero indices of a boolean mask over its rows x flat_dim
+        entries (so distinct, in range and in row-major order), branch by
+        branch, offset by the branches before it; branch columns are scaled
+        and the text columns are not."""
         spec = ModelSpec(variant="fusion", filters=4, dense_width=16, dropout=0.05)
         model = build_model(spec)
         widths = [branch.flat_dim for _, branch in model._branches()]
         assert len(widths) == 2
         width = model.fusion.weight.data.shape[1]  # the branches and the text columns
         (rows, cols), scale = model._dropout_mask(7, width, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
+        assert rows.dtype == np.intp and cols.dtype == np.intp
         want_rows, want_cols, offset = [], [], 0
         for w in widths:
-            r, c = np.nonzero(rng.random((7, w)) < 0.05)
+            mine = (cols >= offset) & (cols < offset + w)
+            assert mine.any()  # both branches drop entries
+            mask = np.zeros((7, w), dtype=bool)
+            mask[rows[mine], cols[mine] - offset] = True
+            r, c = np.nonzero(mask)
             want_rows.append(r)
             want_cols.append(c + offset)
             offset += w
-        assert rows.dtype == np.intp and cols.dtype == np.intp
         np.testing.assert_array_equal(rows, np.concatenate(want_rows))
         np.testing.assert_array_equal(cols, np.concatenate(want_cols))
-        assert all(len(c) for c in want_cols)  # both branches drop entries
+        assert rows.min() >= 0
         np.testing.assert_array_equal(scale[:offset], 1.0 / 0.95)
         np.testing.assert_array_equal(scale[offset:], 1.0)
+
+    @pytest.mark.parametrize("rate", [0.01, 0.5])
+    def test_dropout_mask_law(self, rate):
+        """Each entry is dropped with probability rate, independently: over
+        200 fixed-seed draws of 10 rows, the total hit count is within 5
+        sigma of its Binomial mean, and the counts per row and per column
+        pass a chi-square test of evenness within 5 sigma of its mean."""
+        model = build_model(ModelSpec(variant="mfcc", filters=4, dense_width=16, dropout=rate))
+        n_rows, flat = 10, model.mfcc_branch.flat_dim
+        draws = 200
+        rng = np.random.default_rng(12)
+        per_row, per_col = np.zeros(n_rows), np.zeros(flat)
+        for _ in range(draws):
+            (rows, cols), _ = model._dropout_mask(n_rows, flat, rng)
+            per_row += np.bincount(rows, minlength=n_rows)
+            per_col += np.bincount(cols, minlength=flat)
+        trials = draws * n_rows * flat
+        sigma = np.sqrt(trials * rate * (1.0 - rate))
+        assert abs(per_row.sum() - trials * rate) < 5.0 * sigma
+        for counts in (per_row, per_col):
+            expected = counts.sum() / len(counts)
+            # each count is Binomial: its variance is expected * (1 - rate)
+            chi2 = np.sum((counts - expected) ** 2) / (expected * (1.0 - rate))
+            dof = len(counts) - 1
+            assert abs(chi2 - dof) < 5.0 * np.sqrt(2.0 * dof)
+
+    def test_dropout_mask_may_hit_nothing(self):
+        model = build_model(ModelSpec(variant="mfcc", filters=4, dense_width=16, dropout=1e-9))
+        flat = model.mfcc_branch.flat_dim
+        (rows, cols), scale = model._dropout_mask(3, flat, np.random.default_rng(0))
+        assert rows.shape == cols.shape == (0,)
+        assert rows.dtype == np.intp and cols.dtype == np.intp
+        np.testing.assert_array_equal(scale, 1.0 / (1.0 - 1e-9))
 
 
 class TestCheckpoint:

@@ -183,7 +183,7 @@ class TestPipeline:
             "ingest: 8 subjects",
             "features: cached 8 tensors",
             "pairs: train/val/test = 24/4/4",
-            "train: 2 epochs, best val loss 0.5975 at epoch 1",
+            "train: 2 epochs, best val loss 0.5978 at epoch 0",
             "eval: accuracy 50.00% on 4 pairs",
         ]
         assert warm == [

@@ -114,16 +114,16 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("epochs", [3, 4])
     def test_best_weights_restored_bit_exactly(self, epochs):
-        # lr 3e-3 gives val losses 0.6055, 0.6021, 0.6030, 0.5930: the best
-        # epoch of 3 is epoch 1 (a copy is restored), of 4 the last (the
-        # weights in place are kept, after an earlier copy was made)
+        # lr 4e-3 and seed 5 give val losses 0.6074, 0.6059, 0.6063, 0.6010:
+        # the best epoch of 3 is epoch 1 (a copy is restored), of 4 the last
+        # (the weights in place are kept, after an earlier copy was made)
         features, pairs = toy_problem(n_per_class=4)
 
         def fit(n):
             model = tiny_model()
-            config = TrainConfig(batch_size=4, epochs=n, lr=3e-3, patience=n)
+            config = TrainConfig(batch_size=4, epochs=n, lr=4e-3, patience=n)
             result = train(
-                model, pairs[:12], pairs[12:18], features, config, np.random.default_rng(1)
+                model, pairs[:12], pairs[12:18], features, config, np.random.default_rng(5)
             )
             return model, result
 
@@ -288,9 +288,11 @@ class TestDedupedBatch:
     @pytest.mark.parametrize(
         "variant, dropout, reference",
         [
-            ("mfcc", 0.5, "two_twin"),
             ("fusion", 0.0, "two_twin"),
-            # fusion draws its masks branch by branch, not side by side
+            # a mask drawn by its hits over 2B rows is not two B-row masks
+            # side by side, so with dropout on only one batch of 2B rows
+            # draws the deduped batch's mask
+            ("mfcc", 0.5, "one_batch"),
             ("fusion", 0.5, "one_batch"),
         ],
     )
@@ -300,10 +302,7 @@ class TestDedupedBatch:
         model = self.model(variant, dropout)
         got_loss, got = self.grads(model, self.deduped, pairs, features)
         want_loss, want = self.grads(model, getattr(self, reference), pairs, features)
-        if variant == "mfcc":
-            assert got_loss == want_loss
-        else:
-            assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
         for g, w in zip(got, want):
             assert np.any(w != 0.0)
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -377,8 +376,12 @@ class TestDedupedBatch:
         # rows, one per side of each pair, which dense2 then reads
         assert gathered == [(10, 200)]
         w = model.dense1.weight.data.shape
+        forward_rows = [a[0] for a, b in products if b == w[::-1]]
         weight_grad_rows = [a[1] for a, b in products if (a[0], b[1]) == w]
         input_grad_rows = [a[0] for a, b in products if b == w]
+        # no product over the whole weight reads the 200 pair rows: only the
+        # dropped entries' correction does, over the weight's touched columns
+        assert forward_rows == [10]
         assert weight_grad_rows == [10] and input_grad_rows == [10]
         # validation: both dense layers run over the 10 distinct samples
         assert dense_rows == [("dense2", 200), ("dense1", 10), ("dense2", 10)]
