@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io_flags(p, strip_default=True):
-        _config_flag(p, "sample-rate")
         _config_flag(p, "resample", action="store_true")
         p.add_argument(
             "--strip",
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _config_flag(p, "strip-threshold")
         _config_flag(p, "strip-window-ms")
-        _config_flag(p, "segment-seconds")
 
     p = sub.add_parser("preprocess", help="strip, segment, and augment one recording")
     p.add_argument("--audio", required=True)

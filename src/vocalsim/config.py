@@ -9,7 +9,6 @@ the augmentation noise. Feature caches therefore survive a `seed` change.
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
 from .errors import DataError, is_file, read_text
 from .manifest import SPLIT_SEED
 from .models import HEADS, RELAPSE_THRESHOLD, ModelSpec
@@ -34,12 +33,10 @@ class ExperimentConfig:
 
     manifest: str = ""
     workdir: str = "runs"
-    sample_rate: int = SAMPLE_RATE
     resample: bool = False
 
     strip_threshold: float = STRIP_THRESHOLD
     strip_window_ms: float = STRIP_WINDOW_MS
-    segment_seconds: float = SEGMENT_SECONDS
 
     augment: bool = True
     augment_train_only: bool = True
@@ -102,13 +99,6 @@ class ExperimentConfig:
         if self.text_resize not in TEXT_RESIZE_MODES:
             raise DataError(
                 f"text_resize must be one of {TEXT_RESIZE_MODES}, got {self.text_resize!r}"
-            )
-        # the extractors read only fixed-length segments at one rate
-        if self.sample_rate != SAMPLE_RATE:
-            raise DataError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
-        if self.segment_seconds != SEGMENT_SECONDS:
-            raise DataError(
-                f"segment_seconds must be {SEGMENT_SECONDS}, got {self.segment_seconds}"
             )
         for name in ("strip_window_ms", "pairs_per_sample"):
             if getattr(self, name) <= 0:

@@ -98,7 +98,6 @@ def write_container(
     path,
     layers: list[LayerDesc] = (),
     named: dict[str, np.ndarray] | None = None,
-    version: int = VERSION,
 ) -> None:
     """Serialize layers plus named tensors. Named entries are written in
     sorted-name order so equal content produces byte-identical files.
@@ -108,7 +107,7 @@ def write_container(
     is replaced, never rewritten under it. A failed write leaves the old
     file as it was."""
     named = named or {}
-    parts = [MAGIC, struct.pack("<II", version, len(layers))]
+    parts = [MAGIC, struct.pack("<II", VERSION, len(layers))]
     for layer in layers:
         parts.append(struct.pack("<II", KIND_TO_CODE[layer.kind], len(layer.tensors)))
         for arr in layer.tensors:

@@ -45,6 +45,17 @@ class Signal:
         return self.samples.size / self.sample_rate
 
 
+def check_segment(segment: Signal) -> None:
+    """Raise ValueError unless `segment` holds SEGMENT_SAMPLES samples at
+    SAMPLE_RATE, the one input the feature extractors read."""
+    if segment.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {segment.sample_rate}")
+    if len(segment) != SEGMENT_SAMPLES:
+        raise ValueError(
+            f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
+        )
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Generalized-Hamming window parameters: w[n] = alpha - beta*cos(2*pi*n/(N-1))."""

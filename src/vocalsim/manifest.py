@@ -169,11 +169,11 @@ def _pcm16_mono(path, read_frames: bool = True) -> tuple:
     return rate, frames
 
 
-def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> Signal:
+def read_wav(path, resample: bool = False) -> Signal:
     """Load a PCM 16-bit mono WAV as float samples in [-1, 1).
 
-    A rate other than `expected_rate` is an error unless `resample` is set,
-    in which case the samples are linearly interpolated to the expected rate.
+    A rate other than SAMPLE_RATE is an error unless `resample` is set, in
+    which case the samples are linearly interpolated to SAMPLE_RATE.
     """
     path = Path(path)
     if not is_file(path, "audio file"):
@@ -184,14 +184,14 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE, resample: bool = False) -> 
             f"{path}: audio data of {len(frames)} bytes is not a whole number of 16-bit samples"
         )
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / PCM16_SCALE
-    if rate != expected_rate:
+    if rate != SAMPLE_RATE:
         if not resample:
             raise DataError(
-                f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz "
+                f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz "
                 "(enable resampling to convert)"
             )
-        samples = _resample(samples, rate, expected_rate)
-    return Signal(samples, expected_rate)
+        samples = _resample(samples, rate, SAMPLE_RATE)
+    return Signal(samples, SAMPLE_RATE)
 
 
 def _resample(samples: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:

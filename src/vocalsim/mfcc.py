@@ -28,6 +28,7 @@ from .dsp import (
     MelFilterBank,
     Signal,
     WindowSpec,
+    check_segment,
     dct_basis,
     frame_signal,
     hamming_window,
@@ -64,12 +65,7 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
     a windowed frame projected onto the cosine basis; the mel energies use the
     squared magnitude spectrum.
     """
-    if segment.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {segment.sample_rate}")
-    if len(segment) != SEGMENT_SAMPLES:
-        raise ValueError(
-            f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
-        )
+    check_segment(segment)
     window, bank, basis = _analysis_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
     out = np.empty((len(frames), NUM_COEFFS))

@@ -8,6 +8,7 @@ linear units for the score-difference head.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from . import autodiff as ad
 from .autodiff import Constant, Conv1dLayer, DenseLayer, Tensor
 from .container import map_container, write_container
 from .errors import DataError, NumericError
+from .mfcc import NUM_COEFFS, NUM_FRAMES
+from .textfeat import NUM_DIMS, NUM_WORDS
+from .vggish import EMBED_DIM, NUM_PATCHES
 
 # the FeatureSet fields each model variant reads, in feature-cache order
 VARIANT_FIELDS = {
@@ -25,9 +29,12 @@ VARIANT_FIELDS = {
 }
 VARIANTS = tuple(VARIANT_FIELDS)
 HEADS = {"binary": 2, "score25": 25}
-MFCC_INPUT = (60, 378)  # channels x length
-VGGISH_INPUT = (128, 14)
-TEXT_FLAT = 540
+# the (rows, columns) of each FeatureSet matrix, as its extractor returns it
+FEATURE_SHAPES = {
+    "mfcc": (NUM_FRAMES, NUM_COEFFS),  # frames x coefficients
+    "vggish": (NUM_PATCHES, EMBED_DIM),  # patches x embedding dims
+    "text": (NUM_DIMS, NUM_WORDS),  # dims x words
+}
 SIMILAR_INDEX = 0
 RELAPSE_THRESHOLD = 0.5  # mean similarity at which detect_relapse flags relapse
 ENCODE_BATCH = 100  # rows per encode call when scoring many sets
@@ -35,11 +42,12 @@ ENCODE_BATCH = 100  # rows per encode call when scoring many sets
 
 @dataclass
 class FeatureSet:
-    """Per-segment features; only the fields a variant needs must be present."""
+    """Per-segment feature matrices, shaped as FEATURE_SHAPES gives; only
+    the fields a variant needs must be present."""
 
-    mfcc: np.ndarray | None = None  # (378, 60) frames x coefficients
-    vggish: np.ndarray | None = None  # (14, 128) patches x embedding dims
-    text: np.ndarray | None = None  # (60, 9) dims x words
+    mfcc: np.ndarray | None = None
+    vggish: np.ndarray | None = None
+    text: np.ndarray | None = None
 
 
 @dataclass
@@ -71,9 +79,11 @@ class ModelSpec:
 
 
 class _ConvBranch:
-    """conv -> relu -> conv -> relu -> flatten, shared by twins."""
+    """conv -> relu -> conv -> relu -> flatten, shared by twins. It reads its
+    feature matrix transposed: the columns are its channels."""
 
-    def __init__(self, spec: ModelSpec, in_channels: int, in_length: int, rng):
+    def __init__(self, spec: ModelSpec, field: str, rng):
+        in_length, in_channels = FEATURE_SHAPES[field]
         self.conv1 = Conv1dLayer(in_channels, spec.filters, spec.kernel, spec.stride, rng)
         self.conv2 = Conv1dLayer(spec.filters, spec.filters, spec.kernel, spec.stride, rng)
         self.flat_dim = spec.filters * self.conv2.out_length(self.conv1.out_length(in_length))
@@ -101,13 +111,12 @@ class SiameseModel:
         self.vggish_branch = None
         fields = VARIANT_FIELDS[spec.variant]
         if "mfcc" in fields:
-            self.mfcc_branch = _ConvBranch(spec, MFCC_INPUT[0], MFCC_INPUT[1], rng)
+            self.mfcc_branch = _ConvBranch(spec, "mfcc", rng)
         if "vggish" in fields:
-            self.vggish_branch = _ConvBranch(spec, VGGISH_INPUT[0], VGGISH_INPUT[1], rng)
+            self.vggish_branch = _ConvBranch(spec, "vggish", rng)
         if "text" in fields:
-            concat_dim = (
-                self.mfcc_branch.flat_dim + self.vggish_branch.flat_dim + TEXT_FLAT
-            )
+            text_dim = math.prod(FEATURE_SHAPES["text"])
+            concat_dim = self.mfcc_branch.flat_dim + self.vggish_branch.flat_dim + text_dim
             self.fusion = DenseLayer(concat_dim, spec.fusion_width, rng)
             encoder_in = spec.fusion_width
         else:
@@ -130,34 +139,27 @@ class SiameseModel:
     # ---- input staging -------------------------------------------------
 
     def stack_inputs(self, feature_sets: list[FeatureSet]) -> dict[str, Tensor]:
-        """Batch feature sets into the channels-x-length tensors the branches
-        expect, as Constant leaves: no grad is computed for them. Raises
-        DataError when a needed field is missing or misshaped."""
+        """Batch feature sets into the tensors the model reads, as Constant
+        leaves: no grad is computed for them. A conv branch reads each matrix
+        as channels x length, its transpose; the fusion layer reads the text
+        matrix flattened. Raises DataError when a needed field is missing or
+        misshaped."""
         if not feature_sets:
             raise ValueError("need at least one feature set")
         tensors: dict[str, Tensor] = {}
-        if self.mfcc_branch is not None:
-            tensors["mfcc"] = Constant(
-                np.stack([self._field(fs, "mfcc", (378, 60)).T for fs in feature_sets])
-            )
-        if self.vggish_branch is not None:
-            tensors["vggish"] = Constant(
-                np.stack([self._field(fs, "vggish", (14, 128)).T for fs in feature_sets])
-            )
-        if self.fusion is not None:
-            tensors["text"] = Constant(
-                np.stack([self._field(fs, "text", (60, 9)).ravel() for fs in feature_sets])
-            )
+        for name in VARIANT_FIELDS[self.spec.variant]:
+            rows = [self._field(fs, name) for fs in feature_sets]
+            tensors[name] = Constant(np.stack([m.ravel() if name == "text" else m.T for m in rows]))
         return tensors
 
     @staticmethod
-    def _field(fs: FeatureSet, name: str, expected: tuple[int, int]) -> np.ndarray:
+    def _field(fs: FeatureSet, name: str) -> np.ndarray:
         value = getattr(fs, name)
         if value is None:
             raise DataError(f"feature set lacks the {name} matrix")
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != expected:
-            raise DataError(f"{name} matrix must be {expected}, got {value.shape}")
+        if value.shape != FEATURE_SHAPES[name]:
+            raise DataError(f"{name} matrix must be {FEATURE_SHAPES[name]}, got {value.shape}")
         return value
 
     # ---- forward passes ------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .container import read_container, tensor_names, write_container
+from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
 from .errors import DataError, NumericError, replace_text
 from .manifest import SPLITS, load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
@@ -146,10 +147,10 @@ def recording_segments(
     it into segments. Returns one group per segment: the original, then its
     noise and pitch variants when `augment` is set. Empty when the recording
     is shorter than one segment."""
-    signal = read_wav(audio, config.sample_rate, config.resample)
+    signal = read_wav(audio, config.resample)
     if strip:
         signal = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
-    segments = segment(signal, config.segment_seconds)
+    segments = segment(signal)
     if not (augment and segments):
         return [[seg] for seg in segments]
     alphas = config.noise_alpha_values()
@@ -321,14 +322,16 @@ def train_and_save(
 
 
 def _feature_parts(config: ExperimentConfig, records) -> list:
+    # the fixed segment format sits where the sample_rate and segment_seconds
+    # keys were hashed, so caches made while those keys existed still match
     parts = [
         "features",
         config.variant,
-        config.sample_rate,
+        SAMPLE_RATE,
         config.resample,
         config.strip_threshold,
         config.strip_window_ms,
-        config.segment_seconds,
+        SEGMENT_SECONDS,
         config.augment,
         config.augment_train_only,
         config.augment_seed,

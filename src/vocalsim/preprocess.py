@@ -57,22 +57,19 @@ def strip_unvoiced(
     return Signal(out, signal.sample_rate)
 
 
-def segment_length(sample_rate: int, duration: float = SEGMENT_SECONDS) -> int:
-    return int(round(duration * sample_rate))
-
-
-def segment(signal: Signal, duration: float = SEGMENT_SECONDS) -> list[Segment]:
-    """Split into consecutive non-overlapping segments of `duration` seconds.
+def segment(signal: Signal) -> list[Segment]:
+    """Split into consecutive non-overlapping segments of SEGMENT_SECONDS
+    seconds, round(SEGMENT_SECONDS * rate) samples at the signal's rate.
 
     The trailing remainder shorter than one segment is dropped; an input
     shorter than one segment yields an empty list with a warning.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    seg_len = segment_length(signal.sample_rate, duration)
+    seg_len = int(round(SEGMENT_SECONDS * signal.sample_rate))
     count = len(signal) // seg_len
     if count == 0:
-        warnings.warn(f"signal of {signal.duration:.2f}s is shorter than one {duration}s segment")
+        warnings.warn(
+            f"signal of {signal.duration:.2f}s is shorter than one {SEGMENT_SECONDS}s segment"
+        )
         return []
     return [
         Segment(Signal(signal.samples[i * seg_len : (i + 1) * seg_len], signal.sample_rate))

@@ -154,20 +154,16 @@ def load_synonyms(path) -> dict[str, str]:
     return table
 
 
-def align_transcript(
-    utterances: list[TranscriptUtterance],
-    segment_index: int,
-    segment_duration: float = SEGMENT_SECONDS,
-) -> list[str]:
+def align_transcript(utterances: list[TranscriptUtterance], segment_index: int) -> list[str]:
     """Words of every utterance (both speakers) overlapping the half-open
-    window [duration*i, duration*(i+1)), in transcript order.
+    window [SEGMENT_SECONDS*i, SEGMENT_SECONDS*(i+1)), in transcript order.
 
     An utterance crossing a boundary contributes to every window it touches.
     """
     if segment_index < 0:
         raise ValueError("segment_index must be non-negative")
-    win_start = segment_duration * segment_index
-    win_stop = segment_duration * (segment_index + 1)
+    win_start = SEGMENT_SECONDS * segment_index
+    win_stop = SEGMENT_SECONDS * (segment_index + 1)
     words: list[str] = []
     for utt in utterances:
         if utt.start < win_stop and utt.stop > win_start:

@@ -36,6 +36,7 @@ from .dsp import (
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
     Signal,
+    check_segment,
     frame_signal,
     mel_filterbank,
     windowed_frames,
@@ -50,6 +51,7 @@ NUM_BANDS = 64
 NUM_FRAMES = 1 + (SEGMENT_SAMPLES - FRAME_LENGTH) // HOP_LENGTH  # 758
 PATCH_LENGTH = 96
 PATCH_HOP = 48
+NUM_PATCHES = 1 + (NUM_FRAMES - PATCH_LENGTH) // PATCH_HOP  # 14
 EMBED_DIM = 128
 
 # least frames per front-end share: the share's (frames, 257) @ (257, 64)
@@ -79,12 +81,7 @@ def log_mel_spectrogram(segment: Signal) -> np.ndarray:
     Unlike the cepstral path this operates on magnitudes, not power, and uses
     the natural log with the shared 1e-10 floor.
     """
-    if segment.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {segment.sample_rate}")
-    if len(segment) != SEGMENT_SAMPLES:
-        raise ValueError(
-            f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
-        )
+    check_segment(segment)
     window, weights = _front_end_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
     out = np.empty((len(frames), NUM_BANDS))

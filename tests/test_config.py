@@ -162,12 +162,19 @@ class TestValidation:
             ExperimentConfig(relapse_threshold=1.5).validate()
 
     @pytest.mark.parametrize(
-        "key, value", [("segment_seconds", 5.0), ("segment_seconds", 0.0), ("sample_rate", 8000)]
+        "key, value",
+        [
+            ("segment_seconds", 5.0),
+            ("segment_seconds", 0.0),
+            ("segment_seconds", 7.6),
+            ("sample_rate", 8000),
+            ("sample_rate", 16000),
+        ],
     )
     def test_segment_format_is_fixed(self, key, value):
-        # the extractors read only 7.6 s segments at 16 kHz
-        with pytest.raises(DataError, match=key):
-            ExperimentConfig(**{key: value}).validate()
+        # the format is fixed in dsp: neither key exists, even at its old default
+        with pytest.raises(DataError, match=f"<config>:1: unknown config key '{key}'"):
+            parse_config_text(f"{key} = {value}\n")
 
     def test_bad_alpha_list(self):
         with pytest.raises(DataError, match="noise_alphas"):

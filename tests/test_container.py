@@ -101,7 +101,7 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "v9.oswt"
-    write_container(path, version=9)
+    path.write_bytes(b"OSWT" + struct.pack("<II", 9, 0) + struct.pack("<I", 0))
     with pytest.raises(DataError, match="version"):
         read_container(path)
 

@@ -12,7 +12,6 @@ from vocalsim.preprocess import (
     inject_noise,
     pitch_shift,
     segment,
-    segment_length,
     strip_unvoiced,
 )
 
@@ -217,13 +216,11 @@ class TestSegment:
                 seg.signal.samples, x[i * SEG_SAMPLES : (i + 1) * SEG_SAMPLES]
             )
 
-    def test_duration_must_be_positive(self):
-        with pytest.raises(ValueError):
-            segment(Signal(np.zeros(SR), SR), duration=0.0)
-
     def test_segment_length_rounding(self):
-        assert segment_length(16000) == 121600
-        assert segment_length(8000) == 60800
+        # round(7.6 * 8000) samples at 8 kHz
+        segs = segment(Signal(np.arange(2 * 60800 + 1, dtype=np.float64), 8000))
+        assert [len(seg.signal) for seg in segs] == [60800, 60800]
+        assert segs[1].signal.samples[0] == 60800
 
     def test_strip_then_segment_only_full_length(self):
         rng = np.random.default_rng(11)
