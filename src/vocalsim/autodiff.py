@@ -282,7 +282,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     x: (C, L) or (B, C, L); weight: (F, C, K); bias: (F,).
     Output length is (L - K)//stride + 1. The output is a (B, F, T) view of a
     (B, T, F) buffer. relu=True rectifies that buffer in place, which equals
-    relu(conv1d(...)) without a second output-sized array.
+    relu(conv1d(...)) without a second output-sized array. The input is read
+    fastest as such a view, the (B, C, L) transpose of a C-contiguous
+    (B, L, C) array; any layout gives the same bits.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -297,10 +299,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     if L < K:
         raise ValueError(f"input length {L} shorter than kernel {K}")
     T = (L - K) // stride + 1
-    taps = np.lib.stride_tricks.sliding_window_view(xb, K, axis=2)[:, :, ::stride, :]
     # im2col once: the (B*T, C*K) tap matrix feeds the forward GEMM and,
-    # kept by the closure, the weight-grad GEMM
-    taps_mat = taps.transpose(0, 2, 1, 3).reshape(B * T, C * K)
+    # kept by the closure, the weight-grad GEMM. Tap k of every (row, time)
+    # is one slab copy of channel runs from the channels-last (B, L, C)
+    # layout, which a stacked input and a conv output both have
+    x_blc = xb.transpose(0, 2, 1)
+    taps_mat = np.empty((B * T, C * K))
+    taps = taps_mat.reshape(B, T, C, K)
+    for k in range(K):
+        taps[:, :, :, k] = x_blc[:, k : k + stride * T : stride, :]
     w_mat = w.reshape(F, C * K)
     out = taps_mat @ w_mat.T
     out += b

@@ -16,6 +16,9 @@ LOG_FLOOR = 1e-10  # floor under mel energies before taking logs
 SAMPLE_RATE = 16000
 SEGMENT_SECONDS = 7.6
 SEGMENT_SAMPLES = int(round(SEGMENT_SECONDS * SAMPLE_RATE))  # 121600
+# rows per block when a front end walks a segment's frames: each windowed
+# buffer and spectrum then stays near a megabyte
+FRAME_BLOCK = 128
 
 
 @dataclass

@@ -2,15 +2,16 @@
 magnitude spectra, 60 mel power bands, log10 + cosine transform, 60
 coefficients. A 7.6 s segment at 16 kHz yields a 378x60 matrix.
 
-The 378 frames are cut into row shares on the package's workers (see
-`workers.py`), at least _SHARE_FRAMES frames each. A share multiplies its
-rows of the strided frame view by the window straight into its own
-zero-padded (rows, 1024) buffer (`dsp.windowed_frames`), so no frame is
+One call runs on the calling thread: the corpus is featurized in shares of
+whole variants (see `pipeline.py`), so a segment's frames are not cut. The
+378 frames are walked in blocks of `dsp.FRAME_BLOCK` rows. A block
+multiplies its rows of the strided frame view by the window straight into
+a zero-padded (rows, 1024) buffer (`dsp.windowed_frames`), so no frame is
 copied and the FFT pads nothing; the buffer holds the bits that
-`rfft(frame * window, n=1024)` would pad each frame to. The share's frames
+`rfft(frame * window, n=1024)` would pad each frame to. The block's frames
 go through one batched real FFT. The filter bank and the cosine transform
 are then one stacked `np.matmul` each, matrix times a (rows, n, 1) stack of
-column vectors, and the share writes its rows of the output. Each FFT row
+column vectors, and the block writes its rows of the output. Each FFT row
 and each stack item is the same call, on the same operands, however the
 frames are cut: the stack item is the BLAS matrix-vector call (`dgemv`)
 that `bank.weights @ spectrum` makes for one frame, so every row stays
@@ -22,6 +23,7 @@ import functools
 import numpy as np
 
 from .dsp import (
+    FRAME_BLOCK,
     LOG_FLOOR,
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
@@ -35,7 +37,6 @@ from .dsp import (
     mel_filterbank,
     windowed_frames,
 )
-from .workers import _cut, _in_shares
 
 FRAME_LENGTH = 960  # 60 ms
 HOP_LENGTH = 320  # 20 ms
@@ -43,10 +44,6 @@ N_FFT = 1024
 NUM_FILTERS = 60
 NUM_COEFFS = 60
 NUM_FRAMES = 1 + (SEGMENT_SAMPLES - FRAME_LENGTH) // HOP_LENGTH  # 378
-
-# least frames per share: a share of a segment's analysis then takes over a
-# millisecond, well above the cost of handing it to a worker
-_SHARE_FRAMES = 64
 
 
 @functools.cache
@@ -69,14 +66,11 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
     window, bank, basis = _analysis_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
     out = np.empty((len(frames), NUM_COEFFS))
-
-    def share(i, parts):
-        rows = _cut(len(frames), i, parts)
+    for start in range(0, len(frames), FRAME_BLOCK):
+        rows = slice(start, start + FRAME_BLOCK)
         power = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
         power *= power
         energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
         logs = np.log10(np.maximum(energies, LOG_FLOOR))
         out[rows] = np.matmul(basis, logs[:, :, None])[:, :, 0]
-
-    _in_shares(share, len(frames) // _SHARE_FRAMES)
     return out

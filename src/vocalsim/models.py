@@ -141,15 +141,19 @@ class SiameseModel:
     def stack_inputs(self, feature_sets: list[FeatureSet]) -> dict[str, Tensor]:
         """Batch feature sets into the tensors the model reads, as Constant
         leaves: no grad is computed for them. A conv branch reads each matrix
-        as channels x length, its transpose; the fusion layer reads the text
-        matrix flattened. Raises DataError when a needed field is missing or
-        misshaped."""
+        as channels x length, its transpose: the (B, C, L) view of the
+        (B, L, C) stack of the matrices as they are, the layout conv1d reads
+        fastest. The fusion layer reads the text matrix flattened. Raises
+        DataError when a needed field is missing or misshaped."""
         if not feature_sets:
             raise ValueError("need at least one feature set")
         tensors: dict[str, Tensor] = {}
         for name in VARIANT_FIELDS[self.spec.variant]:
-            rows = [self._field(fs, name) for fs in feature_sets]
-            tensors[name] = Constant(np.stack([m.ravel() if name == "text" else m.T for m in rows]))
+            stacked = np.stack([self._field(fs, name) for fs in feature_sets])
+            if name == "text":
+                tensors[name] = Constant(stacked.reshape(len(feature_sets), -1))
+            else:
+                tensors[name] = Constant(stacked.transpose(0, 2, 1))
         return tensors
 
     @staticmethod

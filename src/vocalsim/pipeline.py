@@ -6,6 +6,17 @@ This module alone decides how a recording becomes feature tensors
 model is trained and saved (`train_and_save`); the command line calls the
 same functions.
 
+Featurization is cut at one level, the variant units of a segment
+(`preprocess.variant_units`): its original, its noise variants as one unit,
+and each pitch variant. Recordings are featurized one at a time in
+manifest order. The calling thread reads, strips and cuts a recording and
+makes each segment's text; the recording's units then run in shares on the
+package's workers (`workers._map_in_shares`), each building its variants
+from the original segment one at a time and running the extractors on
+them, and their tensors merge in unit order. The extractors themselves cut
+nothing, so every tensor, its name and its order are those of featurizing
+every variant in turn on one thread.
+
 Every cached stage (features, pairs, train, eval) runs through one rule,
 `_cached_stage`. A stage whose input hash (files plus the config fields it
 depends on) matches its entry in `stage_state.json` under the working
@@ -46,10 +57,11 @@ from .models import (
     save_checkpoint,
 )
 from .pairs import PairSet, SampleRef, make_pairs, read_pairs_csv, write_pairs_csv
-from .preprocess import Segment, augment_corpus, segment, strip_unvoiced
+from .preprocess import Segment, segment, segment_seeds, strip_unvoiced, variant_units
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
 from .training import TrainResult, train
 from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
+from .workers import _map_in_shares
 
 STATE_FILE = "stage_state.json"
 
@@ -140,6 +152,29 @@ def feature_tools(config: ExperimentConfig) -> tuple:
     return embed_net, pca, lexicon
 
 
+def _recording_cut(config: ExperimentConfig, audio, strip: bool) -> list[Segment]:
+    """Read one recording, drop its unvoiced windows (when `strip`), and cut
+    it into segments."""
+    signal = read_wav(audio, config.resample)
+    if strip:
+        signal = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
+    return segment(signal)
+
+
+def _segment_units(config: ExperimentConfig, segments, augment: bool) -> list[list]:
+    """Each segment's variant units (`preprocess.variant_units`): its
+    original alone, or with `augment` its noise and pitch units too, segment
+    i drawing its noise from child i of the augment seed."""
+    if not augment:
+        return [variant_units(seg, None, (), ()) for seg in segments]
+    alphas = config.noise_alpha_values()
+    semitones = config.pitch_semitone_values()
+    seeds = segment_seeds(config.augment_seed, len(segments))
+    return [
+        variant_units(seg, child, alphas, semitones) for seg, child in zip(segments, seeds)
+    ]
+
+
 def recording_segments(
     config: ExperimentConfig, audio, strip: bool = True, augment: bool = False
 ) -> list[list[Segment]]:
@@ -147,19 +182,29 @@ def recording_segments(
     it into segments. Returns one group per segment: the original, then its
     noise and pitch variants when `augment` is set. Empty when the recording
     is shorter than one segment."""
-    signal = read_wav(audio, config.resample)
-    if strip:
-        signal = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
-    segments = segment(signal)
-    if not (augment and segments):
-        return [[seg] for seg in segments]
-    alphas = config.noise_alpha_values()
-    semitones = config.pitch_semitone_values()
-    per_segment = 1 + len(alphas) + len(semitones)
-    expanded = augment_corpus(segments, config.augment_seed, alphas, semitones)
+    segments = _recording_cut(config, audio, strip)
     return [
-        expanded[i * per_segment : (i + 1) * per_segment] for i in range(len(segments))
+        [variant for unit in units for variant in unit()]
+        for units in _segment_units(config, segments, augment)
     ]
+
+
+def _featurize_unit(fields, tools: tuple, unit: tuple) -> dict:
+    """The feature tensors of one (sample id prefix, variant unit, text)
+    unit, keyed `prefix/segment/provenance/field`, its variants built one at
+    a time."""
+    sample_prefix, variants, text = unit
+    embed_net, pca, _ = tools
+    tensors: dict[str, np.ndarray] = {}
+    for variant in variants():
+        sample_id = f"{sample_prefix}/{variant.provenance}"
+        if "mfcc" in fields:
+            tensors[f"{sample_id}/mfcc"] = extract_mfcc(variant.signal)
+        if "vggish" in fields:
+            tensors[f"{sample_id}/vggish"] = extract_vggish(variant.signal, embed_net, pca)
+        if text is not None:
+            tensors[f"{sample_id}/text"] = text
+    return tensors
 
 
 def featurize_recording(
@@ -174,37 +219,38 @@ def featurize_recording(
     """Feature tensors of one recording for `config.variant`, keyed
     `prefix/segment/provenance/field` in segment order. The text of a
     segment is shared by its variants. Empty when the recording is shorter
-    than one segment; a fusion recording needs a transcript."""
+    than one segment; a fusion recording needs a transcript.
+
+    The recording is read, stripped and cut, and each segment's text made,
+    on the calling thread; then the segments' variant units run in shares
+    (workers._map_in_shares) and their tensors merge in unit order. Inside
+    a share, such as one recording of a predict-relapse request, the units
+    run inline."""
     fields = VARIANT_FIELDS[config.variant]
-    embed_net, pca, lexicon = tools
-    groups = recording_segments(config, audio, strip, augment)
+    segments = _recording_cut(config, audio, strip)
     words = None
-    if groups and "text" in fields:
+    if segments and "text" in fields:
         if not transcript:
             raise ValueError("fusion variant needs a transcript for each recording")
         words = load_transcript(transcript)
-    tensors: dict[str, np.ndarray] = {}
-    for seg_index, group in enumerate(groups):
+    units = []
+    for seg_index, seg_units in enumerate(_segment_units(config, segments, augment)):
         text = None
         if words is not None:
-            text = extract_text(words, seg_index, lexicon, config.text_resize)
-        for variant_seg in group:
-            sample_id = f"{prefix}/{seg_index:05d}/{variant_seg.provenance}"
-            if "mfcc" in fields:
-                tensors[f"{sample_id}/mfcc"] = extract_mfcc(variant_seg.signal)
-            if "vggish" in fields:
-                tensors[f"{sample_id}/vggish"] = extract_vggish(
-                    variant_seg.signal, embed_net, pca
-                )
-            if text is not None:
-                tensors[f"{sample_id}/text"] = text
+            text = extract_text(words, seg_index, tools[2], config.text_resize)
+        units += [(f"{prefix}/{seg_index:05d}", unit, text) for unit in seg_units]
+    tensors: dict[str, np.ndarray] = {}
+    for part in _map_in_shares(partial(_featurize_unit, fields, tools), units):
+        tensors.update(part)
     return tensors
 
 
 def extract_corpus_features(config: ExperimentConfig, records) -> dict:
     """Compute every sample's feature tensors, keyed
     `subject/segment/provenance/field`. Augmented variants are produced for
-    the train split (or for all splits when augment_train_only is off)."""
+    the train split (or for all splits when augment_train_only is off).
+    Recordings are featurized one at a time, in manifest order, so one
+    recording's audio is held at a time."""
     tools = feature_tools(config)
     tensors: dict[str, np.ndarray] = {}
     for record in records:

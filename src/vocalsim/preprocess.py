@@ -1,6 +1,7 @@
 """Voiced-speech extraction, fixed-length segmentation, and the two audio
 augmentation transforms (additive uniform noise, pitch lowering)."""
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -78,11 +79,17 @@ def segment(signal: Signal) -> list[Segment]:
 
 
 def inject_noise(signal: Signal, alpha: float, rng) -> Signal:
-    """Perturb each sample by -alpha times a Uniform[0,1) draw from rng."""
+    """Perturb each sample by -alpha times a Uniform[0,1) draw from rng.
+
+    The draws are scaled and added in place, in one array: -alpha * u + x
+    is exactly x - alpha * u, as negation and addition order round alike.
+    """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    noise = rng.random(len(signal))
-    return Signal(signal.samples - alpha * noise, signal.sample_rate)
+    noisy = rng.random(len(signal))
+    np.multiply(noisy, -alpha, out=noisy)
+    noisy += signal.samples
+    return Signal(noisy, signal.sample_rate)
 
 
 def pitch_shift(signal: Signal, semitones: float) -> Signal:
@@ -109,6 +116,46 @@ def pitch_shift(signal: Signal, semitones: float) -> Signal:
     return Signal(shifted, signal.sample_rate)
 
 
+def segment_seeds(seed, count: int) -> list:
+    """The noise seed of each of `count` segments: child i of `seed` (an int
+    or SeedSequence) for segment i, so a segment's noise draws depend on its
+    position alone, not on processing order or on its neighbours."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(count)
+
+
+def variant_units(
+    seg: Segment,
+    child,
+    noise_alphas=NOISE_ALPHAS,
+    pitch_semitones=PITCH_SEMITONES,
+) -> list:
+    """The variants of one segment, cut into units that can be built apart.
+
+    Each unit is a function of no arguments that yields its Segments one at
+    a time, so building a unit holds one variant signal at a time. The units
+    are the original; the noise variants, as one unit, because they draw in
+    order from the one stream seeded by `child`; then each pitch variant as a
+    unit of its own. With no factors the original is the only unit. Their
+    variants, in unit order, are augment_corpus's variants of the segment.
+    """
+
+    def original():
+        yield seg
+
+    def noise():
+        rng = np.random.default_rng(child)
+        for alpha in noise_alphas:
+            yield Segment(inject_noise(seg.signal, alpha, rng), f"noise-{alpha:g}")
+
+    def pitch(semis):
+        yield Segment(pitch_shift(seg.signal, semis), f"pitch-{semis:g}")
+
+    units = [original, noise] if len(noise_alphas) else [original]
+    return units + [functools.partial(pitch, semis) for semis in pitch_semitones]
+
+
 def augment_corpus(
     segments: list[Segment],
     seed,
@@ -117,21 +164,15 @@ def augment_corpus(
 ) -> list[Segment]:
     """Expand each segment into original + noise and pitch variants.
 
-    With the default factor lists each segment yields 7 variants. Noise draws
-    come from a per-segment child stream of `seed` (an int or SeedSequence),
-    so results do not depend on processing order.
+    With the default factor lists each segment yields 7 variants: those of
+    variant_units, unit by unit. Noise draws come from the segment's child
+    stream of `seed` (segment_seeds), so results do not depend on
+    processing order.
     """
     if not segments:
         raise ValueError("augment_corpus requires at least one segment")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    children = seed.spawn(len(segments))
     out = []
-    for seg, child in zip(segments, children):
-        rng = np.random.default_rng(child)
-        out.append(seg)
-        for alpha in noise_alphas:
-            out.append(Segment(inject_noise(seg.signal, alpha, rng), f"noise-{alpha:g}"))
-        for semis in pitch_semitones:
-            out.append(Segment(pitch_shift(seg.signal, semis), f"pitch-{semis:g}"))
+    for seg, child in zip(segments, segment_seeds(seed, len(segments))):
+        for unit in variant_units(seg, child, noise_alphas, pitch_semitones):
+            out.extend(unit())
     return out

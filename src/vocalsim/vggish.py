@@ -1,28 +1,30 @@
 """Log-mel front-end, 96-frame patching, loadable embedding network, and PCA
 post-processing. A 7.6 s segment becomes a 14x128 embedding matrix.
 
-Both the front end and `embed` cut their rows into shares on the package's
-workers (see `workers.py`), and each share writes its rows of one output.
-Every row keeps its bits however the rows are cut.
+One call runs on the calling thread: the corpus is featurized in shares of
+whole variants (see `pipeline.py`), so neither the frames nor the patches of
+a segment are cut into shares. Every row keeps its bits however the rows
+are cut.
 
-The front end cuts the 758 frames into shares of at least _SHARE_FRAMES. A
-share windows its rows of the strided frame view straight into its own
-zero-padded (rows, 512) buffer (`dsp.windowed_frames`), takes one batched
-real FFT of it, with the bits of `rfft(frame * window, n=512)` per frame,
-and projects the magnitudes onto the mel bank in one product. That product
-holds over 10^6 multiply-adds, above the size below which the BLAS takes a
-small-matrix kernel, so its rows are those of the product over all frames.
+The front end walks the 758 frames in blocks of `dsp.FRAME_BLOCK` rows, the
+tail merged into the last block (`_mel_blocks`). A block windows its rows of
+the strided frame view straight into a zero-padded (rows, 512) buffer
+(`dsp.windowed_frames`), takes one batched real FFT of it, with the bits of
+`rfft(frame * window, n=512)` per frame, and projects the magnitudes onto
+the mel bank in one product. With at least 128 rows that product holds 2.1 M
+multiply-adds, twice the size (measured near 10^6) below which the BLAS
+takes a small-matrix kernel whose sums can differ in the last bit, so its
+rows are those of the product over all frames.
 
-`embed` cuts the patch stack into shares of at least _SHARE_PATCHES and
-runs each share's patches through each layer as one stacked pass, as the
-VGGish reference runs its [examples, 96, 64] batch. A conv layer is one
-`np.matmul` of the (F, C*K) weight matrix with a C-contiguous (P, C*K, T)
-tap stack, and a dense layer one `np.matmul` of the weight matrix with a
-(P, n, 1) stack of column vectors. Each stack item is the `dgemm` or
-`dgemv` call that `np.tensordot` or `w @ x` makes for a single patch, on
-operands of the same layout, so every embedding keeps the bits of the
-per-patch loop (a single matrix-matrix product over all patches would
-round differently)."""
+`embed` runs the whole patch stack through each layer as one stacked pass,
+as the VGGish reference runs its [examples, 96, 64] batch. A conv layer is
+one `np.matmul` of the (F, C*K) weight matrix with a C-contiguous
+(P, C*K, T) tap stack, and a dense layer one `np.matmul` of the weight
+matrix with a (P, n, 1) stack of column vectors. Each stack item is the
+`dgemm` or `dgemv` call that `np.tensordot` or `w @ x` makes for a single
+patch, on operands of the same layout, so every embedding keeps the bits
+of the per-patch loop (a single matrix-matrix product over all patches
+would round differently)."""
 
 import functools
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ import numpy as np
 from .autodiff import glorot_uniform
 from .container import LayerDesc, read_container, write_container
 from .dsp import (
+    FRAME_BLOCK,
     LOG_FLOOR,
     SAMPLE_RATE,
     SEGMENT_SAMPLES,
@@ -42,7 +45,6 @@ from .dsp import (
     windowed_frames,
 )
 from .errors import DataError
-from .workers import _cut, _in_shares
 
 FRAME_LENGTH = 400  # 25 ms
 HOP_LENGTH = 160  # 10 ms
@@ -53,14 +55,6 @@ PATCH_LENGTH = 96
 PATCH_HOP = 48
 NUM_PATCHES = 1 + (NUM_FRAMES - PATCH_LENGTH) // PATCH_HOP  # 14
 EMBED_DIM = 128
-
-# least frames per front-end share: the share's (frames, 257) @ (257, 64)
-# mel product then holds 2.1 M multiply-adds, twice the size (measured near
-# 10^6) below which the BLAS takes a small-matrix kernel whose sums can
-# differ in the last bit from those of the product over all frames
-_SHARE_FRAMES = 128
-# least patches per embedding share, about half a millisecond of work
-_SHARE_PATCHES = 4
 
 
 def periodic_hann(length: int) -> np.ndarray:
@@ -85,14 +79,17 @@ def log_mel_spectrogram(segment: Signal) -> np.ndarray:
     window, weights = _front_end_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
     out = np.empty((len(frames), NUM_BANDS))
-
-    def share(i, parts):
-        rows = _cut(len(frames), i, parts)
+    for rows in _mel_blocks(len(frames)):
         magnitudes = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
         out[rows] = np.log(np.maximum(magnitudes @ weights.T, LOG_FLOOR))
-
-    _in_shares(share, len(frames) // _SHARE_FRAMES)
     return out
+
+
+def _mel_blocks(n_frames: int) -> list[slice]:
+    """Blocks of FRAME_BLOCK rows, the tail merged into the last block, so
+    no mel product has fewer than FRAME_BLOCK rows unless all frames do."""
+    starts = list(range(0, max(n_frames - FRAME_BLOCK, 0) + 1, FRAME_BLOCK))
+    return [slice(start, end) for start, end in zip(starts, starts[1:] + [n_frames])]
 
 
 def patchify(
@@ -128,10 +125,9 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     patch enters as channels x length (bands become channels). Conv layers
     are valid, stride 1; dense weights are (out, in). The output must be a
     128-vector per patch; any dimension mismatch names the offending layer.
-    The patches are cut into shares, and every layer is one stacked pass
-    over a share's patches whose items are the BLAS calls a single patch
-    makes, so each row has the bits of a one-patch call (see the module
-    docstring).
+    Every layer is one stacked pass over the patches whose items are the
+    BLAS calls a single patch makes, so each row has the bits of a one-patch
+    call (see the module docstring).
     """
     x = np.asarray(patches, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -140,18 +136,6 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     if single:
         x = x[None]
     x = x.transpose(0, 2, 1)
-    out = np.empty((x.shape[0], EMBED_DIM))
-
-    def share(i, parts):
-        rows = _cut(len(x), i, parts)
-        out[rows] = _embed_stack(x[rows], weights)
-
-    _in_shares(share, len(x) // _SHARE_PATCHES)
-    return out[0] if single else out
-
-
-def _embed_stack(x: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
-    """The (P, 128) embeddings of a (P, bands, frames) stack of patches."""
     count = x.shape[0]
     for i, layer in enumerate(weights):
         try:
@@ -190,7 +174,7 @@ def _embed_stack(x: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
         raise DataError(
             f"embedding network must end in a {EMBED_DIM}-vector, got shape {x.shape[1:]}"
         )
-    return x
+    return x[0] if single else x
 
 
 @dataclass

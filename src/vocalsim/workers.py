@@ -2,11 +2,12 @@
 
 The package uses every CPU in the process's affinity mask. A job that can
 be cut into independent shares (a column range of a product, a range of a
-parameter, a range of a segment's frames, one recording of a request) is
-run with _in_shares: the calling thread computes one share and a private
-pool of threads, created on first use and again in a forked child, the
-others. A job below two shares, and every job when the mask holds one
-CPU, runs on the calling thread alone, and no pool is made for it.
+parameter, one variant unit of a recording's segments, one recording of a
+request) is run with _in_shares, or with _map_in_shares for a list of
+items: the calling thread computes one share and a private pool of
+threads, created on first use and again in a forked child, the others. A
+job below two shares, and every job when the mask holds one CPU, runs on
+the calling thread alone, and no pool is made for it.
 
 A share never splits again: a job started inside a share runs inline on
 that share's thread, as one share. So a share may call any function of

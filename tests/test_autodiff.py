@@ -408,6 +408,25 @@ class TestFusedConvRelu:
         np.testing.assert_array_equal(grads[1][1], grads[0][1])
         np.testing.assert_array_equal(grads[1][2], grads[0][2])
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_channels_last_view_gives_the_same_bits(self, stride):
+        """The (B, C, L) view of a (B, L, C) array, the layout stack_inputs
+        and a conv output give, and a C-contiguous copy of that view give
+        the same output and grads."""
+        rng = np.random.default_rng(6)
+        channels_last = rng.normal(size=(3, 13, 4))
+        w, b = rng.normal(size=(5, 4, 3)), rng.normal(size=5)
+        probe = rng.normal(size=(3, 5, (13 - 3) // stride + 1))
+        view = channels_last.transpose(0, 2, 1)
+        results = []
+        for x in (view, np.ascontiguousarray(view)):
+            ts = [Tensor(x), Tensor(w), Tensor(b)]
+            out = conv1d(*ts, stride=stride, relu=True)
+            weighted_sum(out, probe).backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestGather:
     # repeats row 2, skips row 1, and takes rows out of order

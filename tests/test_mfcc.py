@@ -1,14 +1,10 @@
 """Tests for segment-level MFCC extraction."""
 
-import os
-import signal
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from vocalsim import mfcc
 from vocalsim import workers as pool
 from vocalsim.dsp import (
     LOG_FLOOR,
@@ -144,18 +140,21 @@ def noise_segment(seed: int = 21) -> Signal:
 
 @pytest.mark.parametrize("width", [2, 3])
 def test_frame_shares_equal_one_worker_bit_for_bit(workers, count_splits, width):
+    """Any worker count gives the one-worker bits, and the segment's frames
+    are extracted inline: no share is submitted."""
     seg = noise_segment()
     workers(1)
     want = extract_mfcc(seg)
     workers(width)
     limits = count_splits()
     got = extract_mfcc(seg)
-    assert limits == [NUM_FRAMES // mfcc._SHARE_FRAMES]
+    assert limits == []
     np.testing.assert_array_equal(got, want)
 
 
-def test_frames_below_two_shares_submit_nothing(workers, count_splits, monkeypatch):
-    monkeypatch.setattr(mfcc, "_SHARE_FRAMES", NUM_FRAMES // 2 + 1)
+def test_frames_below_two_shares_submit_nothing(workers, count_splits):
+    """A segment's frames are not cut into shares: the corpus is cut into
+    whole variants instead (see test_pipeline.py's TestCorpusShares)."""
     workers(2)
     limits = count_splits()
     extract_mfcc(noise_segment())
@@ -194,32 +193,3 @@ def test_extraction_inside_a_share_runs_inline(workers, monkeypatch):
     assert not thread.is_alive(), "a share that extracts MFCC hung"
     for g in got:
         np.testing.assert_array_equal(g, want)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_extracts_in_shares(workers):
-    workers(2)
-    seg = noise_segment()
-    want = extract_mfcc(seg)  # the parent's pool now has a thread
-    parent_workers = pool._workers_now
-    assert parent_workers is not None
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            same = np.array_equal(extract_mfcc(seg), want)
-            made = pool._workers_now
-            code = 0 if same and made is not None and made is not parent_workers else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung extracting MFCC")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status) == 0

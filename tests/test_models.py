@@ -165,6 +165,19 @@ class TestArchitecture:
         with pytest.raises(DataError, match="mfcc"):
             model.stack_inputs([FeatureSet(mfcc=np.zeros((60, 378)))])
 
+    def test_inputs_are_channels_last_views(self):
+        """A conv branch input is the (B, C, L) view of the (B, L, C) stack
+        of the matrices as they are, the layout conv1d reads fastest; text
+        is each matrix flattened."""
+        model = build_model(small_spec("fusion"))
+        sets = [features(1), features(2)]
+        inputs = model.stack_inputs(sets)
+        for name in ("mfcc", "vggish"):
+            data = inputs[name].data
+            np.testing.assert_array_equal(data, np.stack([getattr(fs, name).T for fs in sets]))
+            assert data.transpose(0, 2, 1).flags.c_contiguous
+        np.testing.assert_array_equal(inputs["text"].data, np.stack([fs.text.ravel() for fs in sets]))
+
     def test_vggish_variant_uses_only_vggish(self):
         model = build_model(small_spec("vggish"))
         out = model.forward(

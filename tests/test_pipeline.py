@@ -2,16 +2,26 @@
 
 import hashlib
 import json
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocalsim import pipeline
+from vocalsim import workers as pool
 from vocalsim.config import ExperimentConfig
+from vocalsim.container import LayerDesc
 from vocalsim.errors import DataError, replace_file, replace_text
-from vocalsim.manifest import write_wav
+from vocalsim.manifest import load_manifest, read_wav, write_wav
 from vocalsim.dsp import Signal
+from vocalsim.mfcc import extract_mfcc
+from vocalsim.models import VARIANT_FIELDS
+from vocalsim.preprocess import augment_corpus, segment, strip_unvoiced
+from vocalsim.textfeat import extract_text, load_transcript
+from vocalsim.vggish import extract_vggish, identity_pca, make_test_network, save_embedding_file
 from vocalsim.pipeline import (
     extract_corpus_features,
     features_from_cache,
@@ -100,6 +110,256 @@ class TestFeatureExtraction:
         assert tensors["s0/00000/original/mfcc"].shape == (378, 60)
         assert tensors["s0/00000/original/vggish"].shape == (14, 128)
         assert tensors["s0/00000/original/text"].shape == (60, 9)
+
+
+def serial_features(config, records) -> dict:
+    """The per-recording loop that corpus featurization must equal: in
+    manifest order, each recording is read, stripped, cut and augmented
+    whole (augment_corpus), then featurized variant by variant."""
+    fields = VARIANT_FIELDS[config.variant]
+    embed_net, pca, lexicon = pipeline.feature_tools(config)
+    tensors = {}
+    for record in records:
+        signal = read_wav(record.audio_path)
+        segments = segment(strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms))
+        if not segments:
+            continue
+        groups = [[seg] for seg in segments]
+        if config.augment and (record.split == "train" or not config.augment_train_only):
+            variants = augment_corpus(
+                segments,
+                config.augment_seed,
+                config.noise_alpha_values(),
+                config.pitch_semitone_values(),
+            )
+            per = len(variants) // len(segments)
+            groups = [variants[i * per : (i + 1) * per] for i in range(len(segments))]
+        words = load_transcript(record.transcript_path) if "text" in fields else None
+        for index, group in enumerate(groups):
+            text = None
+            if words is not None:
+                text = extract_text(words, index, lexicon, config.text_resize)
+            for variant in group:
+                sample_id = f"{record.subject_id}/{index:05d}/{variant.provenance}"
+                if "mfcc" in fields:
+                    tensors[f"{sample_id}/mfcc"] = extract_mfcc(variant.signal)
+                if "vggish" in fields:
+                    tensors[f"{sample_id}/vggish"] = extract_vggish(variant.signal, embed_net, pca)
+                if text is not None:
+                    tensors[f"{sample_id}/text"] = text
+    if not tensors:
+        raise DataError("no segments long enough to extract features from")
+    return tensors
+
+
+def assert_same_tensors(got: dict, want: dict) -> None:
+    """The same names in the same order, each with the same bytes."""
+    assert list(got) == list(want)
+    for name, tensor in want.items():
+        assert got[name].shape == tensor.shape and got[name].dtype == tensor.dtype, name
+        assert got[name].tobytes() == tensor.tobytes(), name
+
+
+def tensors_digest(tensors: dict) -> str:
+    h = hashlib.sha256()
+    for name, tensor in tensors.items():
+        h.update(name.encode("utf-8"))
+        h.update(tensor.tobytes())
+    return h.hexdigest()
+
+
+# (subject, split, seconds): two segments, a recording too short for one
+# segment, and unaugmented val and test recordings
+CORPUS_LAYOUT = (
+    ("s0", "train", 16.0),
+    ("s1", "val", 8.0),
+    ("s2", "train", 5.0),
+    ("s3", "train", 8.0),
+    ("s4", "test", 8.0),
+)
+
+
+def write_unit_corpus(tmp_path, layout=CORPUS_LAYOUT):
+    """A fusion corpus with a three-word lexicon, so text lookups hit."""
+    lines = ["subject_id,audio_path,transcript_path,phq_binary,phq_score,split\n"]
+    for i, (subject, split, seconds) in enumerate(layout):
+        cls = i % 2
+        tone_wav(tmp_path / f"{subject}.wav", 220 if cls == 0 else 880, seconds, seed=i)
+        (tmp_path / f"{subject}.tsv").write_text(
+            "start_time\tstop_time\tspeaker\tvalue\n"
+            "0.0\t8.0\tparticipant\tfeeling steady today\n"
+            "8.0\t16.0\tparticipant\tslept fine thanks\n",
+            encoding="utf-8",
+        )
+        lines.append(f"{subject},{subject}.wav,{subject}.tsv,{cls},{2 + 16 * cls},{split}\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    rng = np.random.default_rng(3)
+    lexicon = tmp_path / "lexicon.vec"
+    lexicon.write_text(
+        "".join(
+            word + " " + " ".join(f"{v:.5f}" for v in rng.normal(size=300)) + "\n"
+            for word in ("feeling", "steady", "slept")
+        ),
+        encoding="utf-8",
+    )
+    config = fast_config(
+        manifest, tmp_path / "run", variant="fusion", augment=True, lexicon=str(lexicon)
+    )
+    return config, load_manifest(manifest)
+
+
+@pytest.mark.filterwarnings("ignore:signal of .* is shorter than one")
+class TestCorpusShares:
+    """Corpus featurization runs each recording's variant units in shares,
+    and gives what the loop over whole augmented recordings gives."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_equals_the_serial_loop(self, tmp_path, workers, count_splits, width):
+        config, records = write_unit_corpus(tmp_path)
+        want = serial_features(config, records)
+        assert any(np.any(t != 0) for n, t in want.items() if n.endswith("/text"))
+        workers(width)  # 4: more workers than this machine may have CPUs
+        limits = count_splits()
+        assert_same_tensors(extract_corpus_features(config, records), want)
+        # a job per recording over its units: s0, s1, s3 and s4 have 10, 1, 5
+        # and 1, and a job of one unit runs on the calling thread
+        assert limits == [10, 5]
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_reads_a_recording_after_the_last_ones_units_ran(
+        self, tmp_path, workers, monkeypatch, width
+    ):
+        """A recording is read only once every unit of the recordings before
+        it has run, so one recording's audio is held at a time, however
+        large the corpus."""
+        layout = tuple((f"s{i}", "train", 8.0) for i in range(6))
+        config, records = write_unit_corpus(tmp_path, layout)
+        want = serial_features(config, records)
+        recording_cut, featurize_unit = pipeline._recording_cut, pipeline._featurize_unit
+        lock = threading.Lock()
+        order = []  # ("read", subject) and ("ran", subject of the unit), as they happen
+
+        def read(config, audio, strip):
+            with lock:
+                order.append(("read", Path(audio).stem))
+            return recording_cut(config, audio, strip)
+
+        def run(fields, tools, unit):
+            tensors = featurize_unit(fields, tools, unit)
+            with lock:
+                order.append(("ran", unit[0].split("/")[0]))
+            return tensors
+
+        monkeypatch.setattr(pipeline, "_recording_cut", read)
+        monkeypatch.setattr(pipeline, "_featurize_unit", run)
+        workers(width)
+        assert_same_tensors(extract_corpus_features(config, records), want)
+        reads = [i for i, event in enumerate(order) if event[0] == "read"]
+        assert [order[i][1] for i in reads] == [subject for subject, _, _ in layout]
+        ran = [(i, subject) for i, (what, subject) in enumerate(order) if what == "ran"]
+        assert len(ran) == 5 * len(layout)  # one segment, five units each
+        for i, subject in ran:
+            read_at = order.index(("read", subject))
+            assert not any(read_at < r < i for r in reads), f"{subject} ran after a later read"
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "faults",
+        [("audio cut short", "empty transcript"), ("empty transcript", "audio cut short")],
+    )
+    def test_first_bad_recording_raises_the_loops_error(self, tmp_path, workers, width, faults):
+        config, records = write_unit_corpus(tmp_path)
+        for subject, fault in zip(("s1", "s3"), faults):
+            if fault == "audio cut short":
+                wav = tmp_path / f"{subject}.wav"
+                wav.write_bytes(wav.read_bytes()[:-1])  # stops inside a sample
+            else:
+                (tmp_path / f"{subject}.tsv").write_text("", encoding="utf-8")
+        with pytest.raises(DataError) as loop:
+            serial_features(config, records)
+        assert "s1." in str(loop.value)
+        workers(width)
+        with pytest.raises(DataError) as scheduled:
+            extract_corpus_features(config, records)
+        assert str(scheduled.value) == str(loop.value)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_units_error_comes_before_a_later_recordings(self, tmp_path, workers, width):
+        """An earlier recording's unit raises before a later recording that
+        cannot be read, as the loop would."""
+        config, records = write_unit_corpus(tmp_path)
+        bad = make_test_network()
+        bad[2] = LayerDesc("conv1d", [np.ones((16, 31, 3), np.float32), np.zeros(16, np.float32)])
+        config.vggish_weights = str(tmp_path / "bad.oswt")
+        save_embedding_file(config.vggish_weights, bad, identity_pca())
+        wav = tmp_path / "s3.wav"
+        wav.write_bytes(wav.read_bytes()[:-1])
+        workers(width)
+        with pytest.raises(DataError, match="embedding network layer 2"):
+            serial_features(config, records)
+        with pytest.raises(DataError, match="embedding network layer 2"):
+            extract_corpus_features(config, records)
+
+    def test_featurizing_inside_a_share_runs_inline(self, tmp_path, workers, monkeypatch):
+        """A share that featurizes a corpus does not split again: with one
+        pool thread a nested split would wait forever on work queued behind
+        its own share, so the spy raises instead of running one."""
+        config, records = write_unit_corpus(tmp_path, CORPUS_LAYOUT[:2])
+        workers(2)
+        want = extract_corpus_features(config, records)
+        run = pool._Workers.run
+        running = []
+
+        def run_once(self, task, limit):
+            if running:
+                raise AssertionError("a share submitted work")
+            running.append(limit)
+            try:
+                run(self, task, limit)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(pool._Workers, "run", run_once)
+        got = [None, None]
+
+        def task(i, parts):
+            got[i] = extract_corpus_features(config, records)
+
+        thread = threading.Thread(target=pool._in_shares, args=(task, 2), daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "a share that featurizes a corpus hung"
+        for g in got:
+            assert_same_tensors(g, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_featurizes_a_corpus_with_a_fresh_pool(self, tmp_path, workers):
+        config, records = write_unit_corpus(tmp_path, CORPUS_LAYOUT[:2])
+        workers(2)
+        want = tensors_digest(extract_corpus_features(config, records))
+        parent_workers = pool._workers_now  # the parent's pool now has a thread
+        assert parent_workers is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = tensors_digest(extract_corpus_features(config, records)) == want
+                made = pool._workers_now
+                code = 0 if same and made is not None and made is not parent_workers else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung featurizing a corpus")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPipeline:

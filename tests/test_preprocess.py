@@ -12,7 +12,9 @@ from vocalsim.preprocess import (
     inject_noise,
     pitch_shift,
     segment,
+    segment_seeds,
     strip_unvoiced,
+    variant_units,
 )
 
 SR = 16000
@@ -250,6 +252,13 @@ class TestInjectNoise:
         assert np.all(delta >= 0.0)
         assert np.all(delta <= 0.03)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.03, 0.7])
+    def test_equals_subtracting_the_scaled_draws_bit_for_bit(self, alpha):
+        x = np.random.default_rng(5).normal(size=20000)
+        want = x - alpha * np.random.default_rng(6).random(x.size)
+        got = inject_noise(Signal(x, SR), alpha, np.random.default_rng(6))
+        np.testing.assert_array_equal(got.samples, want)
+
     def test_bit_deterministic_under_seed(self):
         sig = tone(200.0, 5000)
         a = inject_noise(sig, 0.02, np.random.default_rng(99))
@@ -378,3 +387,45 @@ class TestAugmentCorpus:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             augment_corpus([], seed=0)
+
+
+class TestVariantUnits:
+    """augment_corpus is the segments' variant units, built in order."""
+
+    @staticmethod
+    def segments():
+        return [Segment(tone(300.0 + 50 * i, 3000)) for i in range(3)]
+
+    def test_units_of_a_segment(self):
+        seg = self.segments()[0]
+        units = variant_units(seg, segment_seeds(4, 1)[0])
+        # original, the noise variants as one unit, then one per pitch shift
+        assert [len(list(unit())) for unit in units] == [1, len(NOISE_ALPHAS), 1, 1, 1]
+        assert len(units) == 2 + len(PITCH_SEMITONES)
+        only = variant_units(seg, None, (), ())
+        assert len(only) == 1 and list(only[0]()) == [seg]
+
+    def test_augment_corpus_is_the_units_in_order(self):
+        segs = self.segments()
+        out = augment_corpus(segs, seed=11)
+        built = [
+            variant
+            for seg, child in zip(segs, segment_seeds(11, len(segs)))
+            for unit in variant_units(seg, child)
+            for variant in unit()
+        ]
+        assert [v.provenance for v in built] == [v.provenance for v in out]
+        for got, want in zip(built, out):
+            np.testing.assert_array_equal(got.signal.samples, want.signal.samples)
+
+    def test_noise_unit_made_alone_equals_augment_corpus(self):
+        segs = self.segments()
+        out = augment_corpus(segs, seed=11)
+        per = 1 + len(NOISE_ALPHAS) + len(PITCH_SEMITONES)
+        seeds = segment_seeds(11, len(segs))
+        for i in reversed(range(len(segs))):  # made alone, last segment first
+            noise = list(variant_units(segs[i], seeds[i])[1]())
+            want = out[i * per + 1 : i * per + 1 + len(NOISE_ALPHAS)]
+            assert [v.provenance for v in noise] == [v.provenance for v in want]
+            for got, expected in zip(noise, want):
+                np.testing.assert_array_equal(got.signal.samples, expected.signal.samples)

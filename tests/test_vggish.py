@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from vocalsim import vggish
 from vocalsim import workers as pool
 from vocalsim.container import LayerDesc, write_container
 from vocalsim.dsp import LOG_FLOOR, Signal, dft_magnitude, mel_filterbank
@@ -385,11 +384,13 @@ class TestExtract:
 
 
 class TestShares:
-    """Frame and patch shares give every bit of the one-worker result."""
+    """Every worker count gives the one-worker bits, and an extractor call
+    submits no work: the corpus is cut into whole variants instead (see
+    test_pipeline.py's TestCorpusShares)."""
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_front_end_equals_one_worker(self, workers, count_splits, width):
-        # 3 divides neither 758 frames nor 14 patches: the shares are uneven
+        # 3 divides neither 758 frames nor 14 patches
         seg = make_segment(np.random.default_rng(20).normal(size=SEGMENT_SAMPLES))
         layers = make_test_network()
         workers(1)
@@ -399,10 +400,9 @@ class TestShares:
         workers(width)
         limits = count_splits()
         np.testing.assert_array_equal(log_mel_spectrogram(seg), logmel)
-        assert limits == [NUM_FRAMES // vggish._SHARE_FRAMES]
         np.testing.assert_array_equal(embed(patchify(logmel), layers), embedded)
-        assert limits[1:] == [14 // vggish._SHARE_PATCHES]
         np.testing.assert_array_equal(extract_vggish(seg, layers, identity_pca()), features)
+        assert limits == []
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("network", [flatten_dense_network, one_conv_network])
@@ -414,12 +414,14 @@ class TestShares:
         workers(width)
         np.testing.assert_array_equal(embed(patches, layers), want)
 
-    @pytest.mark.parametrize("count", [1, 2 * vggish._SHARE_PATCHES - 1])
+    @pytest.mark.parametrize("count", [1, 7])
     def test_stack_below_two_shares_submits_nothing(self, workers, count_splits, count):
         workers(2)
         limits = count_splits()
         patches = np.random.default_rng(22).normal(size=(count, 96, 64))
         assert embed(patches, make_test_network()).shape == (count, EMBED_DIM)
+        seg = make_segment(np.random.default_rng(20).normal(size=SEGMENT_SAMPLES))
+        assert extract_vggish(seg, make_test_network(), identity_pca()).shape == (14, EMBED_DIM)
         assert limits == []
         assert pool._workers_now is None  # no pool was even made
 
