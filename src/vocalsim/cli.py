@@ -165,7 +165,7 @@ def _cmd_train(args) -> int:
     pair_set = read_pairs_csv(args.pairs)
     if not pair_set.train or not pair_set.val:
         raise DataError(f"{args.pairs}: needs both train and val pairs")
-    _, result = train_and_save(_config(args), pair_set, features, args.out, args.history)
+    result = train_and_save(_config(args), pair_set, features, args.out, args.history)
     print(
         f"trained {len(result.val_losses)} epochs "
         f"(best val loss {min(result.val_losses):.4f} at epoch {result.best_epoch}); "
@@ -175,14 +175,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _config(args)
     model = load_checkpoint(args.model)
     features = features_from_cache(args.cache)
     pair_set = read_pairs_csv(args.pairs)
     pairs = pair_set.for_split(args.split)
     if not pairs:
         raise DataError(f"{args.pairs}: no pairs in split {args.split!r}")
-    report = evaluate(model, pairs, features, config.batch_size)
+    report = evaluate(model, pairs, features)
     if args.report:
         replace_text(args.report, report.to_json() + "\n")
     if args.confusion:
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--report")
     p.add_argument("--confusion")
-    _config_flag(p, "batch-size")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(

@@ -110,8 +110,9 @@ class EvalReport:
             raise DataError(f"{path}: unreadable report ({exc})") from exc
 
 
-def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> EvalReport:
-    """Score `pairs` with dropout off and summarize the four metrics.
+def evaluate(model: SiameseModel, pairs, features) -> EvalReport:
+    """Score `pairs` with dropout off (SiameseModel.pair_scores) and
+    summarize the four metrics.
 
     Binary mode uses P(similar) as the numeric prediction against 0/1 labels;
     score25 uses the arg-max class index against label_score.
@@ -119,39 +120,26 @@ def evaluate(model: SiameseModel, pairs, features, batch_size: int = 100) -> Eva
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot evaluate an empty pair list")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     head_size = model.spec.head_size
     binary = head_size == 2
-
-    numeric_pred = np.empty(len(pairs))
-    numeric_true = np.empty(len(pairs))
-    pred_idx = np.empty(len(pairs), dtype=np.int64)
-    true_idx = np.empty(len(pairs), dtype=np.int64)
-    for start in range(0, len(pairs), batch_size):
-        batch = pairs[start : start + batch_size]
-        out = model.score_pairs(batch, features).data
-        rows = slice(start, start + len(batch))
-        if binary:
-            # model class order is (similar, non-similar); report in NS, S order
-            pred_idx[rows] = (np.argmax(out, axis=1) == SIMILAR_INDEX).astype(np.int64)
-            true_idx[rows] = [1 if p.similar else 0 for p in batch]
-            numeric_pred[rows] = out[:, SIMILAR_INDEX]
-            numeric_true[rows] = true_idx[rows]
-        else:
-            pred_idx[rows] = np.argmax(out, axis=1)
-            true_idx[rows] = [p.label_score for p in batch]
-            numeric_pred[rows] = pred_idx[rows]
-            numeric_true[rows] = true_idx[rows]
-
+    out = model.pair_scores(pairs, features)
+    if binary:
+        # model class order is (similar, non-similar); report in NS, S order
+        pred_idx = (np.argmax(out, axis=1) == SIMILAR_INDEX).astype(np.int64)
+        true_idx = np.array([1 if p.similar else 0 for p in pairs], dtype=np.int64)
+        numeric_pred = out[:, SIMILAR_INDEX]
+    else:
+        pred_idx = np.argmax(out, axis=1)
+        true_idx = np.array([p.label_score for p in pairs], dtype=np.int64)
+        numeric_pred = pred_idx
     counts = confusion_matrix(pred_idx, true_idx, head_size)
-    error = rmse(numeric_pred, numeric_true)
+    error = rmse(numeric_pred, true_idx)
     return EvalReport(
         mode="binary" if binary else "score25",
         total=len(pairs),
         accuracy=accuracy_from_confusion(counts),
         rmse=error,
-        pearson_cc=pearson_cc(numeric_pred, numeric_true),
+        pearson_cc=pearson_cc(numeric_pred, true_idx),
         confusion=counts,
         class_names=BINARY_CLASSES if binary else tuple(str(i) for i in range(head_size)),
         normalized_rmse=None if binary else error / head_size,

@@ -37,7 +37,7 @@ FEATURE_SHAPES = {
 }
 SIMILAR_INDEX = 0
 RELAPSE_THRESHOLD = 0.5  # mean similarity at which detect_relapse flags relapse
-ENCODE_BATCH = 100  # rows per encode call when scoring many sets
+ENCODE_BATCH = 100  # most rows per encode call of the inference encoder
 
 
 @dataclass
@@ -261,24 +261,13 @@ class SiameseModel:
         }
         return self._score_halves(self.encode(both, training, rng), n)
 
-    def score_pairs(self, pairs, features, training: bool = False, rng=None) -> Tensor:
+    def score_pairs(self, pairs, features, rng=None) -> Tensor:
         """Head output for each pair of sample ids (any objects with left_id
-        and right_id): (B, 2) sigmoid probabilities or (B, 25).
-
-        features maps sample ids to FeatureSets. Each distinct sample of the
-        batch is stacked once, in first-seen order over all left ids then all
-        right ids, and its conv branch output is shared by every pair row it
-        appears in. Raises DataError naming a sample with no features."""
-        rows: dict = {}
-        index = [rows.setdefault(p.left_id, len(rows)) for p in pairs]
-        index += [rows.setdefault(p.right_id, len(rows)) for p in pairs]
-        sets = []
-        for sample_id in rows:
-            try:
-                sets.append(features[sample_id])
-            except KeyError:
-                raise DataError(f"no features for sample {sample_id}") from None
-        encodings = self.encode(self.stack_inputs(sets), training, rng, index)
+        and right_id) in training, dropout on: (B, 2) sigmoid probabilities
+        or (B, 25). Each distinct sample is stacked once (see _pair_samples)
+        and its conv branch output shared by every pair row it appears in."""
+        sets, index = _pair_samples(pairs, features)
+        encodings = self.encode(self.stack_inputs(sets), True, rng, index.ravel())
         return self._score_halves(encodings, len(pairs))
 
     def _score_halves(self, encodings: Tensor, n: int) -> Tensor:
@@ -287,7 +276,26 @@ class SiameseModel:
         return self.score(ad.gather(encodings, left), ad.gather(encodings, left + n))
 
     def encode_sets(self, feature_sets: list[FeatureSet]) -> np.ndarray:
-        return self.encode(self.stack_inputs(feature_sets)).data
+        """One encoding row per feature set, dropout off: the one inference
+        encoder. Sets are encoded in chunks of at most ENCODE_BATCH, a lone
+        set as two copies of itself: a 1-row product takes BLAS's
+        matrix-vector path, whose bits differ (by up to about 2e-15) from
+        the same row's in a larger chunk."""
+        encodings = []
+        for start in range(0, len(feature_sets), ENCODE_BATCH):
+            chunk = feature_sets[start : start + ENCODE_BATCH]
+            padded = chunk * 2 if len(chunk) == 1 else chunk
+            encodings.append(self.encode(self.stack_inputs(padded)).data[: len(chunk)])
+        return np.concatenate(encodings)
+
+    def pair_scores(self, pairs, features) -> np.ndarray:
+        """Head output for each pair of sample ids, dropout off: (B, 2)
+        sigmoid probabilities or (B, 25). Each distinct sample is encoded
+        once through encode_sets (see _pair_samples) and the pairs are scored
+        by index, so a pair's row does not depend on the other pairs."""
+        sets, (left, right) = _pair_samples(pairs, features)
+        encodings = self.encode_sets(sets)
+        return self.score(Constant(encodings[left]), Constant(encodings[right])).data
 
     def similarities(
         self, left_sets: list[FeatureSet], right_sets: list[FeatureSet]
@@ -295,32 +303,40 @@ class SiameseModel:
         """(N, M) probabilities that left set i and right set j belong to the
         same class.
 
-        Each of the N+M sets is encoded once, in encode calls of at most
-        ENCODE_BATCH rows, and all N*M pairs are scored in one score() call.
-        Binary head only; dropout is off, so the scores are deterministic.
+        The N+M sets are encoded once through encode_sets, and all N*M pairs
+        are scored by index. Binary head only; dropout is off, so the scores
+        are deterministic.
         """
         if self.spec.head != "binary":
             raise ValueError("similarity scores require the binary head")
         if not left_sets or not right_sets:
             raise ValueError("need at least one feature set on each side")
-        sets = list(left_sets) + list(right_sets)
-        encodings = np.concatenate(
-            [
-                self.encode_sets(sets[i : i + ENCODE_BATCH])
-                for i in range(0, len(sets), ENCODE_BATCH)
-            ]
-        )
         n, m = len(left_sets), len(right_sets)
-        out = self.score(
-            Tensor(np.repeat(encodings[:n], m, axis=0)),
-            Tensor(np.tile(encodings[n:], (n, 1))),
-        )
+        encodings = self.encode_sets([*left_sets, *right_sets])
+        left, right = np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)
+        out = self.score(Constant(encodings[left]), Constant(encodings[right]))
         return out.data[:, SIMILAR_INDEX].reshape(n, m)
 
     def predict_similarity(self, left: FeatureSet, right: FeatureSet) -> float:
         """Probability that the two feature sets belong to the same class: the
         1x1 case of similarities(), symmetric in its arguments."""
         return float(self.similarities([left], [right])[0, 0])
+
+
+def _pair_samples(pairs, features) -> tuple[list[FeatureSet], np.ndarray]:
+    """The FeatureSet of each distinct sample of pairs, first seen over all
+    left ids then all right ids, and the (2, B) index of pair k's rows.
+    Raises DataError naming a sample with no features."""
+    rows: dict = {}
+    index = [rows.setdefault(p.left_id, len(rows)) for p in pairs]
+    index += [rows.setdefault(p.right_id, len(rows)) for p in pairs]
+    sets = []
+    for sample_id in rows:
+        try:
+            sets.append(features[sample_id])
+        except KeyError:
+            raise DataError(f"no features for sample {sample_id}") from None
+    return sets, np.array(index, dtype=np.intp).reshape(2, len(pairs))
 
 
 def build_model(spec: ModelSpec) -> SiameseModel:

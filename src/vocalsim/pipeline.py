@@ -35,7 +35,7 @@ only when train or eval rebuilds, and the checkpoint only when eval does.
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
@@ -51,7 +51,6 @@ from .mfcc import extract_mfcc
 from .models import (
     VARIANT_FIELDS,
     FeatureSet,
-    SiameseModel,
     build_model,
     load_checkpoint,
     save_checkpoint,
@@ -342,7 +341,7 @@ def pair_samples(config: ExperimentConfig, refs) -> PairSet:
 
 def train_and_save(
     config: ExperimentConfig, pair_set: PairSet, features: dict, checkpoint, history=None
-) -> tuple[SiameseModel, TrainResult]:
+) -> TrainResult:
     """Build the config's model, train it on the train and val pairs, and
     save the checkpoint; with a `history` path, also write the loss history
     as JSON."""
@@ -357,14 +356,8 @@ def train_and_save(
     )
     save_checkpoint(checkpoint, model)
     if history:
-        payload = {
-            "train_losses": result.train_losses,
-            "val_losses": result.val_losses,
-            "best_epoch": result.best_epoch,
-            "stopped_early": result.stopped_early,
-        }
-        replace_text(history, json.dumps(payload, sort_keys=True, indent=2))
-    return model, result
+        replace_text(history, json.dumps(asdict(result), sort_keys=True, indent=2))
+    return result
 
 
 def _feature_parts(config: ExperimentConfig, records) -> list:
@@ -477,14 +470,14 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
                 raise DataError(f"pairing produced no {split} pairs; check the {split} split")
 
     def build_model():
-        model, result = train_and_save(
+        result = train_and_save(
             config, pair_set, features(), paths["checkpoint"], paths["history"]
         )
         line = (
             f"train: {len(result.val_losses)} epochs, "
             f"best val loss {min(result.val_losses):.4f} at epoch {result.best_epoch}"
         )
-        return (model, result), line
+        return result, line
 
     train_parts = [
         "train",
@@ -502,15 +495,16 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         config.dense_width,
         config.fusion_width,
     ]
-    # a skipped train stage loads no model: eval loads it when it rebuilds
-    model, train_result = stage(
+    train_result = stage(
         "train", "checkpoint", train_parts, [paths["checkpoint"], paths["history"]],
-        build_model, lambda checkpoint: (None, None),
+        build_model, lambda checkpoint: None,
     )
 
     def build_report():
-        scorer = model if model is not None else load_checkpoint(paths["checkpoint"])
-        report = evaluate(scorer, pair_set.test, features(), config.batch_size)
+        # the weights as saved, whether this run trained them or not, so that
+        # the report is a function of the eval stage's digest
+        model = load_checkpoint(paths["checkpoint"])
+        report = evaluate(model, pair_set.test, features())
         replace_text(paths["report"], report.to_json() + "\n")
         replace_text(paths["confusion"], render_confusion(report))
         return report, f"eval: accuracy {report.accuracy:.2f}% on {report.total} pairs"

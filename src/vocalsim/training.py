@@ -72,22 +72,21 @@ def _target_matrix(pairs, head_size: int) -> np.ndarray:
     return targets
 
 
-def _batch_loss(model, pairs, features, training, rng) -> ad.Tensor:
-    out = model.score_pairs(pairs, features, training, rng)
-    return ad.rmse_loss(out, _target_matrix(pairs, model.spec.head_size))
-
-
 def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int = 100) -> float:
-    """Mean per-sample RMSE loss over `pairs`, computed in inference mode."""
+    """Mean per-sample RMSE loss over `pairs`, dropout off: the pairs are
+    scored in one SiameseModel.pair_scores call, and the RMSE of each batch
+    of `batch_size` pairs is weighted by its size, as train() sums them."""
     if not pairs:
         raise ValueError("cannot evaluate loss on an empty pair list")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    out = model.pair_scores(pairs, features)
+    targets = _target_matrix(pairs, model.spec.head_size)
     total = 0.0
     for start in range(0, len(pairs), batch_size):
-        batch = pairs[start : start + batch_size]
-        loss = _batch_loss(model, batch, features, False, None)
-        total += float(loss.data) * len(batch)
+        rows = slice(start, start + batch_size)
+        loss = ad.rmse_loss(ad.Constant(out[rows]), targets[rows])
+        total += float(loss.data) * len(out[rows])
     return total / len(pairs)
 
 
@@ -128,7 +127,8 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
             optimizer.zero_grad()
-            loss = _batch_loss(model, batch, features, True, rng)
+            targets = _target_matrix(batch, model.spec.head_size)
+            loss = ad.rmse_loss(model.score_pairs(batch, features, rng), targets)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericError(

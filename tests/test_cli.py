@@ -116,7 +116,9 @@ class TestExtract:
     def test_short_wav_is_data_error(self, tmp_path):
         wav = tmp_path / "short.wav"
         tone_wav(wav, seconds=2.0)
-        assert main(["extract", "--audio", str(wav), "--out", str(tmp_path / "c.oswt")]) == 3
+        with pytest.warns(UserWarning, match="shorter than one 7.6s segment"):
+            code = main(["extract", "--audio", str(wav), "--out", str(tmp_path / "c.oswt")])
+        assert code == 3
 
     def test_matches_pipeline_featurization(self, tmp_path):
         # one featurization path: the CLI writes what run_pipeline caches
@@ -528,8 +530,11 @@ class TestFlagValidation:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_eval_batch_size_below_one_is_data_error(self, trained, capsys, value):
+    @pytest.mark.parametrize("value", ["100", "0", "-3"])
+    def test_eval_batch_size_flag_is_usage_error(self, trained, capsys, value):
+        # eval scores each distinct sample once and no batch cut moves its
+        # report, so it has no batch size flag: an old one is argparse's
+        # usage error
         argv = [
             "eval",
             "--model", str(trained["checkpoint"]),
@@ -537,8 +542,10 @@ class TestFlagValidation:
             "--pairs", str(trained["pairs"]),
             "--batch-size", value,
         ]
-        assert main(argv) == 3
-        assert "batch_size" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: --batch-size {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_pair_pairs_per_sample_below_one_is_data_error(self, trained, tmp_path, capsys, value):

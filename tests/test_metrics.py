@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from vocalsim.autodiff import Tensor
 from vocalsim.errors import DataError
 from vocalsim.metrics import (
     EvalReport,
@@ -21,17 +20,16 @@ from vocalsim.pairs import PairRecord
 
 
 class ScriptedModel:
-    """Stands in for a trained network; emits pre-set output rows in order."""
+    """Stands in for a trained network: pair_scores gives the pre-set head
+    output rows, one per pair, in pair order."""
 
     def __init__(self, outputs, head="binary"):
         self.outputs = np.asarray(outputs, dtype=np.float64)
         self.spec = ModelSpec(head=head)
-        self._cursor = 0
 
-    def score_pairs(self, pairs, features, training=False, rng=None):
-        rows = self.outputs[self._cursor : self._cursor + len(pairs)]
-        self._cursor += len(pairs)
-        return Tensor(rows)
+    def pair_scores(self, pairs, features):
+        assert len(pairs) == len(self.outputs)
+        return self.outputs
 
 
 def binary_pairs(labels):
@@ -132,7 +130,7 @@ class TestEvaluate:
     def test_perfect_binary_predictions(self):
         pairs = binary_pairs([1, 0, 1, 0])
         outputs = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        report = evaluate(ScriptedModel(outputs), pairs, DummyFeatures(), batch_size=3)
+        report = evaluate(ScriptedModel(outputs), pairs, DummyFeatures())
         assert report.accuracy == pytest.approx(100.0)
         assert report.rmse == 0.0
         assert report.pearson_cc == pytest.approx(1.0)
@@ -150,9 +148,7 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 2, size=37)
         outputs = rng.random((37, 2))
-        report = evaluate(
-            ScriptedModel(outputs), binary_pairs(labels), DummyFeatures(), batch_size=10
-        )
+        report = evaluate(ScriptedModel(outputs), binary_pairs(labels), DummyFeatures())
         assert report.accuracy == accuracy_from_confusion(report.confusion)
         assert report.confusion.sum() == report.total == 37
 
@@ -180,10 +176,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(ScriptedModel([[1.0, 0.0]]), [], DummyFeatures())
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ValueError, match="batch_size"):
-            evaluate(ScriptedModel([[1.0, 0.0]]), binary_pairs([1]), DummyFeatures(), batch_size)
+    @pytest.mark.parametrize("batch_size", [0, -1, 100])
+    def test_batch_size_argument_is_type_error(self, batch_size):
+        # each distinct sample is encoded once and the pairs scored by index,
+        # so no batch cut moves the report and evaluate takes no batch size
+        model = ScriptedModel([[1.0, 0.0]])
+        with pytest.raises(TypeError):
+            evaluate(model, binary_pairs([1]), DummyFeatures(), batch_size)
+        with pytest.raises(TypeError, match="batch_size"):
+            evaluate(model, binary_pairs([1]), DummyFeatures(), batch_size=batch_size)
 
     def test_pair_without_features_is_data_error(self):
         model = build_model(ModelSpec(filters=4, dense_width=16))

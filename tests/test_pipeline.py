@@ -485,6 +485,29 @@ class TestPipeline:
         assert sorted(calls) == ["load_checkpoint", "read_container"]
         assert cold.paths["report"].is_file()
 
+    def test_cold_report_equals_eval_rebuild_and_cli_eval(self, tmp_path):
+        """The report scores the checkpoint as saved, so it is a function of
+        the eval digest: the cold run's report, an eval-only rebuild's and
+        `vocalsim eval`'s on the checkpoint are the same bytes."""
+        from vocalsim.cli import main
+
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        workdir = tmp_path / "run"
+        paths = run_pipeline(fast_config(manifest, workdir)).paths
+        outputs = [paths["report"], paths["confusion"]]
+        cold = [path.read_bytes() for path in outputs]
+        paths["report"].unlink()
+        log = []
+        run_pipeline(fast_config(manifest, workdir), log=log.append)
+        assert log[3] == "train: checkpoint up to date"
+        assert log[4].startswith("eval: accuracy")
+        assert [path.read_bytes() for path in outputs] == cold
+        cli_outputs = [tmp_path / "cli-report.json", tmp_path / "cli-confusion.txt"]
+        argv = ["eval", "--model", str(paths["checkpoint"]), "--cache", str(paths["cache"])]
+        argv += ["--pairs", str(paths["pairs"]), "--report", str(cli_outputs[0])]
+        assert main(argv + ["--confusion", str(cli_outputs[1])]) == 0
+        assert [path.read_bytes() for path in cli_outputs] == cold
+
     def test_digest_streams_files_in_chunks(self, tmp_path, monkeypatch):
         path = tmp_path / "part.bin"
         path.write_bytes(bytes(range(256)) * 5)

@@ -1,6 +1,8 @@
 """Tests for the training loop: early stopping, best-weights restore,
 failure guards, and learnability on a separable toy problem."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,26 @@ class TestEarlyStopper:
 
 
 class TestTrainLoop:
+    def test_batch_graph_is_freed_before_the_step(self, monkeypatch):
+        """RMSProp.step allocates its scratch with the batch's graph and its
+        saved arrays already freed: when it runs, no Tensor but the
+        parameters is alive, in the first epoch or after a validation."""
+        features, pairs = toy_problem(n_per_class=3)
+        model = tiny_model()
+        params = {id(p) for p in model.params()}
+        alive = []
+        step = autodiff.RMSProp.step
+
+        def counting_step(self):
+            tensors = [o for o in gc.get_objects() if isinstance(o, autodiff.Tensor)]
+            alive.append(sum(id(t) not in params for t in tensors))
+            step(self)
+
+        gc.collect()
+        monkeypatch.setattr(autodiff.RMSProp, "step", counting_step)
+        train(model, pairs[:8], pairs[8:12], features, TrainConfig(batch_size=4, epochs=2))
+        assert alive == [0, 0, 0, 0]
+
     def test_negligible_lr_stops_after_patience_epochs(self):
         features, pairs = toy_problem(n_per_class=3)
         model = tiny_model()
@@ -255,7 +277,7 @@ class TestDedupedBatch:
         return np.array([[1.0, 0.0] if p.similar else [0.0, 1.0] for p in pairs])
 
     def deduped(self, model, pairs, features, seed):
-        out = model.score_pairs(pairs, features, training=True, rng=np.random.default_rng(seed))
+        out = model.score_pairs(pairs, features, rng=np.random.default_rng(seed))
         return rmse_loss(out, self.targets(pairs))
 
     def two_twin(self, model, pairs, features, seed):
