@@ -16,10 +16,8 @@ positions (models.SiameseModel._dropout_mask): each entry is dropped
 independently with probability rate, the law of dropout's mask, but from
 another RNG stream than dropout's one uniform per entry.
 
-Batching convention: every op accepts its natural unbatched shape or the same
-shape with one leading batch axis (conv1d: (C,L) or (B,C,L); dense and the
-vector ops: (n,) or (B,n)). flatten collapses everything after the first axis
-when the input is 3-D or deeper, and the whole tensor when it is 1- or 2-D.
+Shapes: the first axis is the batch, as the model passes it. conv1d takes
+(B, C, L), dense (B, n), and flatten maps (B, ...) to (B, n).
 
 Graph ownership: a node holds its parents and its backward closure; a
 closure holds the op's inputs and saved arrays and receives the node's grad
@@ -89,6 +87,10 @@ _BAND_ALIGN = 8
 # bytes: five shares' bands at dense1's 23,936 columns, however many CPUs
 # there are
 _BAND_BUDGET = 1 << 25
+# RMSProp's decay of its running square gradient, and the term that keeps
+# its denominator off zero: the standard settings, which the paper keeps
+RHO = 0.9
+EPSILON = 1e-8
 
 
 class Tensor:
@@ -267,19 +269,10 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _split_batch(data: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
-    """Promote to exactly core_ndim+1 dims by prepending a singleton batch."""
-    if data.ndim == core_ndim:
-        return data[None], False
-    if data.ndim == core_ndim + 1:
-        return data, True
-    raise ValueError(f"expected {core_ndim}- or {core_ndim + 1}-d input, got {data.ndim}-d")
-
-
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool = False) -> Tensor:
     """Valid (no padding) cross-correlation, optionally followed by relu.
 
-    x: (C, L) or (B, C, L); weight: (F, C, K); bias: (F,).
+    x: (B, C, L); weight: (F, C, K); bias: (F,).
     Output length is (L - K)//stride + 1. The output is a (B, F, T) view of a
     (B, T, F) buffer. relu=True rectifies that buffer in place, which equals
     relu(conv1d(...)) without a second output-sized array. The input is read
@@ -291,8 +284,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     w, b = weight.data, bias.data
     if w.ndim != 3 or b.shape != (w.shape[0],):
         raise ValueError("weight must be (filters, channels, kernel), bias (filters,)")
-    xb, batched = _split_batch(x.data, 2)
-    B, C, L = xb.shape
+    if x.data.ndim != 3:
+        raise ValueError(f"input must be (batch, channels, length), got {x.data.shape}")
+    B, C, L = x.data.shape
     F, Cw, K = w.shape
     if C != Cw:
         raise ValueError(f"input has {C} channels, kernels expect {Cw}")
@@ -303,7 +297,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     # kept by the closure, the weight-grad GEMM. Tap k of every (row, time)
     # is one slab copy of channel runs from the channels-last (B, L, C)
     # layout, which a stacked input and a conv output both have
-    x_blc = xb.transpose(0, 2, 1)
+    x_blc = x.data.transpose(0, 2, 1)
     taps_mat = np.empty((B * T, C * K))
     taps = taps_mat.reshape(B, T, C, K)
     for k in range(K):
@@ -316,15 +310,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     y = out.reshape(B, T, F).transpose(0, 2, 1)
 
     def backward(grad):
-        gy = grad if batched else grad[None]
         # the output grad in the output buffer's (B*T, F) layout; relu's mask
         # is read back from the rectified output (out > 0 iff its input > 0)
         gy_mat = np.empty((B * T, F))
         gy_btf = gy_mat.reshape(B, T, F)
         if relu:
-            np.multiply(gy.transpose(0, 2, 1), out.reshape(B, T, F) > 0.0, out=gy_btf)
+            np.multiply(grad.transpose(0, 2, 1), out.reshape(B, T, F) > 0.0, out=gy_btf)
         else:
-            gy_btf[...] = gy.transpose(0, 2, 1)
+            gy_btf[...] = grad.transpose(0, 2, 1)
         weight._accumulate((gy_mat.T @ taps_mat).reshape(F, C, K))
         bias._accumulate(gy_mat.sum(axis=0))
         if isinstance(x, Constant):
@@ -335,31 +328,27 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
         gx = np.zeros((B, L, C))
         for k in range(K):
             gx[:, k : k + stride * T : stride, :] += g_taps[:, :, :, k]
-        gx = gx.transpose(0, 2, 1)
-        x._accumulate(gx if batched else gx[0])
+        x._accumulate(gx.transpose(0, 2, 1))
 
-    return Tensor(y if batched else y[0], parents=(x, weight, bias), backward=backward)
+    return Tensor(y, parents=(x, weight, bias), backward=backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map y = W x + b. x: (n,) or (B, n); weight: (m, n); bias: (m,)."""
+    """Affine map y = x W.T + b of each row. x: (B, n); weight: (m, n); bias: (m,)."""
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ValueError("weight must be (out, in), bias (out,)")
-    xb, batched = _split_batch(x.data, 1)
-    if xb.shape[1] != w.shape[1]:
-        raise ValueError(f"input dim {xb.shape[1]} does not match weight dim {w.shape[1]}")
-    out = _matmul(xb, w.T)
+    if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
+        raise ValueError(f"input must be (rows, {w.shape[1]}), got {x.data.shape}")
+    out = _matmul(x.data, w.T)
     out += b
 
     def backward(grad):
-        gy = grad if batched else grad[None]
-        weight._accumulate(_matmul(gy.T, xb))
-        bias._accumulate(gy.sum(axis=0))
-        gx = _matmul(gy, w)
-        x._accumulate(gx if batched else gx[0])
+        weight._accumulate(_matmul(grad.T, x.data))
+        bias._accumulate(grad.sum(axis=0))
+        x._accumulate(_matmul(grad, w))
 
-    return Tensor(out if batched else out[0], parents=(x, weight, bias), backward=backward)
+    return Tensor(out, parents=(x, weight, bias), backward=backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -493,16 +482,12 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
 
 
 def flatten(x: Tensor) -> Tensor:
-    """Collapse to a vector, or to (B, n) when the input has 3+ dims."""
-    if x.data.ndim >= 3:
-        shape = (x.data.shape[0], -1)
-    else:
-        shape = (-1,)
+    """Collapse every axis after the batch axis: (B, ...) -> (B, n)."""
 
     def backward(grad):
         x._accumulate(grad.reshape(x.data.shape))
 
-    return Tensor(x.data.reshape(shape), parents=(x,), backward=backward)
+    return Tensor(x.data.reshape(len(x.data), -1), parents=(x,), backward=backward)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -638,8 +623,9 @@ class RMSProp:
     """Running square-gradient scaling with inverse-time learning-rate decay.
 
     lr_t = lr / (1 + decay * t) with t counting completed steps, so the first
-    step uses the initial rate. cache <- rho*cache + (1-rho)*g^2;
-    theta <- theta - lr_t * g / (sqrt(cache) + epsilon).
+    step uses the initial rate. cache <- RHO*cache + (1-RHO)*g^2;
+    theta <- theta - lr_t * g / (sqrt(cache) + EPSILON), with the module's
+    RHO = 0.9 and EPSILON = 1e-8.
 
     step() walks each parameter in blocks of _STEP_BLOCK elements and
     updates cache and parameter in place, so no parameter-sized temporary is
@@ -660,12 +646,9 @@ class RMSProp:
     element the bits of the whole product (see _BAND_ALIGN).
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6,
-                 rho: float = 0.9, epsilon: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
         self.params = list(params)
         for p in self.params:
             # a weight mapped from a checkpoint is read-only float32; the
@@ -674,8 +657,6 @@ class RMSProp:
                 p.data = p.data.astype(np.float64)
         self.lr = lr
         self.decay = decay
-        self.rho = rho
-        self.epsilon = epsilon
         self.cache = [np.zeros(p.data.shape) for p in self.params]
         self.step_count = 0
 
@@ -753,13 +734,13 @@ class RMSProp:
         """The update of one block in place: s and t are scratch of g's
         shape, and t may be g itself. The same expression chain, and so the
         same bits, as
-        cache = rho*cache + (1-rho)*g*g;  data -= lr_t*g / (sqrt(cache) + eps)."""
-        c *= self.rho
-        np.multiply(g, 1.0 - self.rho, out=s)
+        cache = RHO*cache + (1-RHO)*g*g;  data -= lr_t*g / (sqrt(cache) + EPSILON)."""
+        c *= RHO
+        np.multiply(g, 1.0 - RHO, out=s)
         s *= g
         c += s
         np.sqrt(c, out=s)
-        s += self.epsilon
+        s += EPSILON
         np.multiply(g, lr_t, out=t)
         t /= s
         d -= t

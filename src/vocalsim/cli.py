@@ -17,13 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (
-    PAIR_MODES,
-    TEXT_RESIZE_MODES,
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-)
+from .config import PAIR_MODES, ExperimentConfig, apply_overrides, load_config
 from .container import write_container
 from .errors import DataError, NumericError, replace_text
 from .manifest import SPLITS, load_manifest, write_wav
@@ -97,7 +91,6 @@ def _add_model_flags(parser):
 def _add_text_flags(parser):
     _config_flag(parser, "lexicon", help="word-vector file in fastText text format")
     _config_flag(parser, "synonyms", help="TSV word-to-synonym fallbacks")
-    _config_flag(parser, "text-resize", choices=TEXT_RESIZE_MODES)
 
 
 def _recording_sets(config, audio, transcript, tools, strip) -> list:

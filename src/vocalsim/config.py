@@ -6,6 +6,7 @@ shuffles; `split_seed` only the automatic manifest split; `augment_seed` only
 the augmentation noise. Feature caches therefore survive a `seed` change.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from .preprocess import NOISE_ALPHAS, PITCH_SEMITONES, STRIP_THRESHOLD, STRIP_WI
 from .training import TrainConfig
 
 PAIR_MODES = tuple(HEADS)
-TEXT_RESIZE_MODES = ("truncate", "meanpool")
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -50,7 +50,6 @@ class ExperimentConfig:
     seed: int = ModelSpec.init_seed
     split_seed: int = SPLIT_SEED
 
-    text_resize: str = "truncate"
     vggish_weights: str = ""
     lexicon: str = ""
     synonyms: str = ""
@@ -96,21 +95,22 @@ class ExperimentConfig:
             self.train_config()
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        if self.text_resize not in TEXT_RESIZE_MODES:
+        if not 0.0 <= self.strip_threshold <= 1.0:
+            raise DataError(f"strip_threshold must be in [0, 1], got {self.strip_threshold}")
+        if not 0.0 < self.strip_window_ms < math.inf:
             raise DataError(
-                f"text_resize must be one of {TEXT_RESIZE_MODES}, got {self.text_resize!r}"
+                f"strip_window_ms must be positive and finite, got {self.strip_window_ms}"
             )
-        for name in ("strip_window_ms", "pairs_per_sample"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.strip_threshold < 0:
-            raise DataError(f"strip_threshold must be >= 0, got {self.strip_threshold}")
+        if self.pairs_per_sample <= 0:
+            raise DataError(f"pairs_per_sample must be positive, got {self.pairs_per_sample}")
         if not 0.0 <= self.relapse_threshold <= 1.0:
             raise DataError(
                 f"relapse_threshold must be in [0, 1], got {self.relapse_threshold}"
             )
-        self.noise_alpha_values()
-        self.pitch_semitone_values()
+        if not all(0.0 <= a < math.inf for a in self.noise_alpha_values()):
+            raise DataError(f"noise_alphas must be finite and >= 0, got {self.noise_alphas!r}")
+        if not all(abs(s) <= 12.0 for s in self.pitch_semitone_values()):
+            raise DataError(f"pitch_semitones must be within +/-12, got {self.pitch_semitones!r}")
         return self
 
 
@@ -134,32 +134,41 @@ def _coerce(key: str, raw: str, where: str):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if kind == "bool" or kind is bool:
+        if kind is bool:
             lowered = raw.lower()
             if lowered in _TRUE:
                 return True
             if lowered in _FALSE:
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind == "int" or kind is int:
-            return int(raw)
-        if kind == "float" or kind is float:
-            return float(raw)
+        if kind is int or kind is float:
+            return kind(raw)
         return raw
     except ValueError as exc:
         raise DataError(f"{where}: {key}: {exc}") from None
 
 
+def _assign(config: ExperimentConfig, item: str, line: str | None, malformed: str) -> None:
+    """Set the key of one `key=value` item: a config file line, where
+    `line` is its `source:number` and a `#` starts a comment in the value,
+    or a --set override (line None). `malformed` is the error for an item
+    with no key or no `=`."""
+    key, sep, value = item.partition("=")
+    key = key.strip()
+    if not sep or not key:
+        raise DataError(malformed)
+    if key not in _FIELD_TYPES:
+        prefix = f"{line}: " if line else ""
+        raise DataError(f"{prefix}unknown config key {key!r}")
+    if line:
+        value = value.split("#", 1)[0]
+    setattr(config, key, _coerce(key, value, line or f"--set {key}"))
+
+
 def apply_overrides(config: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply `key=value` strings, as given by repeated --set flags."""
     for item in overrides:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise DataError(f"override must look like key=value, got {item!r}")
-        if key not in _FIELD_TYPES:
-            raise DataError(f"unknown config key {key!r}")
-        setattr(config, key, _coerce(key, value, f"--set {key}"))
+        _assign(config, item, None, f"override must look like key=value, got {item!r}")
     return config
 
 
@@ -169,13 +178,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, value = stripped.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise DataError(f"{source}:{line_no}: expected key = value, got {stripped!r}")
-        if key not in _FIELD_TYPES:
-            raise DataError(f"{source}:{line_no}: unknown config key {key!r}")
-        setattr(config, key, _coerce(key, value.split("#", 1)[0], f"{source}:{line_no}"))
+        where = f"{source}:{line_no}"
+        _assign(config, stripped, where, f"{where}: expected key = value, got {stripped!r}")
     return config
 
 

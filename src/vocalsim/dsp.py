@@ -1,11 +1,13 @@
 """Shared DSP primitives: framing, windowing, magnitude spectra, mel filter
 banks and log-DCT cepstra.
 
-All functions are pure and operate on plain numpy arrays (float64); the only
-stateful objects are small frozen parameter holders.
+All functions are pure and operate on plain numpy arrays (float64). The
+Hamming window has the standard coefficients, and every mel filter bank
+spans 0 Hz to the Nyquist frequency of SAMPLE_RATE, the one rate the
+feature extractors read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,37 +61,6 @@ def check_segment(segment: Signal) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Generalized-Hamming window parameters: w[n] = alpha - beta*cos(2*pi*n/(N-1))."""
-
-    length: int
-    alpha: float = HAMMING_ALPHA
-    beta: float = HAMMING_BETA
-
-    def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("window length must be at least 2")
-
-
-@dataclass(frozen=True)
-class MelFilterBank:
-    """Triangular, peak-normalized mel filters as an (M, n_fft//2+1) weight matrix."""
-
-    weights: np.ndarray
-    fmin: float
-    fmax: float
-    sample_rate: int = field(default=SAMPLE_RATE)
-
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.weights.shape[1]
-
-
 def frame_signal(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     """Slice a signal into overlapping frames of frame_len samples every hop samples.
 
@@ -120,14 +91,15 @@ def windowed_frames(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.nd
     return out
 
 
-def hamming_window(spec: WindowSpec) -> np.ndarray:
-    """Window weights w[n] = alpha - beta*cos(2*pi*n/(N-1)), n = 0..N-1.
+def hamming_window(length: int) -> np.ndarray:
+    """Window weights w[n] = 0.54 - 0.46*cos(2*pi*n/(N-1)), n = 0..N-1, N >= 2.
 
     The second half mirrors the first so w[n] == w[N-1-n] holds bit-exactly.
     """
-    length = spec.length
+    if length < 2:
+        raise ValueError("window length must be at least 2")
     n = np.arange((length + 1) // 2, dtype=np.float64)
-    half = spec.alpha - spec.beta * np.cos(2.0 * np.pi * n / (length - 1))
+    half = HAMMING_ALPHA - HAMMING_BETA * np.cos(2.0 * np.pi * n / (length - 1))
     w = np.empty(length)
     w[: half.size] = half
     w[length - half.size :] = half[::-1]
@@ -157,33 +129,24 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    num_filters: int,
-    n_fft: int,
-    sample_rate: int,
-    fmin: float = 0.0,
-    fmax: float | None = None,
-) -> MelFilterBank:
-    """Build num_filters triangular filters with peaks equally spaced on the mel scale.
+def mel_filterbank(num_filters: int, n_fft: int) -> np.ndarray:
+    """The (num_filters, n_fft//2+1) weight matrix of triangular,
+    peak-normalized filters whose peaks are equally spaced on the mel scale
+    from 0 Hz to SAMPLE_RATE/2.
 
     Each row rises linearly over FFT bins from the previous center to 1.0 at
     its own center bin and falls back to 0 at the next center. Raises
     ValueError when the requested filter count is too dense for the FFT
     resolution (two adjacent band edges land on the same bin).
     """
-    if fmax is None:
-        fmax = sample_rate / 2.0
     if num_filters < 1:
         raise ValueError("num_filters must be >= 1")
-    if not (0.0 <= fmin < fmax <= sample_rate / 2.0):
-        raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), num_filters + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2.0), num_filters + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.round(hz_points * n_fft / sample_rate).astype(int)
+    bins = np.round(hz_points * n_fft / SAMPLE_RATE).astype(int)
     if np.any(np.diff(bins) < 1):
         raise ValueError(
-            f"{num_filters} filters are too many for n_fft={n_fft} at {sample_rate} Hz: "
+            f"{num_filters} filters are too many for n_fft={n_fft} at {SAMPLE_RATE} Hz: "
             "adjacent band edges share an FFT bin"
         )
 
@@ -194,21 +157,22 @@ def mel_filterbank(
             weights[m, k] = (k - lo) / (center - lo)
         for k in range(center, hi):
             weights[m, k] = (hi - k) / (hi - center)
-    return MelFilterBank(weights=weights, fmin=fmin, fmax=fmax, sample_rate=sample_rate)
+    return weights
 
 
-def apply_filterbank(spectrum: np.ndarray, bank: MelFilterBank) -> np.ndarray:
-    """Weighted band sums Y[m] = sum_k W_m[k] * spectrum[k].
+def apply_filterbank(spectrum: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted band sums Y[m] = sum_k W[m, k] * spectrum[k] for a
+    mel_filterbank weight matrix W.
 
     The spectrum must be non-negative: a power spectrum |X|^2 for cepstral
     features, or a plain magnitude spectrum for log-mel features.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.shape != (bank.num_bins,):
+    if spectrum.shape != weights.shape[1:]:
         raise ValueError(
-            f"spectrum length {spectrum.shape} does not match filterbank bins ({bank.num_bins})"
+            f"spectrum length {spectrum.shape} does not match filterbank bins ({weights.shape[1]})"
         )
-    return bank.weights @ spectrum
+    return weights @ spectrum
 
 
 def log_dct(mel_energies: np.ndarray, num_coeffs: int) -> np.ndarray:

@@ -14,7 +14,7 @@ are then one stacked `np.matmul` each, matrix times a (rows, n, 1) stack of
 column vectors, and the block writes its rows of the output. Each FFT row
 and each stack item is the same call, on the same operands, however the
 frames are cut: the stack item is the BLAS matrix-vector call (`dgemv`)
-that `bank.weights @ spectrum` makes for one frame, so every row stays
+that `weights @ spectrum` makes for one frame, so every row stays
 bit-identical to the per-frame dft_magnitude -> apply_filterbank -> log_dct
 chain of `dsp` (a single matrix-matrix product rounds differently)."""
 
@@ -25,11 +25,8 @@ import numpy as np
 from .dsp import (
     FRAME_BLOCK,
     LOG_FLOOR,
-    SAMPLE_RATE,
     SEGMENT_SAMPLES,
-    MelFilterBank,
     Signal,
-    WindowSpec,
     check_segment,
     dct_basis,
     frame_signal,
@@ -47,10 +44,10 @@ NUM_FRAMES = 1 + (SEGMENT_SAMPLES - FRAME_LENGTH) // HOP_LENGTH  # 378
 
 
 @functools.cache
-def _analysis_tables() -> tuple[np.ndarray, MelFilterBank, np.ndarray]:
+def _analysis_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (
-        hamming_window(WindowSpec(FRAME_LENGTH)),
-        mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE),
+        hamming_window(FRAME_LENGTH),
+        mel_filterbank(NUM_FILTERS, N_FFT),
         dct_basis(NUM_COEFFS, NUM_FILTERS),
     )
 
@@ -63,14 +60,14 @@ def extract_mfcc(segment: Signal) -> np.ndarray:
     squared magnitude spectrum.
     """
     check_segment(segment)
-    window, bank, basis = _analysis_tables()
+    window, weights, basis = _analysis_tables()
     frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
     out = np.empty((len(frames), NUM_COEFFS))
     for start in range(0, len(frames), FRAME_BLOCK):
         rows = slice(start, start + FRAME_BLOCK)
         power = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
         power *= power
-        energies = np.matmul(bank.weights, power[:, :, None])[:, :, 0]
+        energies = np.matmul(weights, power[:, :, None])[:, :, 0]
         logs = np.log10(np.maximum(energies, LOG_FLOOR))
         out[rows] = np.matmul(basis, logs[:, :, None])[:, :, 0]
     return out

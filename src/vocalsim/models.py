@@ -72,6 +72,16 @@ class ModelSpec:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        # each conv branch's two convs need inputs at least one kernel long
+        for name in ("mfcc", "vggish"):
+            length = FEATURE_SHAPES[name][0]
+            if name not in VARIANT_FIELDS[self.variant]:
+                continue
+            if length < self.kernel or (length - self.kernel) // self.stride + 1 < self.kernel:
+                raise ValueError(
+                    f"kernel {self.kernel} with stride {self.stride} leaves the {name} "
+                    f"branch's {length} rows no output step after both convs"
+                )
 
     @property
     def head_size(self) -> int:

@@ -236,7 +236,7 @@ def featurize_recording(
     for seg_index, seg_units in enumerate(_segment_units(config, segments, augment)):
         text = None
         if words is not None:
-            text = extract_text(words, seg_index, tools[2], config.text_resize)
+            text = extract_text(words, seg_index, tools[2])
         units += [(f"{prefix}/{seg_index:05d}", unit, text) for unit in seg_units]
     tensors: dict[str, np.ndarray] = {}
     for part in _map_in_shares(partial(_featurize_unit, fields, tools), units):
@@ -361,8 +361,9 @@ def train_and_save(
 
 
 def _feature_parts(config: ExperimentConfig, records) -> list:
-    # the fixed segment format sits where the sample_rate and segment_seconds
-    # keys were hashed, so caches made while those keys existed still match
+    # the fixed segment format and text truncation sit where the
+    # sample_rate, segment_seconds and text_resize keys were hashed, so
+    # caches made while those keys existed still match
     parts = [
         "features",
         config.variant,
@@ -376,7 +377,7 @@ def _feature_parts(config: ExperimentConfig, records) -> list:
         config.augment_seed,
         config.noise_alphas,
         config.pitch_semitones,
-        config.text_resize,
+        "truncate",
         config.split_seed,
         Path(config.manifest),
     ]
@@ -389,6 +390,29 @@ def _feature_parts(config: ExperimentConfig, records) -> list:
         if optional:
             parts.append(Path(optional))
     return parts
+
+
+def _pair_parts(config: ExperimentConfig, features_hash: str) -> list:
+    return ["pairs", features_hash, config.pair_mode, config.pairs_per_sample, config.seed]
+
+
+def _train_parts(config: ExperimentConfig, pairs_hash: str) -> list:
+    return [
+        "train",
+        pairs_hash,
+        config.seed,
+        config.batch_size,
+        config.epochs,
+        config.lr,
+        config.decay,
+        config.patience,
+        config.dropout,
+        config.filters,
+        config.kernel,
+        config.stride,
+        config.dense_width,
+        config.fusion_width,
+    ]
 
 
 def _cached_stage(workdir, state, log, name, what, parts, outputs, build, load):
@@ -456,14 +480,10 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         counts = "/".join(str(len(getattr(pair_set, split))) for split in SPLITS)
         return pair_set, f"pairs: train/val/test = {counts}"
 
-    pair_parts = [
-        "pairs",
-        state["features"]["hash"],
-        config.pair_mode,
-        config.pairs_per_sample,
-        config.seed,
-    ]
-    pair_set = stage("pairs", "list", pair_parts, [paths["pairs"]], build_pairs, read_pairs_csv)
+    pair_set = stage(
+        "pairs", "list", _pair_parts(config, state["features"]["hash"]), [paths["pairs"]],
+        build_pairs, read_pairs_csv,
+    )
     with _stage("pairs"):
         for split in SPLITS:
             if not getattr(pair_set, split):
@@ -479,25 +499,9 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         )
         return result, line
 
-    train_parts = [
-        "train",
-        state["pairs"]["hash"],
-        config.seed,
-        config.batch_size,
-        config.epochs,
-        config.lr,
-        config.decay,
-        config.patience,
-        config.dropout,
-        config.filters,
-        config.kernel,
-        config.stride,
-        config.dense_width,
-        config.fusion_width,
-    ]
     train_result = stage(
-        "train", "checkpoint", train_parts, [paths["checkpoint"], paths["history"]],
-        build_model, lambda checkpoint: None,
+        "train", "checkpoint", _train_parts(config, state["pairs"]["hash"]),
+        [paths["checkpoint"], paths["history"]], build_model, lambda checkpoint: None,
     )
 
     def build_report():

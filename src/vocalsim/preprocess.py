@@ -116,13 +116,11 @@ def pitch_shift(signal: Signal, semitones: float) -> Signal:
     return Signal(shifted, signal.sample_rate)
 
 
-def segment_seeds(seed, count: int) -> list:
-    """The noise seed of each of `count` segments: child i of `seed` (an int
-    or SeedSequence) for segment i, so a segment's noise draws depend on its
-    position alone, not on processing order or on its neighbours."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(count)
+def segment_seeds(seed: int, count: int) -> list:
+    """The noise seed of each of `count` segments: child i of the int `seed`
+    for segment i, so a segment's noise draws depend on its position alone,
+    not on processing order or on its neighbours."""
+    return np.random.SeedSequence(seed).spawn(count)
 
 
 def variant_units(

@@ -1,6 +1,7 @@
 """Transcript alignment and word-embedding features: the words of both
 speakers that overlap a 7.6 s segment become a 60x9 matrix (first 9 words,
-first 60 vector components, words as columns)."""
+words as columns). The matrix is a truncation: each word keeps the first 60
+components of its 300-d vector."""
 
 import math
 import string
@@ -184,11 +185,9 @@ def embed_words(words: list[str], lexicon: Lexicon) -> np.ndarray:
     return out
 
 
-def resize_text_matrix(embeddings: np.ndarray, mode: str = "truncate") -> np.ndarray:
-    """Reduce an nw x 300 stack to the fixed 60x9 matrix (column j = word j).
-
-    "truncate" keeps each word's first 60 components; "meanpool" averages the
-    300 components in 60 consecutive blocks of 5. Missing words pad with zero
+def resize_text_matrix(embeddings: np.ndarray) -> np.ndarray:
+    """Reduce an nw x 300 stack to the fixed 60x9 matrix (column j = word j):
+    each word keeps its first 60 components. Missing words pad with zero
     columns; words beyond the ninth are discarded.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -200,24 +199,13 @@ def resize_text_matrix(embeddings: np.ndarray, mode: str = "truncate") -> np.nda
         return out
     if embeddings.shape[1] != VECTOR_DIM:
         raise ValueError(f"expected {VECTOR_DIM}-dim word vectors")
-    kept = embeddings[:count]
-    if mode == "truncate":
-        reduced = kept[:, :NUM_DIMS]
-    elif mode == "meanpool":
-        block = VECTOR_DIM // NUM_DIMS
-        reduced = kept.reshape(count, NUM_DIMS, block).mean(axis=2)
-    else:
-        raise ValueError(f"unknown resize mode {mode!r}")
-    out[:, :count] = reduced.T
+    out[:, :count] = embeddings[:count, :NUM_DIMS].T
     return out
 
 
 def extract_text(
-    utterances: list[TranscriptUtterance],
-    segment_index: int,
-    lexicon: Lexicon,
-    mode: str = "truncate",
+    utterances: list[TranscriptUtterance], segment_index: int, lexicon: Lexicon
 ) -> np.ndarray:
     """Full chain for one segment: align -> embed -> resize, (60, 9)."""
     words = align_transcript(utterances, segment_index)
-    return resize_text_matrix(embed_words(words, lexicon), mode)
+    return resize_text_matrix(embed_words(words, lexicon))

@@ -1,6 +1,7 @@
 """Training loop: RMSE loss against one-hot targets, RMSProp updates, and
 early stopping on validation loss with a best-weights restore."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
+        for name in ("lr", "decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("batch_size", "epochs", "lr", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

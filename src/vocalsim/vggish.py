@@ -36,7 +36,6 @@ from .container import LayerDesc, read_container, write_container
 from .dsp import (
     FRAME_BLOCK,
     LOG_FLOOR,
-    SAMPLE_RATE,
     SEGMENT_SAMPLES,
     Signal,
     check_segment,
@@ -66,7 +65,7 @@ def periodic_hann(length: int) -> np.ndarray:
 
 @functools.cache
 def _front_end_tables() -> tuple[np.ndarray, np.ndarray]:
-    return periodic_hann(FRAME_LENGTH), mel_filterbank(NUM_BANDS, N_FFT, SAMPLE_RATE).weights
+    return periodic_hann(FRAME_LENGTH), mel_filterbank(NUM_BANDS, N_FFT)
 
 
 def log_mel_spectrogram(segment: Signal) -> np.ndarray:
@@ -92,23 +91,21 @@ def _mel_blocks(n_frames: int) -> list[slice]:
     return [slice(start, end) for start, end in zip(starts, starts[1:] + [n_frames])]
 
 
-def patchify(
-    logmel: np.ndarray, patch_len: int = PATCH_LENGTH, patch_hop: int = PATCH_HOP
-) -> np.ndarray:
-    """Slice the frame matrix into 50%-overlapping patches of patch_len rows.
+def patchify(logmel: np.ndarray) -> np.ndarray:
+    """Slice the frame matrix into 50%-overlapping patches of PATCH_LENGTH rows.
 
-    Patch i covers rows [patch_hop*i, patch_hop*i + patch_len); trailing rows
-    that do not fill a patch are dropped. Returns (num_patches, patch_len, bands).
+    Patch i covers rows [PATCH_HOP*i, PATCH_HOP*i + PATCH_LENGTH); trailing
+    rows that do not fill a patch are dropped. Returns (num_patches, 96, bands).
     """
     if logmel.ndim != 2:
         raise ValueError("expected a 2-D frame matrix")
-    if logmel.shape[0] < patch_len:
+    if logmel.shape[0] < PATCH_LENGTH:
         raise ValueError(
-            f"need at least {patch_len} frames to form a patch, got {logmel.shape[0]}"
+            f"need at least {PATCH_LENGTH} frames to form a patch, got {logmel.shape[0]}"
         )
-    count = 1 + (logmel.shape[0] - patch_len) // patch_hop
+    count = 1 + (logmel.shape[0] - PATCH_LENGTH) // PATCH_HOP
     return np.stack(
-        [logmel[i * patch_hop : i * patch_hop + patch_len] for i in range(count)]
+        [logmel[i * PATCH_HOP : i * PATCH_HOP + PATCH_LENGTH] for i in range(count)]
     )
 
 
@@ -121,8 +118,7 @@ def _float64(layer: LayerDesc) -> tuple[np.ndarray, np.ndarray]:
 def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     """Run a (P, 96, 64) stack of patches through the embedding network: (P, 128).
 
-    A single (96, 64) patch is a stack of one and gives a 128-vector. Each
-    patch enters as channels x length (bands become channels). Conv layers
+    Each patch enters as channels x length (bands become channels). Conv layers
     are valid, stride 1; dense weights are (out, in). The output must be a
     128-vector per patch; any dimension mismatch names the offending layer.
     Every layer is one stacked pass over the patches whose items are the
@@ -130,11 +126,8 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
     call (see the module docstring).
     """
     x = np.asarray(patches, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"expected a patch or a stack of patches, got shape {x.shape}")
-    single = x.ndim == 2
-    if single:
-        x = x[None]
+    if x.ndim != 3:
+        raise ValueError(f"expected a stack of patches, got shape {x.shape}")
     x = x.transpose(0, 2, 1)
     count = x.shape[0]
     for i, layer in enumerate(weights):
@@ -174,7 +167,7 @@ def embed(patches: np.ndarray, weights: list[LayerDesc]) -> np.ndarray:
         raise DataError(
             f"embedding network must end in a {EMBED_DIM}-vector, got shape {x.shape[1:]}"
         )
-    return x[0] if single else x
+    return x
 
 
 @dataclass

@@ -475,6 +475,38 @@ class TestRun:
         config = trained["root"] / "run.cfg"
         assert main(["run", "--config", str(config), "--set", "epoch=3"]) == 3
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ("strip_window_ms=inf", "strip_window_ms"),
+            ("strip_window_ms=nan", "strip_window_ms"),
+            ("strip_threshold=1.5", "strip_threshold"),
+            ("strip_threshold=nan", "strip_threshold"),
+            ("noise_alphas=0.01,-0.1", "noise_alphas"),
+            ("noise_alphas=nan", "noise_alphas"),
+            ("noise_alphas=inf", "noise_alphas"),
+            ("pitch_semitones=13", "pitch_semitones"),
+            ("pitch_semitones=nan", "pitch_semitones"),
+            ("variant=vggish kernel=8", "kernel"),
+            ("variant=fusion stride=6", "stride"),
+            ("kernel=200", "kernel"),
+            ("lr=nan", "lr"),
+            ("lr=inf", "lr"),
+            ("decay=nan", "decay"),
+            ("decay=inf", "decay"),
+        ],
+    )
+    def test_bad_value_fails_before_any_stage(self, trained, tmp_path, capsys, overrides, key):
+        # a DataError naming the key, raised before the workdir is made
+        workdir = tmp_path / "run"
+        argv = ["run", "--config", str(trained["root"] / "run.cfg"), "--set", f"workdir={workdir}"]
+        for item in overrides.split():
+            argv += ["--set", item]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and key in err
+        assert not workdir.exists()
+
     def test_other_segment_length_is_data_error(self, trained, tmp_path, capsys):
         config = trained["root"] / "run.cfg"
         code = main(
@@ -517,12 +549,17 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize(
         "flag, value, key",
-        [("--segment-seconds", "5", "segment_seconds"), ("--sample-rate", "8000", "sample_rate")],
+        [
+            ("--segment-seconds", "5", "segment_seconds"),
+            ("--sample-rate", "8000", "sample_rate"),
+            ("--text-resize", "truncate", "text_resize"),
+            ("--text-resize", "meanpool", "text_resize"),
+        ],
     )
     @pytest.mark.parametrize("command", ["extract", "preprocess", "predict-relapse"])
     def test_segment_format_flag_is_data_error(self, tmp_path, capsys, command, flag, value, key):
-        # the segment format is fixed in dsp and has no key or flag, so the
-        # flag is argparse's usage error
+        # the segment format and the text truncation are fixed and have no
+        # key or flag, so the flag is argparse's usage error
         assert not hasattr(ExperimentConfig(), key)
         argv = _single_recording_argv(command, tmp_path)
         with pytest.raises(SystemExit) as info:

@@ -169,10 +169,13 @@ class TestValidation:
             ("segment_seconds", 7.6),
             ("sample_rate", 8000),
             ("sample_rate", 16000),
+            ("text_resize", "truncate"),
+            ("text_resize", "meanpool"),
         ],
     )
     def test_segment_format_is_fixed(self, key, value):
-        # the format is fixed in dsp: neither key exists, even at its old default
+        # the segment format is fixed in dsp and the text matrix is always the
+        # truncation: no such key exists, even at its old default
         with pytest.raises(DataError, match=f"<config>:1: unknown config key '{key}'"):
             parse_config_text(f"{key} = {value}\n")
 

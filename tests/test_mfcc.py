@@ -8,8 +8,8 @@ import pytest
 from vocalsim import workers as pool
 from vocalsim.dsp import (
     LOG_FLOOR,
+    SAMPLE_RATE,
     Signal,
-    WindowSpec,
     apply_filterbank,
     dft_magnitude,
     hamming_window,
@@ -23,7 +23,6 @@ from vocalsim.mfcc import (
     NUM_COEFFS,
     NUM_FILTERS,
     NUM_FRAMES,
-    SAMPLE_RATE,
     SEGMENT_SAMPLES,
     extract_mfcc,
 )
@@ -103,12 +102,12 @@ def check_rows_bit_for_bit(x: np.ndarray) -> list[int]:
     """Compare every row with the per-frame dsp chain; return how many mel
     energies of each row fell under the log floor."""
     mat = extract_mfcc(make_segment(x))
-    window = hamming_window(WindowSpec(FRAME_LENGTH))
-    bank = mel_filterbank(NUM_FILTERS, N_FFT, SAMPLE_RATE)
+    window = hamming_window(FRAME_LENGTH)
+    weights = mel_filterbank(NUM_FILTERS, N_FFT)
     floored = []
     for t in range(NUM_FRAMES):
         frame = x[t * HOP_LENGTH : t * HOP_LENGTH + FRAME_LENGTH]
-        energies = apply_filterbank(dft_magnitude(frame * window, N_FFT) ** 2, bank)
+        energies = apply_filterbank(dft_magnitude(frame * window, N_FFT) ** 2, weights)
         floored.append(int(np.sum(energies < LOG_FLOOR)))
         np.testing.assert_array_equal(mat[t], log_dct(energies, NUM_COEFFS))
     return floored

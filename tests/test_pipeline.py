@@ -1,5 +1,6 @@
 """Tests for the staged pipeline: caching, idempotence, and seed scoping."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -138,7 +139,7 @@ def serial_features(config, records) -> dict:
         for index, group in enumerate(groups):
             text = None
             if words is not None:
-                text = extract_text(words, index, lexicon, config.text_resize)
+                text = extract_text(words, index, lexicon)
             for variant in group:
                 sample_id = f"{record.subject_id}/{index:05d}/{variant.provenance}"
                 if "mfcc" in fields:
@@ -453,6 +454,71 @@ class TestPipeline:
             "train: checkpoint up to date",
             "eval: report up to date",
         ]
+
+    def test_every_config_key_reaches_a_stage_digest(self, tmp_path):
+        """Another valid value of any key but the two that name no stage
+        input moves the features, pairs or train digest: workdir is where
+        the stages write, and relapse_threshold is read by predict-relapse
+        alone."""
+        manifest = build_corpus(tmp_path, subjects=2, seconds=8.0)
+        header, *rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join([header, *rows[::-1]]), encoding="utf-8")
+        weights = tmp_path / "vggish.oswt"
+        save_embedding_file(weights, make_test_network(), identity_pca())
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("steady " + " ".join(["0.5"] * 300) + "\n", encoding="utf-8")
+        synonyms = tmp_path / "synonyms.tsv"
+        synonyms.write_text("calm\tsteady\n", encoding="utf-8")
+        others = {
+            "manifest": str(reordered),
+            "workdir": str(tmp_path / "elsewhere"),
+            "resample": True,
+            "strip_threshold": 0.2,
+            "strip_window_ms": 30.0,
+            "augment": False,
+            "augment_train_only": False,
+            "augment_seed": 99,
+            "noise_alphas": "0.01",
+            "pitch_semitones": "1",
+            "variant": "vggish",
+            "pair_mode": "score25",
+            "pairs_per_sample": 3,
+            "seed": 8,
+            "split_seed": 5,
+            "vggish_weights": str(weights),
+            "lexicon": str(lexicon),
+            "synonyms": str(synonyms),
+            "batch_size": 7,
+            "epochs": 2,
+            "lr": 1e-3,
+            "decay": 0.0,
+            "patience": 3,
+            "dropout": 0.0,
+            "filters": 8,
+            "kernel": 2,
+            "stride": 2,
+            "dense_width": 16,
+            "fusion_width": 32,
+            "relapse_threshold": 0.7,
+        }
+        assert set(others) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+        def digests(config):
+            records = load_manifest(config.manifest, config.split_seed, check_audio=False)
+            features = pipeline._digest(pipeline._feature_parts(config, records))
+            pairs = pipeline._digest(pipeline._pair_parts(config, features))
+            return features, pairs, pipeline._digest(pipeline._train_parts(config, pairs))
+
+        base = ExperimentConfig(manifest=str(manifest))
+        before = digests(base)
+        moved = set()
+        for key, value in others.items():
+            assert getattr(base, key) != value, key
+            changed = dataclasses.replace(base, **{key: value}).validate()
+            if digests(changed) != before:
+                moved.add(key)
+        assert set(others) - moved == {"workdir", "relapse_threshold"}
 
     def test_warm_rerun_reads_no_tensor_and_no_checkpoint(self, tmp_path, monkeypatch):
         manifest = build_corpus(tmp_path, seconds=8.0)

@@ -260,17 +260,6 @@ class TestResize:
         np.testing.assert_array_equal(out[:, 5:], np.zeros((60, 4)))
         assert np.any(out[:, 4] != 0.0)
 
-    def test_meanpool_blocks_of_five(self):
-        rng = np.random.default_rng(8)
-        E = rng.normal(size=(2, 300))
-        out = resize_text_matrix(E, mode="meanpool")
-        for j in range(2):
-            for d in range(60):
-                assert out[d, j] == pytest.approx(E[j, 5 * d : 5 * d + 5].mean())
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resize_text_matrix(np.zeros((3, 300)), mode="project")
 
 
 class TestExtract:

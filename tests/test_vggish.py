@@ -148,7 +148,7 @@ class TestLogMel:
                 for t in range(NUM_FRAMES)
             ]
         )
-        mel = spectra @ mel_filterbank(NUM_BANDS, N_FFT, SR).weights.T
+        mel = spectra @ mel_filterbank(NUM_BANDS, N_FFT).T
         got = log_mel_spectrogram(make_segment(x))
         np.testing.assert_array_equal(got, np.log(np.maximum(mel, LOG_FLOOR)))
         floored = np.sum(mel < LOG_FLOOR, axis=1)
@@ -192,16 +192,16 @@ class TestEmbed:
             LayerDesc("flatten"),
             LayerDesc("dense", [np.zeros((128, 96 * 64)), np.zeros(128)]),
         ]
-        out = embed(np.ones((96, 64)), layers)
-        np.testing.assert_array_equal(out, np.zeros(128))
+        out = embed(np.ones((1, 96, 64)), layers)
+        np.testing.assert_array_equal(out, np.zeros((1, 128)))
 
     def test_identity_dense_copies_first_inputs(self):
         w = np.zeros((128, 96 * 64))
         w[:, :128] = np.eye(128)
         layers = [LayerDesc("flatten"), LayerDesc("dense", [w, np.zeros(128)])]
         patch = np.arange(96 * 64, dtype=np.float64).reshape(96, 64)
-        out = embed(patch, layers)
-        np.testing.assert_array_equal(out, patch.T.ravel()[:128])
+        out = embed(patch[None], layers)
+        np.testing.assert_array_equal(out, [patch.T.ravel()[:128]])
 
     def test_matches_naive_oracle_on_small_stack(self):
         rng = np.random.default_rng(7)
@@ -217,9 +217,9 @@ class TestEmbed:
             LayerDesc("flatten"),
             LayerDesc("dense", [w2, b2]),
         ]
-        got = embed(patch, layers)
+        got = embed(patch[None], layers)
         want = naive_forward(patch, layers)
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_allclose(got, [want], rtol=1e-9)
 
     @pytest.mark.parametrize(
         "network", [make_test_network, flatten_dense_network, one_conv_network]
@@ -242,16 +242,11 @@ class TestEmbed:
         np.testing.assert_array_equal(embed(patches, layers), want)
         np.testing.assert_array_equal(extract_vggish(seg, layers, identity_pca()), want)
 
-    def test_single_patch_is_a_stack_of_one(self):
-        layers = make_test_network()
-        patch = np.random.default_rng(12).normal(size=(96, 64))
-        single = embed(patch, layers)
-        assert single.shape == (EMBED_DIM,)
-        np.testing.assert_array_equal(single, embed(patch[None], layers)[0])
-
     def test_patch_of_wrong_rank_rejected(self):
-        with pytest.raises(ValueError, match="stack of patches"):
-            embed(np.ones(96 * 64), make_test_network())
+        # a single patch is a stack of one, (1, 96, 64)
+        for shape in [(96 * 64,), (96, 64)]:
+            with pytest.raises(ValueError, match="stack of patches"):
+                embed(np.ones(shape), make_test_network())
 
     def test_dim_mismatch_names_layer_index(self):
         layers = [
@@ -259,7 +254,7 @@ class TestEmbed:
             LayerDesc("dense", [np.zeros((128, 10)), np.zeros(128)]),
         ]
         with pytest.raises(DataError, match="layer 1"):
-            embed(np.ones((96, 64)), layers)
+            embed(np.ones((1, 96, 64)), layers)
 
     def test_wrong_final_dim_rejected(self):
         layers = [
@@ -267,12 +262,12 @@ class TestEmbed:
             LayerDesc("dense", [np.zeros((64, 96 * 64)), np.zeros(64)]),
         ]
         with pytest.raises(DataError, match="128"):
-            embed(np.ones((96, 64)), layers)
+            embed(np.ones((1, 96, 64)), layers)
 
     def test_conv_kernel_longer_than_input_rejected(self):
         layers = [LayerDesc("conv1d", [np.zeros((4, 64, 97)), np.zeros(4)])]
         with pytest.raises(DataError, match="layer 0"):
-            embed(np.ones((96, 64)), layers)
+            embed(np.ones((1, 96, 64)), layers)
 
 
 class TestPca:
