@@ -77,8 +77,6 @@ def _add_augment_flags(parser):
         help="also emit noise and pitch variants",
     )
     _config_flag(parser, "augment-seed")
-    _config_flag(parser, "noise-alphas")
-    _config_flag(parser, "pitch-semitones")
 
 
 def _add_model_flags(parser):
@@ -256,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=strip_default,
             help="drop low-energy windows before segmenting",
         )
-        _config_flag(p, "strip-threshold")
-        _config_flag(p, "strip-window-ms")
 
     p = sub.add_parser("preprocess", help="strip, segment, and augment one recording")
     p.add_argument("--audio", required=True)

@@ -6,7 +6,6 @@ shuffles; `split_seed` only the automatic manifest split; `augment_seed` only
 the augmentation noise. Feature caches therefore survive a `seed` change.
 """
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -14,7 +13,6 @@ from .errors import DataError, is_file, read_text
 from .manifest import SPLIT_SEED
 from .models import HEADS, RELAPSE_THRESHOLD, ModelSpec
 from .pairs import PAIRS_PER_SAMPLE
-from .preprocess import NOISE_ALPHAS, PITCH_SEMITONES, STRIP_THRESHOLD, STRIP_WINDOW_MS
 from .training import TrainConfig
 
 PAIR_MODES = tuple(HEADS)
@@ -35,14 +33,8 @@ class ExperimentConfig:
     workdir: str = "runs"
     resample: bool = False
 
-    strip_threshold: float = STRIP_THRESHOLD
-    strip_window_ms: float = STRIP_WINDOW_MS
-
     augment: bool = True
-    augment_train_only: bool = True
     augment_seed: int = 1234
-    noise_alphas: str = ",".join(f"{a:g}" for a in NOISE_ALPHAS)
-    pitch_semitones: str = ",".join(f"{s:g}" for s in PITCH_SEMITONES)
 
     variant: str = ModelSpec.variant
     pair_mode: str = ModelSpec.head
@@ -69,12 +61,6 @@ class ExperimentConfig:
 
     relapse_threshold: float = RELAPSE_THRESHOLD
 
-    def noise_alpha_values(self) -> tuple:
-        return _parse_float_list(self.noise_alphas, "noise_alphas")
-
-    def pitch_semitone_values(self) -> tuple:
-        return _parse_float_list(self.pitch_semitones, "pitch_semitones")
-
     def model_spec(self) -> ModelSpec:
         """The spec of the model this config trains; `seed` seeds its init."""
         return ModelSpec(
@@ -95,39 +81,16 @@ class ExperimentConfig:
             self.train_config()
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        if not 0.0 <= self.strip_threshold <= 1.0:
-            raise DataError(f"strip_threshold must be in [0, 1], got {self.strip_threshold}")
-        if not 0.0 < self.strip_window_ms < math.inf:
-            raise DataError(
-                f"strip_window_ms must be positive and finite, got {self.strip_window_ms}"
-            )
         if self.pairs_per_sample <= 0:
             raise DataError(f"pairs_per_sample must be positive, got {self.pairs_per_sample}")
         if not 0.0 <= self.relapse_threshold <= 1.0:
             raise DataError(
                 f"relapse_threshold must be in [0, 1], got {self.relapse_threshold}"
             )
-        if not all(0.0 <= a < math.inf for a in self.noise_alpha_values()):
-            raise DataError(f"noise_alphas must be finite and >= 0, got {self.noise_alphas!r}")
-        if not all(abs(s) <= 12.0 for s in self.pitch_semitone_values()):
-            raise DataError(f"pitch_semitones must be within +/-12, got {self.pitch_semitones!r}")
         return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _parse_float_list(text: str, name: str) -> tuple:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise DataError(f"{name}: {part!r} is not a number") from None
-    return tuple(values)
 
 
 def _coerce(key: str, raw: str, where: str):

@@ -56,7 +56,17 @@ from .models import (
     save_checkpoint,
 )
 from .pairs import PairSet, SampleRef, make_pairs, read_pairs_csv, write_pairs_csv
-from .preprocess import Segment, segment, segment_seeds, strip_unvoiced, variant_units
+from .preprocess import (
+    NOISE_ALPHAS,
+    PITCH_SEMITONES,
+    STRIP_THRESHOLD,
+    STRIP_WINDOW_MS,
+    Segment,
+    segment,
+    segment_seeds,
+    strip_unvoiced,
+    variant_units,
+)
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
 from .training import TrainResult, train
 from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
@@ -156,7 +166,7 @@ def _recording_cut(config: ExperimentConfig, audio, strip: bool) -> list[Segment
     it into segments."""
     signal = read_wav(audio, config.resample)
     if strip:
-        signal = strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms)
+        signal = strip_unvoiced(signal)
     return segment(signal)
 
 
@@ -166,12 +176,8 @@ def _segment_units(config: ExperimentConfig, segments, augment: bool) -> list[li
     i drawing its noise from child i of the augment seed."""
     if not augment:
         return [variant_units(seg, None, (), ()) for seg in segments]
-    alphas = config.noise_alpha_values()
-    semitones = config.pitch_semitone_values()
     seeds = segment_seeds(config.augment_seed, len(segments))
-    return [
-        variant_units(seg, child, alphas, semitones) for seg, child in zip(segments, seeds)
-    ]
+    return [variant_units(seg, child) for seg, child in zip(segments, seeds)]
 
 
 def recording_segments(
@@ -247,15 +253,12 @@ def featurize_recording(
 def extract_corpus_features(config: ExperimentConfig, records) -> dict:
     """Compute every sample's feature tensors, keyed
     `subject/segment/provenance/field`. Augmented variants are produced for
-    the train split (or for all splits when augment_train_only is off).
-    Recordings are featurized one at a time, in manifest order, so one
-    recording's audio is held at a time."""
+    the train split alone. Recordings are featurized one at a time, in
+    manifest order, so one recording's audio is held at a time."""
     tools = feature_tools(config)
     tensors: dict[str, np.ndarray] = {}
     for record in records:
-        augment = config.augment and (
-            record.split == "train" or not config.augment_train_only
-        )
+        augment = config.augment and record.split == "train"
         tensors.update(
             featurize_recording(
                 config,
@@ -361,22 +364,22 @@ def train_and_save(
 
 
 def _feature_parts(config: ExperimentConfig, records) -> list:
-    # the fixed segment format and text truncation sit where the
-    # sample_rate, segment_seconds and text_resize keys were hashed, so
-    # caches made while those keys existed still match
+    # the fixed segment format, gate, augmentation and text truncation are
+    # hashed where their removed keys were, as the keys' defaults printed,
+    # so caches made while those keys existed still match
     parts = [
         "features",
         config.variant,
         SAMPLE_RATE,
         config.resample,
-        config.strip_threshold,
-        config.strip_window_ms,
+        STRIP_THRESHOLD,
+        STRIP_WINDOW_MS,
         SEGMENT_SECONDS,
         config.augment,
-        config.augment_train_only,
+        True,
         config.augment_seed,
-        config.noise_alphas,
-        config.pitch_semitones,
+        ",".join(f"{a:g}" for a in NOISE_ALPHAS),
+        ",".join(f"{s:g}" for s in PITCH_SEMITONES),
         "truncate",
         config.split_seed,
         Path(config.manifest),

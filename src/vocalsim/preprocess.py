@@ -37,7 +37,9 @@ def strip_unvoiced(
     if not 0.0 <= energy_threshold <= 1.0:
         raise ValueError("energy_threshold must be in [0, 1]")
     x = signal.samples
-    window = max(1, int(round(window_ms * signal.sample_rate / 1000.0)))
+    # any window longer than the signal gates it as its tail alone, so the
+    # cap keeps every decision and a huge window stays a small int
+    window = max(1, int(round(min(window_ms * signal.sample_rate / 1000.0, x.size + 1))))
     power = x**2
     global_rms = np.sqrt(np.mean(power)) if x.size else 0.0
     if global_rms == 0.0:

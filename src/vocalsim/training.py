@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, NumericError
-from .models import SiameseModel
+from .models import SIMILAR_INDEX, SiameseModel
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _target_matrix(pairs, head_size: int) -> np.ndarray:
     targets = np.zeros((len(pairs), head_size))
     for row, pair in enumerate(pairs):
         if head_size == 2:
-            targets[row, 0 if pair.similar else 1] = 1.0
+            targets[row, SIMILAR_INDEX if pair.similar else 1 - SIMILAR_INDEX] = 1.0
         else:
             if not 0 <= pair.label_score < head_size:
                 raise DataError(

@@ -478,6 +478,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "overrides, key",
         [
+            # the silence gate and the augmentation factors are constants:
+            # their old keys are unknown, whatever the value
             ("strip_window_ms=inf", "strip_window_ms"),
             ("strip_window_ms=nan", "strip_window_ms"),
             ("strip_threshold=1.5", "strip_threshold"),
@@ -548,18 +550,33 @@ class TestFlagValidation:
     """Single-recording subcommands check their flags as `run --set` does."""
 
     @pytest.mark.parametrize(
-        "flag, value, key",
+        "command, flag, value, key",
         [
-            ("--segment-seconds", "5", "segment_seconds"),
-            ("--sample-rate", "8000", "sample_rate"),
-            ("--text-resize", "truncate", "text_resize"),
-            ("--text-resize", "meanpool", "text_resize"),
+            (command, *row)
+            for command in ("extract", "preprocess", "predict-relapse")
+            for row in (
+                ("--segment-seconds", "5", "segment_seconds"),
+                ("--sample-rate", "8000", "sample_rate"),
+                ("--text-resize", "truncate", "text_resize"),
+                ("--text-resize", "meanpool", "text_resize"),
+                ("--strip-threshold", "0.1", "strip_threshold"),
+                ("--strip-window-ms", "25.0", "strip_window_ms"),
+            )
+        ]
+        # only the commands that could augment had the factor flags
+        + [
+            (command, *row)
+            for command in ("extract", "preprocess")
+            for row in (
+                ("--noise-alphas", "0.01,0.02,0.03", "noise_alphas"),
+                ("--pitch-semitones", "0.5,2,2.5", "pitch_semitones"),
+            )
         ],
     )
-    @pytest.mark.parametrize("command", ["extract", "preprocess", "predict-relapse"])
     def test_segment_format_flag_is_data_error(self, tmp_path, capsys, command, flag, value, key):
-        # the segment format and the text truncation are fixed and have no
-        # key or flag, so the flag is argparse's usage error
+        # the segment format, the silence gate, the augmentation factors and
+        # the text truncation are fixed and have no key or flag, so the flag
+        # is argparse's usage error, even at its old default
         assert not hasattr(ExperimentConfig(), key)
         argv = _single_recording_argv(command, tmp_path)
         with pytest.raises(SystemExit) as info:

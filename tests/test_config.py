@@ -23,10 +23,7 @@ class TestDefaults:
         assert config.patience == 10
 
     def test_augmentation_defaults(self):
-        config = ExperimentConfig()
-        assert config.noise_alpha_values() == (0.01, 0.02, 0.03)
-        assert config.pitch_semitone_values() == (0.5, 2.0, 2.5)
-        assert config.augment and config.augment_train_only
+        assert ExperimentConfig().augment
 
     def test_defaults_validate(self):
         ExperimentConfig().validate()
@@ -171,14 +168,16 @@ class TestValidation:
             ("sample_rate", 16000),
             ("text_resize", "truncate"),
             ("text_resize", "meanpool"),
+            ("strip_threshold", "0.1"),
+            ("strip_window_ms", "25.0"),
+            ("augment_train_only", "true"),
+            ("noise_alphas", "0.01,0.02,0.03"),
+            ("pitch_semitones", "0.5,2,2.5"),
         ],
     )
     def test_segment_format_is_fixed(self, key, value):
-        # the segment format is fixed in dsp and the text matrix is always the
-        # truncation: no such key exists, even at its old default
+        # the segment format is fixed in dsp, the silence gate and the
+        # augmentation factors in preprocess, and the text matrix is always
+        # the truncation: no such key exists, even at its old default
         with pytest.raises(DataError, match=f"<config>:1: unknown config key '{key}'"):
             parse_config_text(f"{key} = {value}\n")
-
-    def test_bad_alpha_list(self):
-        with pytest.raises(DataError, match="noise_alphas"):
-            ExperimentConfig(noise_alphas="0.01,loud").validate()

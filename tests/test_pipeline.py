@@ -20,7 +20,15 @@ from vocalsim.manifest import load_manifest, read_wav, write_wav
 from vocalsim.dsp import Signal
 from vocalsim.mfcc import extract_mfcc
 from vocalsim.models import VARIANT_FIELDS
-from vocalsim.preprocess import augment_corpus, segment, strip_unvoiced
+from vocalsim.preprocess import (
+    NOISE_ALPHAS,
+    PITCH_SEMITONES,
+    STRIP_THRESHOLD,
+    STRIP_WINDOW_MS,
+    augment_corpus,
+    segment,
+    strip_unvoiced,
+)
 from vocalsim.textfeat import extract_text, load_transcript
 from vocalsim.vggish import extract_vggish, identity_pca, make_test_network, save_embedding_file
 from vocalsim.pipeline import (
@@ -122,17 +130,12 @@ def serial_features(config, records) -> dict:
     tensors = {}
     for record in records:
         signal = read_wav(record.audio_path)
-        segments = segment(strip_unvoiced(signal, config.strip_threshold, config.strip_window_ms))
+        segments = segment(strip_unvoiced(signal, STRIP_THRESHOLD, STRIP_WINDOW_MS))
         if not segments:
             continue
         groups = [[seg] for seg in segments]
-        if config.augment and (record.split == "train" or not config.augment_train_only):
-            variants = augment_corpus(
-                segments,
-                config.augment_seed,
-                config.noise_alpha_values(),
-                config.pitch_semitone_values(),
-            )
+        if config.augment and record.split == "train":
+            variants = augment_corpus(segments, config.augment_seed, NOISE_ALPHAS, PITCH_SEMITONES)
             per = len(variants) // len(segments)
             groups = [variants[i * per : (i + 1) * per] for i in range(len(segments))]
         words = load_transcript(record.transcript_path) if "text" in fields else None
@@ -474,13 +477,8 @@ class TestPipeline:
             "manifest": str(reordered),
             "workdir": str(tmp_path / "elsewhere"),
             "resample": True,
-            "strip_threshold": 0.2,
-            "strip_window_ms": 30.0,
             "augment": False,
-            "augment_train_only": False,
             "augment_seed": 99,
-            "noise_alphas": "0.01",
-            "pitch_semitones": "1",
             "variant": "vggish",
             "pair_mode": "score25",
             "pairs_per_sample": 3,

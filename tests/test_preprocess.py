@@ -154,9 +154,11 @@ class TestStripMatchesWindowLoop:
         assert len(out) == 1200
 
     def test_window_longer_than_signal(self):
+        # 25 ms is a 400-sample window; 1e300 ms gates as 1e12 ms does
         sig = gated_noise(7, 300)
-        out = self.check(sig, 0.5, window_ms=25.0)  # 400-sample window
-        np.testing.assert_array_equal(out.samples, sig.samples)
+        for window_ms in (25.0, 1e12, 1e300):
+            out = self.check(sig, 0.5, window_ms=window_ms)
+            np.testing.assert_array_equal(out.samples, sig.samples)
 
     def test_window_of_one_sample(self):
         # 0.04 ms at 16 kHz rounds to one sample: each sample is gated alone
