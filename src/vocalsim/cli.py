@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import PAIR_MODES, ExperimentConfig, apply_overrides, load_config
 from .container import write_container
-from .errors import DataError, NumericError, replace_text
+from .errors import DataError, NumericError, make_dir, replace_text
 from .manifest import SPLITS, load_manifest, write_wav
 from .metrics import evaluate, render_confusion
 from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
@@ -104,7 +104,7 @@ def _recording_sets(config, audio, transcript, tools, strip) -> list:
 
 def _cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     groups = recording_segments(_config(args), args.audio, args.strip, args.augment)
     if not groups:
         raise DataError(f"{args.audio}: no segment is long enough to write")

@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise DataError(str(exc)) from None
         if self.pairs_per_sample <= 0:
             raise DataError(f"pairs_per_sample must be positive, got {self.pairs_per_sample}")
+        for key in ("seed", "split_seed", "augment_seed"):
+            if getattr(self, key) < 0:
+                raise DataError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not 0.0 <= self.relapse_threshold <= 1.0:
             raise DataError(
                 f"relapse_threshold must be in [0, 1], got {self.relapse_threshold}"

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the file helpers every
-module uses: the file checks and the text-file reader that raise them, and
-the writer that replaces a file whole."""
+module uses: the file checks and the text-file reader that raise them, the
+writer that replaces a file whole, and the directory maker."""
 
 import contextlib
 import os
@@ -44,17 +44,28 @@ def replace_file(path, mode: str = "w", **open_args):
     then renamed over `path`, so a reader never sees a half-written file,
     and a file another process has mapped is replaced, never rewritten
     under it. A block that raises leaves the old file as it was and no
-    temporary file behind."""
+    temporary file behind; an OSError, from creating, writing or renaming
+    the file, is raised as a DataError naming `path`."""
     directory, base = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), **open_args) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def make_dir(path) -> None:
+    """mkdir -p `path`; a DataError naming the path if it cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make directory {path}: {exc.strerror or exc}") from exc
 
 
 def replace_text(path, text: str) -> None:

@@ -7,7 +7,7 @@ model is trained and saved (`train_and_save`); the command line calls the
 same functions.
 
 Featurization is cut at one level, the variant units of a segment
-(`preprocess.variant_units`): its original, its noise variants as one unit,
+(`preprocess.segment_units`): its original, its noise variants as one unit,
 and each pitch variant. Recordings are featurized one at a time in
 manifest order. The calling thread reads, strips and cuts a recording and
 makes each segment's text; the recording's units then run in shares on the
@@ -44,7 +44,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .container import read_container, tensor_names, write_container
 from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
-from .errors import DataError, NumericError, replace_text
+from .errors import DataError, NumericError, make_dir, replace_text
 from .manifest import SPLITS, load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
 from .mfcc import extract_mfcc
@@ -63,9 +63,8 @@ from .preprocess import (
     STRIP_WINDOW_MS,
     Segment,
     segment,
-    segment_seeds,
+    segment_units,
     strip_unvoiced,
-    variant_units,
 )
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
 from .training import TrainResult, train
@@ -161,36 +160,25 @@ def feature_tools(config: ExperimentConfig) -> tuple:
     return embed_net, pca, lexicon
 
 
-def _recording_cut(config: ExperimentConfig, audio, strip: bool) -> list[Segment]:
+def _recording_units(config: ExperimentConfig, audio, strip: bool, augment: bool) -> list:
     """Read one recording, drop its unvoiced windows (when `strip`), and cut
-    it into segments."""
+    it into segments: each segment's variant units, with its noise and pitch
+    variants, seeded by the augment seed, only when `augment` is set."""
     signal = read_wav(audio, config.resample)
     if strip:
         signal = strip_unvoiced(signal)
-    return segment(signal)
-
-
-def _segment_units(config: ExperimentConfig, segments, augment: bool) -> list[list]:
-    """Each segment's variant units (`preprocess.variant_units`): its
-    original alone, or with `augment` its noise and pitch units too, segment
-    i drawing its noise from child i of the augment seed."""
-    if not augment:
-        return [variant_units(seg, None, (), ()) for seg in segments]
-    seeds = segment_seeds(config.augment_seed, len(segments))
-    return [variant_units(seg, child) for seg, child in zip(segments, seeds)]
+    return segment_units(segment(signal), config.augment_seed if augment else None)
 
 
 def recording_segments(
     config: ExperimentConfig, audio, strip: bool = True, augment: bool = False
 ) -> list[list[Segment]]:
-    """Read one recording, drop its unvoiced windows (when `strip`), and cut
-    it into segments. Returns one group per segment: the original, then its
-    noise and pitch variants when `augment` is set. Empty when the recording
-    is shorter than one segment."""
-    segments = _recording_cut(config, audio, strip)
+    """One group of Segments per segment of the recording (_recording_units):
+    the original, then its noise and pitch variants when `augment` is set.
+    Empty when the recording is shorter than one segment."""
     return [
         [variant for unit in units for variant in unit()]
-        for units in _segment_units(config, segments, augment)
+        for units in _recording_units(config, audio, strip, augment)
     ]
 
 
@@ -232,14 +220,14 @@ def featurize_recording(
     a share, such as one recording of a predict-relapse request, the units
     run inline."""
     fields = VARIANT_FIELDS[config.variant]
-    segments = _recording_cut(config, audio, strip)
+    by_segment = _recording_units(config, audio, strip, augment)
     words = None
-    if segments and "text" in fields:
+    if by_segment and "text" in fields:
         if not transcript:
             raise ValueError("fusion variant needs a transcript for each recording")
         words = load_transcript(transcript)
     units = []
-    for seg_index, seg_units in enumerate(_segment_units(config, segments, augment)):
+    for seg_index, seg_units in enumerate(by_segment):
         text = None
         if words is not None:
             text = extract_text(words, seg_index, tools[2])
@@ -446,7 +434,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
         raise DataError("config.manifest is not set")
     log = log or (lambda message: None)
     workdir = Path(config.workdir)
-    (workdir / "cache").mkdir(parents=True, exist_ok=True)
+    make_dir(workdir / "cache")
     state = _load_state(workdir)
     paths = {
         "cache": workdir / "cache" / f"features-{config.variant}.oswt",

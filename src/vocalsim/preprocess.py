@@ -125,54 +125,46 @@ def segment_seeds(seed: int, count: int) -> list:
     return np.random.SeedSequence(seed).spawn(count)
 
 
-def variant_units(
-    seg: Segment,
-    child,
-    noise_alphas=NOISE_ALPHAS,
-    pitch_semitones=PITCH_SEMITONES,
-) -> list:
-    """The variants of one segment, cut into units that can be built apart.
-
-    Each unit is a function of no arguments that yields its Segments one at
-    a time, so building a unit holds one variant signal at a time. The units
-    are the original; the noise variants, as one unit, because they draw in
-    order from the one stream seeded by `child`; then each pitch variant as a
-    unit of its own. With no factors the original is the only unit. Their
-    variants, in unit order, are augment_corpus's variants of the segment.
-    """
+def variant_units(seg: Segment, child) -> list:
+    """The variants of one segment, cut into units that can be built apart:
+    functions of no arguments that yield their Segments one at a time, so a
+    unit holds one variant signal at a time. The units are the original; the
+    noise variants, as one unit, because they draw in order from the one
+    stream seeded by `child`; then each pitch variant. With `child` None the
+    original is the only unit."""
 
     def original():
         yield seg
 
+    if child is None:
+        return [original]
+
     def noise():
         rng = np.random.default_rng(child)
-        for alpha in noise_alphas:
+        for alpha in NOISE_ALPHAS:
             yield Segment(inject_noise(seg.signal, alpha, rng), f"noise-{alpha:g}")
 
     def pitch(semis):
         yield Segment(pitch_shift(seg.signal, semis), f"pitch-{semis:g}")
 
-    units = [original, noise] if len(noise_alphas) else [original]
-    return units + [functools.partial(pitch, semis) for semis in pitch_semitones]
+    return [original, noise] + [functools.partial(pitch, semis) for semis in PITCH_SEMITONES]
 
 
-def augment_corpus(
-    segments: list[Segment],
-    seed,
-    noise_alphas=NOISE_ALPHAS,
-    pitch_semitones=PITCH_SEMITONES,
-) -> list[Segment]:
-    """Expand each segment into original + noise and pitch variants.
+def segment_units(segments: list[Segment], seed=None) -> list[list]:
+    """Each segment's variant units (variant_units): segment i gets child i
+    of `seed` (segment_seeds), or keeps its original alone when `seed` is
+    None."""
+    children = [None] * len(segments) if seed is None else segment_seeds(seed, len(segments))
+    return [variant_units(seg, child) for seg, child in zip(segments, children)]
 
-    With the default factor lists each segment yields 7 variants: those of
-    variant_units, unit by unit. Noise draws come from the segment's child
-    stream of `seed` (segment_seeds), so results do not depend on
-    processing order.
-    """
+
+def augment_corpus(segments: list[Segment], seed) -> list[Segment]:
+    """Each segment's original, then its noise and pitch variants: the units
+    of segment_units(segments, seed), built in order."""
     if not segments:
         raise ValueError("augment_corpus requires at least one segment")
     out = []
-    for seg, child in zip(segments, segment_seeds(seed, len(segments))):
-        for unit in variant_units(seg, child, noise_alphas, pitch_semitones):
+    for units in segment_units(segments, seed):
+        for unit in units:
             out.extend(unit())
     return out

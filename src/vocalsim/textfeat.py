@@ -174,38 +174,16 @@ def align_transcript(utterances: list[TranscriptUtterance], segment_index: int) 
     return words
 
 
-def embed_words(words: list[str], lexicon: Lexicon) -> np.ndarray:
-    """Stack one 300-vector per word; unknown words fall back to their synonym
-    and then to a zero row."""
-    out = np.zeros((len(words), VECTOR_DIM))
-    for k, word in enumerate(words):
-        vec = lexicon.lookup(word)
-        if vec is not None:
-            out[k] = vec
-    return out
-
-
-def resize_text_matrix(embeddings: np.ndarray) -> np.ndarray:
-    """Reduce an nw x 300 stack to the fixed 60x9 matrix (column j = word j):
-    each word keeps its first 60 components. Missing words pad with zero
-    columns; words beyond the ninth are discarded.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 and embeddings.size:
-        raise ValueError("expected an nw x 300 matrix")
-    out = np.zeros((NUM_DIMS, NUM_WORDS))
-    count = min(embeddings.shape[0] if embeddings.size else 0, NUM_WORDS)
-    if count == 0:
-        return out
-    if embeddings.shape[1] != VECTOR_DIM:
-        raise ValueError(f"expected {VECTOR_DIM}-dim word vectors")
-    out[:, :count] = embeddings[:count, :NUM_DIMS].T
-    return out
-
-
 def extract_text(
     utterances: list[TranscriptUtterance], segment_index: int, lexicon: Lexicon
 ) -> np.ndarray:
-    """Full chain for one segment: align -> embed -> resize, (60, 9)."""
-    words = align_transcript(utterances, segment_index)
-    return resize_text_matrix(embed_words(words, lexicon))
+    """The (60, 9) matrix of one segment: column j holds the first 60
+    components of the vector of its aligned word j (align_transcript), or
+    of that word's synonym (Lexicon.lookup). The column of a word with
+    neither, and every column past the last word, is zero."""
+    out = np.zeros((NUM_DIMS, NUM_WORDS))
+    for j, word in enumerate(align_transcript(utterances, segment_index)[:NUM_WORDS]):
+        vec = lexicon.lookup(word)
+        if vec is not None:
+            out[:, j] = vec[:NUM_DIMS]
+    return out

@@ -1,13 +1,17 @@
 """End-to-end command-line tests driving main() in-process."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vocalsim
 from vocalsim.cli import main
 from vocalsim.config import ExperimentConfig
 from vocalsim.container import read_container, write_container
@@ -157,6 +161,16 @@ class TestExtract:
             == 3
         )
 
+    def test_out_in_missing_directory_is_data_error(self, tmp_path, capsys):
+        # the error names the path given, not the temporary file beside it
+        wav = tmp_path / "one.wav"
+        tone_wav(wav, seconds=7.6)
+        out = tmp_path / "missing" / "c.oswt"
+        assert main(["extract", "--audio", str(wav), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: cannot write {out}: " in err and ".tmp" not in err
+        assert not out.parent.exists()
+
 
 class TestPreprocess:
     def test_writes_segment_wavs(self, tmp_path, capsys):
@@ -181,6 +195,13 @@ class TestPreprocess:
         assert len(names) == 7
         assert "long-00000-noise-0.01.wav" in names
         assert "long-00000-pitch-2.5.wav" in names
+
+    def test_out_dir_under_a_file_is_data_error(self, tmp_path, capsys):
+        wav = tmp_path / "long.wav"
+        tone_wav(wav, seconds=8.0)
+        out_dir = wav / "segs"
+        assert main(["preprocess", "--audio", str(wav), "--out-dir", str(out_dir)]) == 3
+        assert f"data error: cannot make directory {out_dir}: " in capsys.readouterr().err
 
 
 class TestPair:
@@ -471,6 +492,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{report}: unreadable report" in err and "Traceback" not in err
 
+    def test_workdir_that_is_a_file_is_data_error(self, trained, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        workdir.write_text("not a directory\n", encoding="utf-8")
+        config = trained["root"] / "run.cfg"
+        assert main(["run", "--config", str(config), "--set", f"workdir={workdir}"]) == 3
+        assert f"data error: cannot make directory {workdir}" in capsys.readouterr().err
+        assert workdir.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_bad_override_is_data_error(self, trained):
         config = trained["root"] / "run.cfg"
         assert main(["run", "--config", str(config), "--set", "epoch=3"]) == 3
@@ -496,6 +525,11 @@ class TestRun:
             ("lr=inf", "lr"),
             ("decay=nan", "decay"),
             ("decay=inf", "decay"),
+            ("seed=-1", "seed must be non-negative"),
+            ("split_seed=-1", "split_seed"),
+            # run.cfg turns augmentation off: a negative seed fails either way
+            ("augment_seed=-1", "augment_seed"),
+            ("augment=true augment_seed=-1", "augment_seed"),
         ],
     )
     def test_bad_value_fails_before_any_stage(self, trained, tmp_path, capsys, overrides, key):
@@ -614,6 +648,31 @@ class TestFlagValidation:
         assert "pairs_per_sample" in capsys.readouterr().err
         assert not (tmp_path / "pairs.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("extract", "--augment-seed"),
+            ("preprocess", "--augment-seed"),
+            ("pair", "--seed"),
+            ("pair", "--split-seed"),
+            ("train", "--seed"),
+        ],
+    )
+    def test_negative_seed_is_data_error(self, trained, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        if command == "pair":
+            argv = ["pair", "--manifest", str(trained["manifest"]),
+                    "--cache", str(trained["cache"]), "--out", str(out)]
+        elif command == "train":
+            argv = ["train", "--cache", str(trained["cache"]),
+                    "--pairs", str(trained["pairs"]), "--out", str(out)]
+        else:
+            argv = _single_recording_argv(command, tmp_path)
+        assert main(argv + [flag, "-1"]) == 3
+        key = flag[2:].replace("-", "_")
+        assert f"data error: {key} must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "c.oswt").exists()
+
     @pytest.mark.parametrize("variant", ["mfcc", "vggish"])
     def test_extract_transcript_without_text_variant_is_usage_error(self, tmp_path, capsys, variant):
         argv = _single_recording_argv("extract", tmp_path, variant)
@@ -630,3 +689,30 @@ class TestFlagValidation:
         assert main(argv + [flag, str(tmp_path / "missing.tsv")]) == 2
         err = capsys.readouterr().err
         assert flag in err and variant in err
+
+
+class TestModuleEntryPoint:
+    """`python3 -m vocalsim.cli`, as README documents it, exits with
+    main's code."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--help"], 0),
+            (["predict-relapse", "--model", "m.oswt", "--audio", "a.wav"], 2),
+            (["extract", "--audio", "missing.wav", "--out", "c.oswt"], 3),
+        ],
+    )
+    def test_exit_code(self, tmp_path, args, code):
+        src = str(Path(vocalsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "vocalsim.cli", *args],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr

@@ -2,6 +2,7 @@
 
 import gc
 import mmap
+import re
 import struct
 import weakref
 from types import SimpleNamespace
@@ -350,7 +351,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, budget):
         return _FailingFile(open(file, mode, *args, **kwargs), budget)
 
     monkeypatch.setattr(errors_module, "open", failing_open, raising=False)
-    with pytest.raises(OSError, match="No space"):
+    with pytest.raises(DataError, match=re.escape(f"cannot write {path}: No space")):
         write_container(path, [LayerDesc("dense", [2 * np.ones((8, 8)), np.ones(8)])], {"a": np.zeros(5)})
     monkeypatch.undo()
     assert path.read_bytes() == before

@@ -1,6 +1,7 @@
 """Tests for manifest loading, auto splits, and WAV round trips."""
 
 import errno
+import re
 import wave
 from pathlib import Path
 
@@ -190,7 +191,7 @@ class TestWavIO:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
-        with pytest.raises(OSError, match="No space"):
+        with pytest.raises(DataError, match=re.escape(f"cannot write {path}: No space")):
             write_wav(path, Signal(np.full(16000, -0.5), 16000))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]

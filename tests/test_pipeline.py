@@ -21,8 +21,6 @@ from vocalsim.dsp import Signal
 from vocalsim.mfcc import extract_mfcc
 from vocalsim.models import VARIANT_FIELDS
 from vocalsim.preprocess import (
-    NOISE_ALPHAS,
-    PITCH_SEMITONES,
     STRIP_THRESHOLD,
     STRIP_WINDOW_MS,
     augment_corpus,
@@ -135,7 +133,7 @@ def serial_features(config, records) -> dict:
             continue
         groups = [[seg] for seg in segments]
         if config.augment and record.split == "train":
-            variants = augment_corpus(segments, config.augment_seed, NOISE_ALPHAS, PITCH_SEMITONES)
+            variants = augment_corpus(segments, config.augment_seed)
             per = len(variants) // len(segments)
             groups = [variants[i * per : (i + 1) * per] for i in range(len(segments))]
         words = load_transcript(record.transcript_path) if "text" in fields else None
@@ -240,14 +238,14 @@ class TestCorpusShares:
         layout = tuple((f"s{i}", "train", 8.0) for i in range(6))
         config, records = write_unit_corpus(tmp_path, layout)
         want = serial_features(config, records)
-        recording_cut, featurize_unit = pipeline._recording_cut, pipeline._featurize_unit
+        recording_units, featurize_unit = pipeline._recording_units, pipeline._featurize_unit
         lock = threading.Lock()
         order = []  # ("read", subject) and ("ran", subject of the unit), as they happen
 
-        def read(config, audio, strip):
+        def read(config, audio, strip, augment):
             with lock:
                 order.append(("read", Path(audio).stem))
-            return recording_cut(config, audio, strip)
+            return recording_units(config, audio, strip, augment)
 
         def run(fields, tools, unit):
             tensors = featurize_unit(fields, tools, unit)
@@ -255,7 +253,7 @@ class TestCorpusShares:
                 order.append(("ran", unit[0].split("/")[0]))
             return tensors
 
-        monkeypatch.setattr(pipeline, "_recording_cut", read)
+        monkeypatch.setattr(pipeline, "_recording_units", read)
         monkeypatch.setattr(pipeline, "_featurize_unit", run)
         workers(width)
         assert_same_tensors(extract_corpus_features(config, records), want)

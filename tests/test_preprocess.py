@@ -13,6 +13,7 @@ from vocalsim.preprocess import (
     pitch_shift,
     segment,
     segment_seeds,
+    segment_units,
     strip_unvoiced,
     variant_units,
 )
@@ -404,8 +405,27 @@ class TestVariantUnits:
         # original, the noise variants as one unit, then one per pitch shift
         assert [len(list(unit())) for unit in units] == [1, len(NOISE_ALPHAS), 1, 1, 1]
         assert len(units) == 2 + len(PITCH_SEMITONES)
-        only = variant_units(seg, None, (), ())
-        assert len(only) == 1 and list(only[0]()) == [seg]
+
+    def test_no_child_gives_the_original_alone(self):
+        seg = self.segments()[0]
+        (only,) = variant_units(seg, None)
+        assert list(only()) == [seg]
+
+    @pytest.mark.parametrize("seed", [11, None])
+    def test_segment_units_are_augment_corpus_by_segment(self, seed):
+        segs = self.segments()
+        out = augment_corpus(segs, seed)
+        grouped = [
+            [variant for unit in units for variant in unit()]
+            for units in segment_units(segs, seed)
+        ]
+        per = len(out) // len(segs)
+        assert per == (1 if seed is None else 1 + len(NOISE_ALPHAS) + len(PITCH_SEMITONES))
+        for i, group in enumerate(grouped):
+            want = out[i * per : (i + 1) * per]
+            assert [v.provenance for v in group] == [v.provenance for v in want]
+            for got, expected in zip(group, want):
+                np.testing.assert_array_equal(got.signal.samples, expected.signal.samples)
 
     def test_augment_corpus_is_the_units_in_order(self):
         segs = self.segments()

@@ -8,12 +8,10 @@ from vocalsim.textfeat import (
     Lexicon,
     TranscriptUtterance,
     align_transcript,
-    embed_words,
     extract_text,
     load_lexicon,
     load_synonyms,
     load_transcript,
-    resize_text_matrix,
     tokenize,
 )
 
@@ -24,6 +22,15 @@ def utt(start, stop, text, speaker="participant"):
 
 def vec(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=300)
+
+
+def words_matrix(words: list[str], lexicon: Lexicon) -> np.ndarray:
+    """extract_text of segment 0 for one utterance that holds `words`."""
+    return extract_text([utt(0.0, 1.0, " ".join(words))], 0, lexicon)
+
+
+def numbered_lexicon(count: int) -> Lexicon:
+    return Lexicon({f"w{j}": vec(20 + j) for j in range(count)})
 
 
 def write_lexicon(path, entries: dict[str, np.ndarray], header: bool = False):
@@ -207,6 +214,9 @@ class TestLexiconIO:
 
 
 class TestEmbedWords:
+    """extract_text's word lookup: a word's vector, else its synonym's, else
+    a zero column."""
+
     def make_lexicon(self):
         return Lexicon(
             {"happy": vec(3), "sad": vec(4)},
@@ -215,51 +225,50 @@ class TestEmbedWords:
 
     def test_known_words_stack_in_order(self):
         lex = self.make_lexicon()
-        out = embed_words(["sad", "happy"], lex)
-        np.testing.assert_array_equal(out[0], lex.vectors["sad"])
-        np.testing.assert_array_equal(out[1], lex.vectors["happy"])
+        out = words_matrix(["sad", "happy"], lex)
+        np.testing.assert_array_equal(out[:, 0], lex.vectors["sad"][:60])
+        np.testing.assert_array_equal(out[:, 1], lex.vectors["happy"][:60])
 
     def test_synonym_fallback(self):
         lex = self.make_lexicon()
-        out = embed_words(["glad"], lex)
-        np.testing.assert_array_equal(out[0], lex.vectors["happy"])
+        out = words_matrix(["glad"], lex)
+        np.testing.assert_array_equal(out[:, 0], lex.vectors["happy"][:60])
 
     def test_unknown_and_dead_synonym_are_zero(self):
         lex = self.make_lexicon()
-        out = embed_words(["mystery", "down"], lex)
-        np.testing.assert_array_equal(out, np.zeros((2, 300)))
+        out = words_matrix(["mystery", "down", "sad"], lex)
+        np.testing.assert_array_equal(out[:, :2], np.zeros((60, 2)))
+        np.testing.assert_array_equal(out[:, 2], lex.vectors["sad"][:60])
 
     def test_empty_word_list(self):
-        assert embed_words([], self.make_lexicon()).shape == (0, 300)
+        np.testing.assert_array_equal(words_matrix([], self.make_lexicon()), np.zeros((60, 9)))
 
 
 class TestResize:
+    """extract_text's fixed 60x9 matrix: column j holds the first 60
+    components of word j."""
+
     def test_nine_words_map_to_columns(self):
-        rng = np.random.default_rng(5)
-        E = rng.normal(size=(9, 300))
-        out = resize_text_matrix(E)
+        lex = numbered_lexicon(9)
+        out = words_matrix([f"w{j}" for j in range(9)], lex)
         assert out.shape == (60, 9)
         for j in range(9):
-            np.testing.assert_array_equal(out[:, j], E[j, :60])
+            np.testing.assert_array_equal(out[:, j], lex.vectors[f"w{j}"][:60])
 
     def test_empty_gives_zero_matrix(self):
         np.testing.assert_array_equal(
-            resize_text_matrix(np.zeros((0, 300))), np.zeros((60, 9))
+            extract_text([], 0, numbered_lexicon(1)), np.zeros((60, 9))
         )
 
     def test_overflow_words_discarded(self):
-        rng = np.random.default_rng(6)
-        E = rng.normal(size=(20, 300))
-        out = resize_text_matrix(E)
-        np.testing.assert_array_equal(out, resize_text_matrix(E[:9]))
+        lex = numbered_lexicon(20)
+        words = [f"w{j}" for j in range(20)]
+        np.testing.assert_array_equal(words_matrix(words, lex), words_matrix(words[:9], lex))
 
     def test_short_list_pads_zero_columns(self):
-        rng = np.random.default_rng(7)
-        E = rng.normal(size=(5, 300))
-        out = resize_text_matrix(E)
+        out = words_matrix([f"w{j}" for j in range(5)], numbered_lexicon(5))
         np.testing.assert_array_equal(out[:, 5:], np.zeros((60, 4)))
         assert np.any(out[:, 4] != 0.0)
-
 
 
 class TestExtract:
