@@ -1,8 +1,9 @@
 """Minimal reverse-mode differentiation engine.
 
-Tensors wrap float64 numpy arrays and record the graph; ops are fused at
-array granularity (one backward closure per op, not per scalar). Exactly the
-layer set the similarity networks need is provided: valid 1-D convolution,
+Tensors wrap float64 numpy arrays, except float32 weights (below), and
+record the graph; ops are fused at array granularity (one backward closure
+per op, not per scalar). Exactly the layer set the similarity networks
+need is provided: valid 1-D convolution,
 dense, relu/tanh/sigmoid, inverted dropout, a row gather, a dense layer over
 gathered rows with dropout (gather_dense), flatten, concat, Euclidean
 distance, and an RMSE loss, plus an RMSProp optimizer with
@@ -29,16 +30,23 @@ grad) and the RMSProp update of each large parameter is cut into one share
 per CPU and run on the package's workers (see workers.py). Products below
 two shares of _SPLIT_MADDS multiply-adds, and parameters below two
 _STEP_BLOCKs, run on the calling thread alone. A split changes no bit of
-any result: a product is split by output column, so every output element
-is the same dot product computed by the same BLAS kernel, and the update is
+any result: a product is split by output column, and a product that casts
+a float32 weight in blocks by whole blocks, so every output element is the
+same dot product computed by the same BLAS kernel, and the update is
 elementwise. conv1d's products stay on one thread.
 
-float32 weights: a dense or gather_dense weight may be a read-only float32
-array, such as a view of a mapped checkpoint. A weight of the shape
-casts_in_blocks() accepts is cast block by block inside each forward share,
-with the bits of its float64 copy; any other is cast whole in each product
-that reads it. Inference never copies such a weight to float64; RMSProp,
-which writes its parameters, gives each an owned float64 copy once.
+float32 weights: a weight of the shape casts_in_blocks() accepts is held
+as float32 for its whole life: DenseLayer draws it into float32, a
+checkpoint maps it (models.load_checkpoint), and RMSProp keeps it and its
+cache in float32, rounds each block of its grad to float32 and updates in
+float32. Every product that reads it casts it block by block and
+accumulates in float64, so no float64 array of its size is made. The
+forward reads it transposed, one _SPLIT_COLUMNS block of output columns at
+a time, with the bits of the product over its float64 copy; an input grad
+reads it as it is laid out, one _CAST_COLUMNS block of columns at a time,
+within rounding of that product and with the same bits at any CPU count.
+A float32 weight of any other shape is cast whole in each product that
+reads it, and RMSProp gives it an owned float64 copy once.
 
 Factored weight grads: gather_dense leaves the grad of a weight whose input
 dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
@@ -73,6 +81,13 @@ _SPLIT_COLUMNS = 64
 # which the BLAS takes a small-matrix kernel whose sums can differ in the
 # last bit from those of the whole product
 _CAST_INNER = 1 << 14
+# an input grad g @ W over a float32 W casts W in blocks of this many
+# columns, on a grid from column 0 that worker shares never cut. At
+# 1,024 x 23,936 on one thread (OpenBLAS), 512-column blocks took 0.05 s
+# at 10 rows and 0.24 s at 200, against 0.06 and 0.27 s for 64 columns
+_CAST_COLUMNS = 512
+# DenseLayer draws a float32 weight this many rows at a time
+_INIT_ROWS = 32
 # RMSProp expands a factored grad in bands of this many whole rows of the
 # weight (the last band of a share may be shorter, or one row longer)
 _BAND_ROWS = 32
@@ -107,7 +122,10 @@ class Tensor:
     __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != np.float32 or not casts_in_blocks(data.shape):
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self._grad = None
         self._parents = tuple(parents)
         self._backward = backward
@@ -189,30 +207,37 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     share carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
     share's columns of the output, with the bits of a @ b.
 
-    A float32 b is cast to float64 whole, or, when it is the transpose of a
-    C-ordered weight that casts_in_blocks accepts (as in the forward pass
-    over a weight mapped from a checkpoint), block by block inside each
-    share (see _cast_matmul), so that no float64 copy of b is made."""
+    A float32 b that is a weight casts_in_blocks accepts is cast block by
+    block inside each share, so that no float64 copy of it is made: its
+    transpose (the forward) by _cast_matmul, with the bits of the product
+    over b.astype(float64), and the weight itself (an input grad) by
+    _cast_columns, whose bits depend only on a and b. Any other float32 b
+    is cast to float64 whole."""
     rows, inner = a.shape
     cols = b.shape[1]
-    blocked = (
-        b.dtype != np.float64 and b.flags.f_contiguous and casts_in_blocks((cols, inner))
-    )
-    if not blocked:
-        b = b.astype(np.float64, copy=False)  # keeps b's memory order
+    unit, product = _SPLIT_COLUMNS, np.matmul
+    if b.dtype != np.float64:
+        if b.flags.f_contiguous and casts_in_blocks((cols, inner)):
+            product = _cast_matmul
+        elif b.flags.c_contiguous and casts_in_blocks((inner, cols)):
+            unit, product = _CAST_COLUMNS, _cast_columns
+        else:
+            b = b.astype(np.float64)  # keeps b's memory order
+    blocked = product is not np.matmul
+    units = -(-cols // unit)  # only _cast_columns takes a partial last unit
     limit = 1
-    unit_madds = rows * inner * _SPLIT_COLUMNS
-    if cols % _SPLIT_COLUMNS == 0 and unit_madds:
+    unit_madds = rows * inner * unit
+    if (blocked or cols % unit == 0) and unit_madds:
         # each share holds at least this many whole units of columns
         least = -(-_SPLIT_MADDS // unit_madds)
-        limit = cols // _SPLIT_COLUMNS // least
+        limit = units // least
     if limit < 2 and not blocked:
         return a @ b
     out = np.empty((rows, cols))
-    product = _cast_matmul if blocked else np.matmul
 
     def share(i, parts):
-        cut = _cut(cols, i, parts, _SPLIT_COLUMNS)
+        span = _cut(units, i, parts)
+        cut = slice(span.start * unit, min(span.stop * unit, cols))
         product(a, b[:, cut], out=out[:, cut])
 
     _in_shares(share, limit)
@@ -232,6 +257,23 @@ def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         cols = slice(start, start + _SPLIT_COLUMNS)
         buf[...] = b[:, cols].T
         np.matmul(a, buf.T, out=out[:, cols])
+
+
+def _cast_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b for a float32 b, a column range of a C-ordered weight
+    that starts on a multiple of _CAST_COLUMNS: each block of _CAST_COLUMNS
+    columns (the last may be narrower) is cast into one reused C-ordered
+    float64 buffer and multiplied into its columns of out. A block's
+    product does not depend on the share that holds it, so the bits do not
+    depend on the CPU count; they may differ in the last place from those
+    of the product over b.astype(float64)."""
+    rows, cols = b.shape
+    buf = np.empty(rows * min(_CAST_COLUMNS, cols))
+    for start in range(0, cols, _CAST_COLUMNS):
+        stop = min(start + _CAST_COLUMNS, cols)
+        block = buf[: rows * (stop - start)].reshape(rows, stop - start)
+        block[...] = b[:, start:stop]
+        np.matmul(a, block, out=out[:, start:stop])
 
 
 class _FactoredGrad:
@@ -572,6 +614,23 @@ def glorot_uniform(rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np
     return rng.uniform(-limit, limit, size=shape)
 
 
+def glorot_float32(rng, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
+    """glorot_uniform(rng, shape, fan_in, fan_out).astype(np.float32)
+    without its float64 array: the rows are drawn _INIT_ROWS at a time, and
+    rng.uniform takes its draws in order, so each block has the bits of
+    its rows of the whole draw. An rng with a glorot_float32 method of its
+    own makes the array itself: models._Unfilled hands out an unwritten
+    one, never filled, for a weight that a stored tensor replaces."""
+    own = getattr(rng, "glorot_float32", None)
+    if own is not None:
+        return own(shape)
+    out = np.empty(shape, np.float32)
+    for start in range(0, shape[0], _INIT_ROWS):
+        rows = out[start : start + _INIT_ROWS]
+        rows[...] = glorot_uniform(rng, rows.shape, fan_in, fan_out)
+    return out
+
+
 class Conv1dLayer:
     """Parameter holder for a valid 1-D convolution (defaults: 64 filters,
     kernel 3, stride 1)."""
@@ -595,11 +654,14 @@ class Conv1dLayer:
 
 
 class DenseLayer:
-    """Parameter holder for an affine layer; weight (out, in), zero bias."""
+    """Parameter holder for an affine layer; weight (out, in), zero bias.
+    A weight of a shape casts_in_blocks accepts is drawn into float32."""
 
     def __init__(self, in_dim: int, out_dim: int, rng=None):
         rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim))
+        shape = (out_dim, in_dim)
+        draw = glorot_float32 if casts_in_blocks(shape) else glorot_uniform
+        self.weight = Tensor(draw(rng, shape, in_dim, out_dim))
         self.bias = Tensor(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -612,9 +674,11 @@ class DenseLayer:
 def _band_shares(m: int, n: int) -> int:
     """The most shares RMSProp.step cuts an (m, n) weight with a factored
     grad into: each takes at least _STEP_BLOCK elements and _BAND_ALIGN
-    rows, and their scratch, one band of at most _BAND_ROWS + 1 rows and
-    one _STEP_BLOCK each, fits in _BAND_BUDGET. Below two, one share runs,
-    so a weight too wide for one band to fit still steps."""
+    rows, and their scratch, one float64 band of at most _BAND_ROWS + 1
+    rows and 8 bytes per element of one _STEP_BLOCK (one float64 row, or a
+    float32 weight's two float32 rows) each, fits in _BAND_BUDGET. Below
+    two, one share runs, so a weight too wide for one band to fit still
+    steps."""
     per_share = ((_BAND_ROWS + 1) * n + _STEP_BLOCK) * 8
     return min(m * n // _STEP_BLOCK, m // _BAND_ALIGN, _BAND_BUDGET // per_share)
 
@@ -627,6 +691,12 @@ class RMSProp:
     theta <- theta - lr_t * g / (sqrt(cache) + EPSILON), with the module's
     RHO = 0.9 and EPSILON = 1e-8.
 
+    A float32 weight of a shape casts_in_blocks accepts keeps float32 data,
+    copied once if it is read-only (mapped from a checkpoint), and a float32
+    cache; every other parameter is float64, cast once if it is not, with a
+    float64 cache. Each grad block is rounded to its parameter's dtype and
+    the update runs in that dtype (_walk).
+
     step() walks each parameter in blocks of _STEP_BLOCK elements and
     updates cache and parameter in place, so no parameter-sized temporary is
     made and each block's operands are still in cache for the next pass. A
@@ -636,13 +706,13 @@ class RMSProp:
     bits are those of one walk.
 
     A parameter whose grad is factored (gather_dense's weight) is walked in
-    bands of whole rows instead: each band of the grad is expanded into a
-    flat scratch buffer, and the band's rows of cache and parameter, which
-    are contiguous, are walked in the same _STEP_BLOCK blocks with the same
-    expression chain, so the dense grad is never made. Its workers take
-    shares of whole rows, few enough that their bands fit in _BAND_BUDGET
-    (see _band_shares); bands and shares start on multiples of
-    _BAND_ALIGN rows and none is a single row, which keeps every grad
+    bands of whole rows instead: each band of the grad is expanded in
+    float64 into a flat scratch buffer, and the band's rows of cache and
+    parameter, which are contiguous, are walked in the same _STEP_BLOCK
+    blocks with the same expression chain, so the dense grad is never made.
+    Its workers take shares of whole rows, few enough that their bands fit
+    in _BAND_BUDGET (see _band_shares); bands and shares start on multiples
+    of _BAND_ALIGN rows and none is a single row, which keeps every grad
     element the bits of the whole product (see _BAND_ALIGN).
     """
 
@@ -651,13 +721,16 @@ class RMSProp:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         for p in self.params:
-            # a weight mapped from a checkpoint is read-only float32; the
-            # update writes an owned float64 copy
-            if p.data.dtype != np.float64:
+            if p.data.dtype == np.float32 and casts_in_blocks(p.data.shape):
+                # a weight mapped from a checkpoint is read-only; the update
+                # writes an owned copy
+                if not p.data.flags.writeable:
+                    p.data = p.data.copy()
+            elif p.data.dtype != np.float64:
                 p.data = p.data.astype(np.float64)
         self.lr = lr
         self.decay = decay
-        self.cache = [np.zeros(p.data.shape) for p in self.params]
+        self.cache = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self.step_count = 0
 
     def current_lr(self) -> float:
@@ -669,7 +742,6 @@ class RMSProp:
 
     def step(self) -> None:
         lr_t = self.current_lr()
-        scratch = np.empty((2, _STEP_BLOCK))
         for p, cache in zip(self.params, self.cache):
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
@@ -679,8 +751,10 @@ class RMSProp:
                 task = functools.partial(self._band_share, data, cache, p._grad, lr_t)
                 limit = _band_shares(*p.data.shape)
             else:
+                scratch = np.empty((2, _STEP_BLOCK), data.dtype)
                 # grad is copied only if strided
-                task = functools.partial(self._update_share, data, cache, p.grad.reshape(-1), scratch, lr_t)
+                grad = p.grad.reshape(-1)
+                task = functools.partial(self._update_share, data, cache, grad, scratch, lr_t)
                 limit = data.size // _STEP_BLOCK
             _in_shares(task, limit)
         self.step_count += 1
@@ -695,18 +769,19 @@ class RMSProp:
     def _band_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
         """Update share i of parts of the flat (m, n) data and cache in
         place, one band of whole rows at a time: each band of the factored
-        grad is expanded into scratch and walked like a flat grad. Shares
-        start on multiples of _BAND_ALIGN rows and the last one ends at m;
-        a share's bands are _BAND_ROWS long, and a last row that would be a
-        band of its own joins the band before it. Each share walks in
-        whole _STEP_BLOCK blocks of its own scratch, since the band scratch
-        outweighs it."""
+        grad is expanded in float64 into scratch and walked like a flat
+        grad. Shares start on multiples of _BAND_ALIGN rows and the last one
+        ends at m; a share's bands are _BAND_ROWS long, and a last row that
+        would be a band of its own joins the band before it. Each share
+        walks in whole _STEP_BLOCK blocks of its own scratch, since the band
+        scratch outweighs it: one row when the band is data's dtype, which
+        then takes lr_t * g in place, else two."""
         n = grad.xs.shape[1]
         m = data.size // n
         span = _cut(m, i, parts, _BAND_ALIGN)
         stop = m if i == parts - 1 else span.stop
         band = np.empty(min(_BAND_ROWS + 1, stop - span.start) * n)
-        scratch = np.empty((1, _STEP_BLOCK))
+        scratch = np.empty((1 if data.dtype == band.dtype else 2, _STEP_BLOCK), data.dtype)
         start = span.start
         while start < stop:
             end = min(start + _BAND_ROWS, stop)
@@ -714,27 +789,33 @@ class RMSProp:
                 end = stop
             g = band[: (end - start) * n]
             grad.rows(slice(start, end), g.reshape(end - start, n))
-            # g is scratch, so it takes lr_t * g in place
             self._walk(data[start * n : end * n], cache[start * n : end * n], g, scratch, lr_t)
             start = end
 
     def _walk(self, data, cache, grad, scratch, lr_t: float) -> None:
         """Update the flat data and cache in place from the flat grad, in
-        blocks as wide as the scratch rows: with two rows the grad is only
-        read, with one it is scratch too and takes lr_t * grad in place."""
+        blocks as wide as the scratch rows, which have data's dtype. A grad
+        block of another dtype is rounded to data's into the second scratch
+        row first. The update then runs in data's dtype: with two rows the
+        grad is only read, with one it is scratch too and takes lr_t * grad
+        in place."""
         size = scratch.shape[1]
         for start in range(0, data.size, size):
             block = slice(start, start + size)
             g = grad[block]
             s = scratch[0, : g.size]
             t = scratch[1, : g.size] if len(scratch) > 1 else g
+            if g.dtype != data.dtype:
+                np.copyto(t, g)  # rounds g to data's dtype
+                g = t
             self._update(data[block], cache[block], g, s, t, lr_t)
 
     def _update(self, d, c, g, s, t, lr_t: float) -> None:
-        """The update of one block in place: s and t are scratch of g's
-        shape, and t may be g itself. The same expression chain, and so the
-        same bits, as
-        cache = RHO*cache + (1-RHO)*g*g;  data -= lr_t*g / (sqrt(cache) + EPSILON)."""
+        """The update of one block in place, in the dtype of d, c and g: s
+        and t are scratch of g's shape and dtype, and t may be g itself. The
+        same expression chain, and so the same bits, as
+        cache = RHO*cache + (1-RHO)*g*g;  data -= lr_t*g / (sqrt(cache) + EPSILON)
+        over arrays of that dtype, each Python float taken in it."""
         c *= RHO
         np.multiply(g, 1.0 - RHO, out=s)
         s *= g

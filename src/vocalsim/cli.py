@@ -25,13 +25,13 @@ from .metrics import evaluate, render_confusion
 from .models import VARIANT_FIELDS, VARIANTS, detect_relapse, load_checkpoint
 from .pairs import read_pairs_csv, write_pairs_csv
 from .pipeline import (
+    _recording_units,
     cache_refs,
     feature_sets,
     feature_tools,
     features_from_cache,
     featurize_recording,
     pair_samples,
-    recording_segments,
     run_pipeline,
     train_and_save,
 )
@@ -105,15 +105,17 @@ def _recording_sets(config, audio, transcript, tools, strip) -> list:
 def _cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
     make_dir(out_dir)
-    groups = recording_segments(_config(args), args.audio, args.strip, args.augment)
-    if not groups:
+    by_segment = _recording_units(_config(args), args.audio, args.strip, args.augment)
+    if not by_segment:
         raise DataError(f"{args.audio}: no segment is long enough to write")
     stem = Path(args.audio).stem
     count = 0
-    for index, group in enumerate(groups):
-        for seg in group:
-            write_wav(out_dir / f"{stem}-{index:05d}-{seg.provenance}.wav", seg.signal)
-            count += 1
+    # each variant is written as its unit builds it, so one is held at a time
+    for index, units in enumerate(by_segment):
+        for unit in units:
+            for seg in unit():
+                write_wav(out_dir / f"{stem}-{index:05d}-{seg.provenance}.wav", seg.signal)
+                count += 1
     print(f"wrote {count} segment files to {out_dir}")
     return 0
 
@@ -133,8 +135,11 @@ def _cmd_extract(args) -> int:
     if not tensors:
         raise DataError(f"{args.audio}: no segment is long enough to analyze")
     write_container(args.out, [], tensors)
-    segments = len(feature_sets(tensors, args.audio))
-    print(f"cached {len(tensors)} tensors for {segments} segments in {args.out}")
+    # a sample id is segment/provenance: --augment makes several per segment
+    samples = feature_sets(tensors, args.audio)
+    segments = len({sample_id.rpartition("/")[0] for sample_id in samples})
+    detail = f" ({len(samples)} samples)" if len(samples) != segments else ""
+    print(f"cached {len(tensors)} tensors for {segments} segments{detail} in {args.out}")
     return 0
 
 

@@ -421,11 +421,18 @@ def save_checkpoint(path, model: SiameseModel) -> None:
 
 class _Unfilled:
     """Init rng for a model whose weights are about to be replaced by stored
-    tensors: hands out uninitialised arrays instead of drawing them."""
+    tensors: hands out read-only zero-stride arrays of the asked shape and
+    dtype instead of drawing them, a float32 weight (ad.glorot_float32)
+    too, so that no weight-sized array is allocated, written or cast before
+    the stored tensor replaces it."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.broadcast_to(0.0, size)
+
+    @staticmethod
+    def glorot_float32(shape):
+        return np.broadcast_to(np.float32(0.0), shape)
 
 
 def _spec_value(path, named: dict, name: str, kind: type):
@@ -457,7 +464,8 @@ def load_checkpoint(path) -> SiameseModel:
     """The model a checkpoint holds. The file is mapped: a dense weight that
     ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
     read-only float32 view of it, which keeps the file's pages mapped while
-    the model lives; every other tensor is cast to float64 here.
+    the model lives; every other tensor is cast to float64 here. Training
+    the model (ad.RMSProp) copies the view once, still float32.
 
     While the model lives, replace its file only by renaming a new file over
     it, as save_checkpoint does: the view keeps the old file's contents.

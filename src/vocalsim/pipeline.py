@@ -61,7 +61,6 @@ from .preprocess import (
     PITCH_SEMITONES,
     STRIP_THRESHOLD,
     STRIP_WINDOW_MS,
-    Segment,
     segment,
     segment_units,
     strip_unvoiced,
@@ -168,18 +167,6 @@ def _recording_units(config: ExperimentConfig, audio, strip: bool, augment: bool
     if strip:
         signal = strip_unvoiced(signal)
     return segment_units(segment(signal), config.augment_seed if augment else None)
-
-
-def recording_segments(
-    config: ExperimentConfig, audio, strip: bool = True, augment: bool = False
-) -> list[list[Segment]]:
-    """One group of Segments per segment of the recording (_recording_units):
-    the original, then its noise and pitch variants when `augment` is set.
-    Empty when the recording is shorter than one segment."""
-    return [
-        [variant for unit in units for variant in unit()]
-        for units in _recording_units(config, audio, strip, augment)
-    ]
 
 
 def _featurize_unit(fields, tools: tuple, unit: tuple) -> dict:

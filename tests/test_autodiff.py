@@ -1119,8 +1119,8 @@ class TestFloat32Weights:
         workers(1)
         want = dense(Tensor(x), Tensor(w64), Tensor(b)).data
         workers(width)
-        weight = Tensor(w64)
-        weight.data = w32
+        weight = Tensor(w32)
+        assert weight.data is w32
         np.testing.assert_array_equal(dense(Tensor(x), weight, Tensor(b)).data, want)
 
     def test_gather_dense_equals_float64_weight(self, mapped_shape_weight):
@@ -1128,9 +1128,7 @@ class TestFloat32Weights:
         rng = np.random.default_rng(48)
         x, index = rng.normal(size=(6, w32.shape[1])), rng.integers(0, 6, size=14)
         dropped = ([0, 3, 13], [5, 7000, 23935])
-        weight = Tensor(w64)
-        weight.data = w32
-        got = gather_dense(Tensor(x), index, weight, Tensor(b), dropped, 1.25).data
+        got = gather_dense(Tensor(x), index, Tensor(w32), Tensor(b), dropped, 1.25).data
         want = gather_dense(Tensor(x), index, Tensor(w64), Tensor(b), dropped, 1.25).data
         np.testing.assert_array_equal(got, want)
 
@@ -1139,8 +1137,7 @@ class TestFloat32Weights:
         workers(2)  # two shares at most, each with one 64-column block buffer
         w32 = np.ones((512, 1 << 14), dtype=np.float32)
         x = np.ones((rows, 1 << 14))
-        weight = Tensor(np.zeros(1))
-        weight.data = w32
+        weight = Tensor(w32)
         tracemalloc.start()
         try:
             out = dense(Tensor(x), weight, Tensor(np.zeros(512)))
@@ -1177,9 +1174,8 @@ class TestFloat32Weights:
 
     def test_c_ordered_operand_is_cast_whole(self, monkeypatch):
         """Only the transpose of a C-ordered weight, as the forward pass
-        reads it, is cast in blocks; a C-ordered float32 right operand of a
-        shape the rule accepts, as an input grad reads the weight, is cast
-        whole."""
+        reads it, is cast by _cast_matmul; a C-ordered float32 right operand
+        whose transpose the rule accepts, but not itself, is cast whole."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a C-ordered operand was cast in blocks")
@@ -1203,6 +1199,116 @@ class TestFloat32Weights:
         assert p.data.dtype == np.float64 and p.data.flags.writeable
         np.testing.assert_array_equal(p.data, w32)
         assert q.data is kept
+
+
+class TestFloat32Training:
+    """A weight of a shape casts_in_blocks accepts stays float32 through
+    training: drawn into float32, cast in blocks by every product that reads
+    it, and stepped by RMSProp in float32 with a float32 cache."""
+
+    def test_row_block_draw_equals_whole_draw_rounded(self):
+        shape = (128, 1 << 14)
+        got_rng, want_rng = np.random.default_rng(51), np.random.default_rng(51)
+        got = autodiff.glorot_float32(got_rng, shape, shape[1], shape[0])
+        whole = autodiff.glorot_uniform(want_rng, shape, shape[1], shape[0])
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, whole.astype(np.float32))
+        # the stream is left where the whole draw leaves it, so the layers
+        # drawn after this one get the same weights
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("in_dim, out_dim, dtype", [
+        (1 << 14, 64, np.float32),
+        ((1 << 14) - 1, 64, np.float64),
+        (1 << 14, 100, np.float64),
+    ])
+    def test_dense_layer_draws_castable_weights_into_float32(self, in_dim, out_dim, dtype):
+        layer = DenseLayer(in_dim, out_dim, np.random.default_rng(52))
+        whole = autodiff.glorot_uniform(
+            np.random.default_rng(52), (out_dim, in_dim), in_dim, out_dim
+        )
+        assert layer.weight.data.dtype == dtype
+        np.testing.assert_array_equal(layer.weight.data, whole.astype(dtype))
+
+    @pytest.mark.parametrize("rows", [2, 10, 200])
+    def test_input_grad_product_has_the_same_bits_at_any_cpu_count(
+        self, workers, count_splits, mapped_shape_weight, rows
+    ):
+        """g @ W over a C-ordered float32 W, as an input grad reads the
+        weight, is cast one _CAST_COLUMNS block at a time: 1 share and 2
+        give the same bits, within 1e-12 of the product over W's float64
+        copy. 23,936 columns end in a partial block."""
+        w32, w64, _ = mapped_shape_weight
+        g = np.random.default_rng(rows).normal(size=(rows, w32.shape[0]))
+        workers(1)
+        one = autodiff._matmul(g, w32)
+        workers(2)
+        limits = count_splits()
+        two = autodiff._matmul(g, w32)
+        assert limits and limits[0] >= 2
+        np.testing.assert_array_equal(two, one)
+        np.testing.assert_allclose(one, g @ w64, rtol=0, atol=1e-12)
+
+    def test_training_step_makes_no_float64_copy_of_the_weight(self, workers):
+        """At dense1's input width, a gather_dense backward and an RMSProp
+        step over a float32 weight allocate less than a float64 array of
+        the weight's size, and the weight and its cache stay float32."""
+        workers(2)
+        n_out, n_in = 128, 23936
+        rng = np.random.default_rng(53)
+        weight = Tensor(rng.normal(size=(n_out, n_in)).astype(np.float32))
+        x = Tensor(rng.normal(size=(10, n_in)))
+        index = np.concatenate([np.arange(10), rng.integers(0, 10, size=190)])
+        dropped = np.nonzero(rng.random((200, n_in)) < 1e-4)
+        opt = RMSProp([weight])
+        out = gather_dense(x, index, weight, Tensor(np.zeros(n_out)), dropped, 1.0 / (1 - 1e-4))
+        loss = weighted_sum(out, rng.normal(size=(200, n_out)))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * weight.data.nbytes
+        assert weight.data.dtype == opt.cache[0].dtype == np.float32
+        assert np.any(weight.data != 0.0) and np.any(opt.cache[0] != 0.0)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_band_and_flat_steps_round_the_grad_to_float32(self, workers, width):
+        """A float32 weight's step on its factored grad and on the same
+        grad made dense give the bits of the update chain run in float32
+        over the grad rounded to float32."""
+        workers(width)
+        n_out, n_in = 128, 23936
+        start = np.random.default_rng(54).normal(size=(n_out, n_in)).astype(np.float32)
+        banded, flat = Tensor(start.copy()), Tensor(start.copy())
+        opts = [RMSProp([p], lr=1e-3, decay=0.1) for p in (banded, flat)]
+        want, cache = start.copy(), np.zeros_like(start)
+        for step in range(2):
+            for opt, p in zip(opts, (banded, flat)):
+                opt.zero_grad()
+                TestFactoredGrad.backward(10, n_out, n_in, 1e-4, 55 + step, p)
+            assert isinstance(banded._grad, autodiff._FactoredGrad)
+            g = flat.grad.astype(np.float32)  # read: flat steps the dense grad
+            lr_t = 1e-3 / (1.0 + 0.1 * step)
+            cache = cache * 0.9 + g * (1.0 - 0.9) * g
+            want = want - g * lr_t / (np.sqrt(cache) + 1e-8)
+            for opt in opts:
+                opt.step()
+            for p, opt in zip((banded, flat), opts):
+                assert p.data.dtype == np.float32
+                np.testing.assert_array_equal(p.data, want)
+                np.testing.assert_array_equal(opt.cache[0], cache)
+
+    def test_rmsprop_copies_a_read_only_float32_weight_once(self):
+        w32 = np.ones((64, 1 << 14), dtype=np.float32)
+        w32.flags.writeable = False
+        p = Tensor(w32)
+        RMSProp([p])
+        assert p.data.dtype == np.float32 and p.data.flags.writeable
+        assert p.data is not w32
+        np.testing.assert_array_equal(p.data, w32)
 
 
 class TestToyConvergence:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -16,9 +17,10 @@ from vocalsim.cli import main
 from vocalsim.config import ExperimentConfig
 from vocalsim.container import read_container, write_container
 from vocalsim.dsp import Signal
-from vocalsim.manifest import load_manifest, write_wav
+from vocalsim.manifest import load_manifest, read_wav, write_wav
 from vocalsim.models import ModelSpec, build_model, save_checkpoint
 from vocalsim.pipeline import extract_corpus_features
+from vocalsim.preprocess import augment_corpus, segment
 
 RATE = 16000
 
@@ -108,6 +110,17 @@ class TestExtract:
         assert any(p.startswith("noise-") for p in provenances)
         assert any(p.startswith("pitch-") for p in provenances)
 
+    @pytest.mark.parametrize(
+        "augment, printed",
+        [([], "2 tensors for 2 segments in"), (["--augment"], "14 tensors for 2 segments (14 samples) in")],
+    )
+    def test_counts_segments_not_samples(self, tmp_path, capsys, augment, printed):
+        wav = tmp_path / "two.wav"
+        tone_wav(wav, seconds=16.0)
+        out = tmp_path / "cache.oswt"
+        assert main(["extract", "--audio", str(wav), "--out", str(out), *augment]) == 0
+        assert f"cached {printed} {out}" in capsys.readouterr().out
+
     def test_fusion_without_transcript_is_usage_error(self, tmp_path):
         wav = tmp_path / "one.wav"
         tone_wav(wav, seconds=7.6)
@@ -195,6 +208,43 @@ class TestPreprocess:
         assert len(names) == 7
         assert "long-00000-noise-0.01.wav" in names
         assert "long-00000-pitch-2.5.wav" in names
+
+    def test_augmented_files_are_the_variants_of_each_segment(self, tmp_path):
+        wav = tmp_path / "long.wav"
+        tone_wav(wav, seconds=16.5, seed=3)
+        out_dir = tmp_path / "segs"
+        argv = ["preprocess", "--audio", str(wav), "--out-dir", str(out_dir), "--augment"]
+        assert main(argv) == 0
+        config = ExperimentConfig()
+        variants = augment_corpus(segment(read_wav(wav)), config.augment_seed)
+        assert len(variants) == 14
+        for i, seg in enumerate(variants):
+            want = tmp_path / "want.wav"
+            write_wav(want, seg.signal)
+            got = out_dir / f"long-{i // 7:05d}-{seg.provenance}.wav"
+            assert got.read_bytes() == want.read_bytes(), got.name
+        assert len(list(out_dir.glob("*.wav"))) == 14
+
+    def test_augment_holds_one_variant_at_a_time(self, tmp_path):
+        """--augment writes each variant as its unit builds it: what it
+        allocates beyond the decoded recording does not grow with the
+        recording's length."""
+        beyond = []
+        for segments in (1, 4):
+            wav = tmp_path / f"r{segments}.wav"
+            tone_wav(wav, seconds=7.6 * segments)
+            out_dir = tmp_path / f"segs{segments}"
+            argv = ["preprocess", "--audio", str(wav), "--out-dir", str(out_dir), "--augment",
+                    "--no-strip"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(list(out_dir.glob("*.wav"))) == 7 * segments
+            beyond.append(peak - read_wav(wav).samples.nbytes)
+        assert beyond[1] < 1.5 * beyond[0]
 
     def test_out_dir_under_a_file_is_data_error(self, tmp_path, capsys):
         wav = tmp_path / "long.wav"

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,7 +447,10 @@ class TestMappedCheckpoint:
         # evaluation, in one batch or in several, never copies dense1
         assert model.dense1.weight.data.dtype == np.float32
 
-    def test_training_step_equals_float64_copies(self, mapped_checkpoint):
+    def test_training_step_equals_float32_copies(self, mapped_checkpoint):
+        """A step on the mapped checkpoint equals a step on an owned float32
+        copy of dense1, and dense1 stays float32, now owned and writable.
+        The loss, a forward product, has the bits of the float64 copies'."""
         before = mapped_checkpoint.read_bytes()
 
         def step(model):
@@ -461,15 +465,34 @@ class TestMappedCheckpoint:
             loss = rmse_loss(out, np.array([[1.0, 0.0], [0.0, 1.0]]))
             loss.backward()
             opt.step()
-            return float(loss.data), model.params()
+            return float(loss.data), model
 
-        loss, params = step(load_checkpoint(mapped_checkpoint))
-        want_loss, want_params = step(float64_copies(mapped_checkpoint))
-        assert loss == want_loss
-        for p, q in zip(params, want_params):
-            assert p.data.dtype == np.float64
+        loss, model = step(load_checkpoint(mapped_checkpoint))
+        owned = load_checkpoint(mapped_checkpoint)
+        owned.dense1.weight.data = owned.dense1.weight.data.copy()
+        want_loss, want = step(owned)
+        assert loss == want_loss == step(float64_copies(mapped_checkpoint))[0]
+        for p, q in zip(model.params(), want.params()):
+            assert p.data.dtype == q.data.dtype
             np.testing.assert_array_equal(p.data, q.data)
+        w = model.dense1.weight.data
+        assert w.dtype == np.float32 and w.flags.writeable and w.flags.owndata
         assert mapped_checkpoint.read_bytes() == before
+
+    def test_loading_a_paper_checkpoint_allocates_no_dense1(self, tmp_path):
+        """load_checkpoint builds the model unfilled and maps dense1: it
+        allocates well under dense1's 98 MB, nothing of its size."""
+        path = tmp_path / "paper.oswt"
+        save_checkpoint(path, build_model(ModelSpec(init_seed=3)))
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = model.dense1.weight.data
+        assert w.shape == (1024, 23936) and not w.flags.owndata
+        assert peak < w.nbytes / 4
 
     def test_scores_survive_checkpoint_replacement(self, tmp_path, mapped_checkpoint):
         path = tmp_path / "model.oswt"

@@ -6,10 +6,10 @@ import gc
 import numpy as np
 import pytest
 
-from vocalsim import autodiff
+from vocalsim import autodiff, training
 from vocalsim.autodiff import rmse_loss
 from vocalsim.errors import DataError, NumericError
-from vocalsim.models import FeatureSet, ModelSpec, build_model
+from vocalsim.models import FeatureSet, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from vocalsim.pairs import PairRecord
 from vocalsim.training import EarlyStopper, TrainConfig, TrainResult, evaluate_loss, train
 
@@ -157,6 +157,35 @@ class TestTrainLoop:
             np.testing.assert_array_equal(got.data, want.data)
         restored = evaluate_loss(model, pairs[12:18], features, 4)
         assert restored == result.val_losses[result.best_epoch]
+
+    def test_float32_dense1_restored_and_saved_bit_exactly(self, monkeypatch, tmp_path):
+        """A dense1 that casts in blocks is float32 through training: the
+        best epoch's copy, restored, is that epoch's float32 weight, and a
+        checkpoint round-trips it bit for bit."""
+        model = build_model(ModelSpec(variant="mfcc", filters=64, dense_width=64, init_seed=3))
+        assert model.dense1.weight.data.dtype == np.float32
+        features = feature_bank(4)
+        ids = [f"x{i}" for i in range(4)]
+        pairs = id_pairs(ids, ids[1:] + ids[:1])
+        seen = []
+
+        def val_loss(model, pairs, features, batch_size):
+            seen.append(model.dense1.weight.data.copy())
+            return [0.5, 0.7][len(seen) - 1]  # epoch 0 is the best
+
+        monkeypatch.setattr(training, "evaluate_loss", val_loss)
+        config = TrainConfig(batch_size=2, epochs=2, lr=1e-3, patience=2)
+        result = train(model, pairs, pairs[:2], features, config)
+        assert result.best_epoch == 0 and len(seen) == 2
+        w = model.dense1.weight.data
+        assert w.dtype == np.float32
+        np.testing.assert_array_equal(w, seen[0])
+        assert np.any(seen[1] != seen[0])  # epoch 1 moved the weight
+        path = tmp_path / "model.oswt"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path).dense1.weight.data
+        assert loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded, w)
 
     def test_same_seed_same_history(self):
         features, pairs = toy_problem(n_per_class=3)
