@@ -30,32 +30,44 @@ grad) and the RMSProp update of each large parameter is cut into one share
 per CPU and run on the package's workers (see workers.py). Products below
 two shares of _SPLIT_MADDS multiply-adds, and parameters below two
 _STEP_BLOCKs, run on the calling thread alone. A split changes no bit of
-any result: a product is split by output column, and a product that casts
-a float32 weight in blocks by whole blocks, so every output element is the
-same dot product computed by the same BLAS kernel, and the update is
-elementwise. conv1d's products stay on one thread.
+any result: a product is split by output column, and a product over a
+float32 weight by whole blocks, so every output element is the same dot
+product computed by the same BLAS kernel, and the update is elementwise.
+conv1d's products stay on one thread.
 
 float32 weights: a weight of the shape casts_in_blocks() accepts is held
 as float32 for its whole life: DenseLayer draws it into float32, a
 checkpoint maps it (models.load_checkpoint), and RMSProp keeps it and its
-cache in float32, rounds each block of its grad to float32 and updates in
-float32. Every product that reads it casts it block by block and
-accumulates in float64, so no float64 array of its size is made. The
-forward reads it transposed, one _SPLIT_COLUMNS block of output columns at
-a time, with the bits of the product over its float64 copy; an input grad
-reads it as it is laid out, one _CAST_COLUMNS block of columns at a time,
-within rounding of that product and with the same bits at any CPU count.
-A float32 weight of any other shape is cast whole in each product that
-reads it, and RMSProp gives it an owned float64 copy once.
+cache in float32. Every product with the whole weight runs in float32, the
+mixed precision of Micikevicius et al. 2018, "Mixed Precision Training":
+the float64 left operand is rounded to float32 once, and each share copies
+the weight block by block into one reused float32 buffer, multiplies in
+float32 and widens each product block to float64. (gather_dense's small
+products over the columns its dropped entries touch take those columns in
+float64.) The forward reads the
+weight transposed, one _SPLIT_COLUMNS block of output columns at a time;
+an input grad reads it as it is laid out, one _CAST_COLUMNS block of
+columns at a time. The copy is what keeps a mapped weight on the BLAS: its
+data sits at any byte offset in the file, and NumPy multiplies an
+unaligned array without the BLAS, slowly and through a copy of its own.
+Its weight grad is a float32 product of the rounded operands, which
+RMSProp steps as it is. So the products agree with those over the
+weight's float64 copy within float32 rounding (about 1e-6 of their
+largest entry), not bit for bit, and have the same bits at any CPU count,
+for a mapped weight and an owned one alike. The rest of the model, the
+loss and the head stay float64. A float32 weight of any other shape is
+cast whole in each product that reads it, and RMSProp gives it an owned
+float64 copy once.
 
 Factored weight grads: gather_dense leaves the grad of a weight whose input
 dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
 a weight-sized array. RMSProp.step expands it one band of whole rows at a
 time into scratch and updates those rows of the weight and its cache, which
-are contiguous in memory. Each band starts on a multiple of _BAND_ALIGN rows
-and is never a single row, so every element is the same dot product by the
-same BLAS kernel as in the whole product, and the step has the bits of the
-dense grad's. The step takes only as many shares as fit their bands in
+are contiguous in memory. The bands lie on one grid of _BAND_ROWS rows from
+row 0 whatever the CPU count, and the dense grad is made band by band on the
+same grid, so the step has the bits of the dense grad's under any BLAS
+kernel. A float32 weight's factors are float32, and its bands are expanded
+in float32. The step takes only as many shares as fit their bands in
 _BAND_BUDGET, so its scratch does not grow with the CPU count. Reading
 .grad, or a second contribution to the same weight, makes the dense array.
 """
@@ -75,29 +87,24 @@ _SPLIT_MADDS = 1 << 24
 # BLAS computes a share's trailing columns with a narrower kernel whose sums
 # can differ in the last bit, so every share must end on a kernel boundary
 _SPLIT_COLUMNS = 64
-# a float32 right operand of _matmul is cast in blocks only when its inner
-# dimension is at least this: a 2-row product of one _SPLIT_COLUMNS block
-# then holds 2^21 multiply-adds, above the size (measured near 2^20) below
-# which the BLAS takes a small-matrix kernel whose sums can differ in the
-# last bit from those of the whole product
+# a weight is held and multiplied in float32 only when its inner dimension
+# is at least this. Dense1 of the paper MFCC model (23,936 wide) is above
+# it: its float64 weight and RMSProp cache took 392 MB, and at 200 rows on
+# one thread (OpenBLAS) its float32 forward and input grad took 0.10-0.11
+# and 0.09 s against 0.15-0.20 and 0.14 s over a float64 weight (at 10
+# rows 0.03 s either way). The layers below it (dense2's 1,024 x 1,024,
+# the head) are small and cheap, and stay float64
 _CAST_INNER = 1 << 14
-# an input grad g @ W over a float32 W casts W in blocks of this many
+# an input grad g @ W over a float32 W copies W in blocks of this many
 # columns, on a grid from column 0 that worker shares never cut. At
-# 1,024 x 23,936 on one thread (OpenBLAS), 512-column blocks took 0.05 s
-# at 10 rows and 0.24 s at 200, against 0.06 and 0.27 s for 64 columns
+# 1,024 x 23,936 on one thread, blocks of 256 to 2,048 columns took
+# 0.027-0.034 s at 10 rows and 0.091-0.104 s at 200, 512 among the fastest
 _CAST_COLUMNS = 512
 # DenseLayer draws a float32 weight this many rows at a time
 _INIT_ROWS = 32
-# RMSProp expands a factored grad in bands of this many whole rows of the
-# weight (the last band of a share may be shorter, or one row longer)
+# a factored grad is expanded in bands of this many whole rows of the
+# weight, on a grid from row 0 (the last band may be shorter)
 _BAND_ROWS = 32
-# bands, and the worker shares that hold them, start on multiples of this
-# many rows, and none is a single row. A band's product then has the bits
-# of the whole product's rows at every shape measured (OpenBLAS, one and
-# two threads); a 1-row band, a matrix-vector call, did not, nor did bands
-# of 2 or 4 rows cut on their own grid at 1,021 x 2,560, of 3 rows at
-# 1,024 x 23,936, or of 7 rows at 64 x 2,560
-_BAND_ALIGN = 8
 # the most band scratch of one factored step, over all its shares, in
 # bytes: five shares' bands at dense1's 23,936 columns, however many CPUs
 # there are
@@ -195,28 +202,38 @@ class Constant(Tensor):
 
 
 def casts_in_blocks(shape) -> bool:
-    """Whether dense and gather_dense can take an (out, in) weight as
-    float32 and cast it to float64 one block of _SPLIT_COLUMNS output
-    columns at a time, with every bit of the product over its float64 copy:
-    out must be a whole number of blocks and in at least _CAST_INNER."""
+    """Whether an (out, in) weight is held as float32 and multiplied in
+    float32 one block at a time: out must be a whole number of
+    _SPLIT_COLUMNS blocks, the forward's block, and in at least
+    _CAST_INNER."""
     return len(shape) == 2 and shape[0] % _SPLIT_COLUMNS == 0 and shape[1] >= _CAST_INNER
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d float64 a and 2-d b, split by output column when every
-    share carries at least _SPLIT_MADDS multiply-adds: np.matmul writes each
-    share's columns of the output, with the bits of a @ b.
+def _grad_dtype(w: np.ndarray):
+    """The dtype of a weight's grad: float32 for a float32 weight of a
+    shape casts_in_blocks accepts, which is stepped in float32, else
+    float64."""
+    return np.float32 if w.dtype == np.float32 and casts_in_blocks(w.shape) else np.float64
 
-    A float32 b that is a weight casts_in_blocks accepts is cast block by
-    block inside each share, so that no float64 copy of it is made: its
-    transpose (the forward) by _cast_matmul, with the bits of the product
-    over b.astype(float64), and the weight itself (an input grad) by
-    _cast_columns, whose bits depend only on a and b. Any other float32 b
-    is cast to float64 whole."""
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d a and b of one dtype, float64 or float32, or a float64
+    a and a float32 b, split by output column when every share carries at
+    least _SPLIT_MADDS multiply-adds: np.matmul writes each share's columns
+    of the output, with the bits of a @ b.
+
+    A float32 b that is a weight casts_in_blocks accepts is multiplied in
+    float32 (see the module docstring) into a float64 result: a is rounded
+    to float32 once, and each share copies b block by block, its transpose
+    (the forward) in _cast_matmul and the weight itself (an input grad) in
+    _cast_columns. A block's product does not depend on the share that
+    holds it, so the bits do not depend on the CPU count. Any other float32
+    b is cast to float64 whole."""
     rows, inner = a.shape
     cols = b.shape[1]
+    dtype = np.result_type(a, b)
     unit, product = _SPLIT_COLUMNS, np.matmul
-    if b.dtype != np.float64:
+    if a.dtype == np.float64 and b.dtype == np.float32:
         if b.flags.f_contiguous and casts_in_blocks((cols, inner)):
             product = _cast_matmul
         elif b.flags.c_contiguous and casts_in_blocks((inner, cols)):
@@ -224,6 +241,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             b = b.astype(np.float64)  # keeps b's memory order
     blocked = product is not np.matmul
+    if blocked:
+        a = a.astype(np.float32)  # rounded once, for every share
     units = -(-cols // unit)  # only _cast_columns takes a partial last unit
     limit = 1
     unit_madds = rows * inner * unit
@@ -233,7 +252,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         limit = units // least
     if limit < 2 and not blocked:
         return a @ b
-    out = np.empty((rows, cols))
+    out = np.empty((rows, cols), dtype)
 
     def share(i, parts):
         span = _cut(units, i, parts)
@@ -245,42 +264,38 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for a float32 b of whole _SPLIT_COLUMNS blocks of columns
-    and at least _CAST_INNER rows: each block is cast into one reused
-    float64 buffer, laid out as the transpose of a C-ordered weight, and
-    multiplied into its columns of out. A block of 2 rows or more is whole
-    kernel blocks above the small-matrix cut-off, and a 1-row product is
-    one dot product per column, so every bit is that of the product with
-    b.astype(float64)."""
-    buf = np.empty((_SPLIT_COLUMNS, b.shape[0]))
+    """out = a @ b for a float32 a and a float32 b that is the transpose of
+    whole _SPLIT_COLUMNS-row blocks of a C-ordered weight: each block is
+    copied into one reused float32 buffer and multiplied in float32, and
+    only the product is widened, into its columns of out."""
+    buf = np.empty((_SPLIT_COLUMNS, b.shape[0]), np.float32)
     for start in range(0, b.shape[1], _SPLIT_COLUMNS):
         cols = slice(start, start + _SPLIT_COLUMNS)
         buf[...] = b[:, cols].T
-        np.matmul(a, buf.T, out=out[:, cols])
+        np.matmul(a, buf.T, out=out[:, cols], dtype=np.float32)
 
 
 def _cast_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for a float32 b, a column range of a C-ordered weight
-    that starts on a multiple of _CAST_COLUMNS: each block of _CAST_COLUMNS
-    columns (the last may be narrower) is cast into one reused C-ordered
-    float64 buffer and multiplied into its columns of out. A block's
-    product does not depend on the share that holds it, so the bits do not
-    depend on the CPU count; they may differ in the last place from those
-    of the product over b.astype(float64)."""
+    """out = a @ b for a float32 a and a float32 b, a column range of a
+    C-ordered weight that starts on a multiple of _CAST_COLUMNS: each block
+    of _CAST_COLUMNS columns (the last may be narrower) is copied into one
+    reused C-ordered float32 buffer and multiplied in float32, and only the
+    product is widened, into its columns of out."""
     rows, cols = b.shape
-    buf = np.empty(rows * min(_CAST_COLUMNS, cols))
+    buf = np.empty(rows * min(_CAST_COLUMNS, cols), np.float32)
     for start in range(0, cols, _CAST_COLUMNS):
         stop = min(start + _CAST_COLUMNS, cols)
         block = buf[: rows * (stop - start)].reshape(rows, stop - start)
         block[...] = b[:, start:stop]
-        np.matmul(a, block, out=out[:, start:stop])
+        np.matmul(a, block, out=out[:, start:stop], dtype=np.float32)
 
 
 class _FactoredGrad:
     """The (m, n) weight grad G.T @ xs, less `correction` on its `touched`
     columns, kept as those factors: g is (U, m), xs (U, n), touched the
-    sorted distinct columns and correction (m, len(touched)). RMSProp
-    expands it one band of whole rows at a time (rows())."""
+    sorted distinct columns and correction (m, len(touched)), all of the
+    grad's dtype. RMSProp expands it one band of whole rows at a time
+    (rows())."""
 
     __slots__ = ("g", "xs", "touched", "correction")
 
@@ -288,17 +303,34 @@ class _FactoredGrad:
         self.g, self.xs, self.touched, self.correction = g, xs, touched, correction
 
     def dense(self) -> np.ndarray:
-        gw = _matmul(self.g.T, self.xs)
-        gw[:, self.touched] -= self.correction
+        """The whole grad, made band by band as RMSProp expands it, so each
+        row has the bits a step expands; split like a product, each share
+        carrying at least _SPLIT_MADDS multiply-adds."""
+        (u, m), n = self.g.shape, self.xs.shape[1]
+        gw = np.empty((m, n), self.xs.dtype)
+
+        def share(i, parts):
+            for band in self.bands(i, parts):
+                self.rows(band, gw[band])
+
+        least = -(-_SPLIT_MADDS // max(_BAND_ROWS * u * n, 1))
+        _in_shares(share, len(self.bands(0, 1)) // least)
         return gw
 
+    def bands(self, i: int, parts: int) -> list[slice]:
+        """The bands of share i of parts: whole bands of one grid of
+        _BAND_ROWS rows from row 0 (the last may be shorter), the same
+        grid at any share count. A band's bits depend on the band as well
+        as on the factors, so the grad is only ever expanded on this
+        grid."""
+        m = self.g.shape[1]
+        span = _cut(-(-m // _BAND_ROWS), i, parts)
+        starts = range(span.start * _BAND_ROWS, min(span.stop * _BAND_ROWS, m), _BAND_ROWS)
+        return [slice(start, min(start + _BAND_ROWS, m)) for start in starts]
+
     def rows(self, band: slice, out: np.ndarray) -> None:
-        """Write rows band of the grad, with the bits of dense()'s, into the
-        (rows, n) array out. band must start on a multiple of _BAND_ALIGN,
-        end on one or at m, and hold more than one row unless m is 1. The
-        correction comes whole from gather_dense: its product over a band's
-        rows could fall below the BLAS's small-matrix cut-off and change
-        bits."""
+        """Write rows band of the grad, one of bands(), into the (rows, n)
+        array out of the factors' dtype."""
         np.matmul(self.g.T[band], self.xs, out=out)
         out[:, self.touched] -= self.correction[band]
 
@@ -386,7 +418,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out += b
 
     def backward(grad):
-        weight._accumulate(_matmul(grad.T, x.data))
+        dtype = _grad_dtype(w)
+        gw = _matmul(grad.T.astype(dtype, copy=False), x.data.astype(dtype, copy=False))
+        weight._accumulate(gw)
         bias._accumulate(grad.sum(axis=0))
         x._accumulate(_matmul(grad, w))
 
@@ -483,7 +517,8 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     the input grad scale * (G @ W), less the same entries' terms. When n is
     a multiple of _SPLIT_COLUMNS the weight grad is left as those factors
     (a _FactoredGrad) for RMSProp to expand band by band; the correction is
-    computed here, whole.
+    computed here, whole. A float32 weight's factors are rounded to float32
+    (the correction once its float64 product is made).
     """
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -500,19 +535,25 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     # products over xs count them, the composition does not
     dropped_y = np.zeros((len(index), len(touched)))
     dropped_y[rows, at] = xs[index[rows], cols]
+    # W's touched columns, gathered once for the forward and the backward
+    # and multiplied in float64: the products over them are small
+    w_touched = w[:, touched].astype(np.float64, copy=False)
     out = _matmul(xs, w.T)[index]
     out += b
-    out -= _matmul(dropped_y, w[:, touched].T)
+    out -= _matmul(dropped_y, w_touched.T)
 
     def backward(grad):
         g = _sum_rows(grad, index, len(xs))
-        gw = _FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y))
+        dtype = _grad_dtype(w)
+        g_w, xs_w = g.astype(dtype, copy=False), xs.astype(dtype, copy=False)
+        correction = _matmul(grad.T, dropped_y).astype(dtype, copy=False)
+        gw = _FactoredGrad(g_w, xs_w, touched, correction)
         weight._accumulate(gw if w.shape[1] % _SPLIT_COLUMNS == 0 else gw.dense())
         bias._accumulate(grad.sum(axis=0))
         if isinstance(x, Constant):
             return
         # and the same entries of the output grad pulled back through W
-        pulled = _matmul(grad, w[:, touched])
+        pulled = _matmul(grad, w_touched)
         dropped_g = np.zeros_like(pulled)
         dropped_g[rows, at] = pulled[rows, at]
         gx = _matmul(g, w)
@@ -673,14 +714,13 @@ class DenseLayer:
 
 def _band_shares(m: int, n: int) -> int:
     """The most shares RMSProp.step cuts an (m, n) weight with a factored
-    grad into: each takes at least _STEP_BLOCK elements and _BAND_ALIGN
-    rows, and their scratch, one float64 band of at most _BAND_ROWS + 1
-    rows and 8 bytes per element of one _STEP_BLOCK (one float64 row, or a
-    float32 weight's two float32 rows) each, fits in _BAND_BUDGET. Below
-    two, one share runs, so a weight too wide for one band to fit still
-    steps."""
-    per_share = ((_BAND_ROWS + 1) * n + _STEP_BLOCK) * 8
-    return min(m * n // _STEP_BLOCK, m // _BAND_ALIGN, _BAND_BUDGET // per_share)
+    grad into: each takes at least _STEP_BLOCK elements and one band, and
+    their scratch, one band of at most _BAND_ROWS rows and one _STEP_BLOCK
+    each, at 8 bytes per element (a float32 weight's take half that), fits
+    in _BAND_BUDGET. Below two, one share runs, so a weight too wide for one
+    band to fit still steps."""
+    per_share = (_BAND_ROWS * n + _STEP_BLOCK) * 8
+    return min(m * n // _STEP_BLOCK, -(-m // _BAND_ROWS), _BAND_BUDGET // per_share)
 
 
 class RMSProp:
@@ -694,8 +734,9 @@ class RMSProp:
     A float32 weight of a shape casts_in_blocks accepts keeps float32 data,
     copied once if it is read-only (mapped from a checkpoint), and a float32
     cache; every other parameter is float64, cast once if it is not, with a
-    float64 cache. Each grad block is rounded to its parameter's dtype and
-    the update runs in that dtype (_walk).
+    float64 cache. A parameter's grad has its dtype (dense and gather_dense
+    make a float32 weight's grad in float32), and the update runs in that
+    dtype.
 
     step() walks each parameter in blocks of _STEP_BLOCK elements and
     updates cache and parameter in place, so no parameter-sized temporary is
@@ -706,14 +747,14 @@ class RMSProp:
     bits are those of one walk.
 
     A parameter whose grad is factored (gather_dense's weight) is walked in
-    bands of whole rows instead: each band of the grad is expanded in
-    float64 into a flat scratch buffer, and the band's rows of cache and
+    bands of whole rows instead: each band of the grad is expanded in its
+    dtype into a flat scratch buffer, and the band's rows of cache and
     parameter, which are contiguous, are walked in the same _STEP_BLOCK
     blocks with the same expression chain, so the dense grad is never made.
-    Its workers take shares of whole rows, few enough that their bands fit
-    in _BAND_BUDGET (see _band_shares); bands and shares start on multiples
-    of _BAND_ALIGN rows and none is a single row, which keeps every grad
-    element the bits of the whole product (see _BAND_ALIGN).
+    Its workers take shares of whole bands, few enough that their bands fit
+    in _BAND_BUDGET (see _band_shares); the bands lie on one grid whatever
+    the share count, the grid the dense grad is made on, which keeps every
+    grad element the bits of the dense grad's (see _FactoredGrad.dense).
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6):
@@ -768,35 +809,23 @@ class RMSProp:
 
     def _band_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
         """Update share i of parts of the flat (m, n) data and cache in
-        place, one band of whole rows at a time: each band of the factored
-        grad is expanded in float64 into scratch and walked like a flat
-        grad. Shares start on multiples of _BAND_ALIGN rows and the last one
-        ends at m; a share's bands are _BAND_ROWS long, and a last row that
-        would be a band of its own joins the band before it. Each share
-        walks in whole _STEP_BLOCK blocks of its own scratch, since the band
-        scratch outweighs it: one row when the band is data's dtype, which
-        then takes lr_t * g in place, else two."""
+        place, one band of whole rows at a time (grad.bands): each band of
+        the factored grad is expanded in data's dtype into scratch and
+        walked like a flat grad. Each share walks in whole _STEP_BLOCK
+        blocks of one scratch row of its own, since the band scratch
+        outweighs it; the band takes lr_t * g in place."""
         n = grad.xs.shape[1]
-        m = data.size // n
-        span = _cut(m, i, parts, _BAND_ALIGN)
-        stop = m if i == parts - 1 else span.stop
-        band = np.empty(min(_BAND_ROWS + 1, stop - span.start) * n)
-        scratch = np.empty((1 if data.dtype == band.dtype else 2, _STEP_BLOCK), data.dtype)
-        start = span.start
-        while start < stop:
-            end = min(start + _BAND_ROWS, stop)
-            if stop - end == 1:
-                end = stop
-            g = band[: (end - start) * n]
-            grad.rows(slice(start, end), g.reshape(end - start, n))
-            self._walk(data[start * n : end * n], cache[start * n : end * n], g, scratch, lr_t)
-            start = end
+        band = np.empty(min(_BAND_ROWS * n, data.size), data.dtype)
+        scratch = np.empty((1, _STEP_BLOCK), data.dtype)
+        for rows in grad.bands(i, parts):
+            g = band[: (rows.stop - rows.start) * n]
+            grad.rows(rows, g.reshape(-1, n))
+            flat = slice(rows.start * n, rows.stop * n)
+            self._walk(data[flat], cache[flat], g, scratch, lr_t)
 
     def _walk(self, data, cache, grad, scratch, lr_t: float) -> None:
-        """Update the flat data and cache in place from the flat grad, in
-        blocks as wide as the scratch rows, which have data's dtype. A grad
-        block of another dtype is rounded to data's into the second scratch
-        row first. The update then runs in data's dtype: with two rows the
+        """Update the flat data and cache in place from the flat grad, all of
+        one dtype, in blocks as wide as the scratch rows: with two rows the
         grad is only read, with one it is scratch too and takes lr_t * grad
         in place."""
         size = scratch.shape[1]
@@ -805,9 +834,6 @@ class RMSProp:
             g = grad[block]
             s = scratch[0, : g.size]
             t = scratch[1, : g.size] if len(scratch) > 1 else g
-            if g.dtype != data.dtype:
-                np.copyto(t, g)  # rounds g to data's dtype
-                g = t
             self._update(data[block], cache[block], g, s, t, lr_t)
 
     def _update(self, d, c, g, s, t, lr_t: float) -> None:

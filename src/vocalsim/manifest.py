@@ -183,7 +183,8 @@ def read_wav(path, resample: bool = False) -> Signal:
         raise DataError(
             f"{path}: audio data of {len(frames)} bytes is not a whole number of 16-bit samples"
         )
-    samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / PCM16_SCALE
+    samples = np.frombuffer(frames, dtype="<i2").astype(np.float64)
+    samples /= PCM16_SCALE  # in place: the same bits, without a second copy
     if rate != SAMPLE_RATE:
         if not resample:
             raise DataError(

@@ -289,8 +289,8 @@ class SiameseModel:
         """One encoding row per feature set, dropout off: the one inference
         encoder. Sets are encoded in chunks of at most ENCODE_BATCH, a lone
         set as two copies of itself: a 1-row product takes BLAS's
-        matrix-vector path, whose bits differ (by up to about 2e-15) from
-        the same row's in a larger chunk."""
+        matrix-vector path, whose bits differ from the same row's in a
+        larger chunk (by up to about 1e-6 through a float32 dense1)."""
         encodings = []
         for start in range(0, len(feature_sets), ENCODE_BATCH):
             chunk = feature_sets[start : start + ENCODE_BATCH]
@@ -463,9 +463,11 @@ def _spec_value(path, named: dict, name: str, kind: type):
 def load_checkpoint(path) -> SiameseModel:
     """The model a checkpoint holds. The file is mapped: a dense weight that
     ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
-    read-only float32 view of it, which keeps the file's pages mapped while
-    the model lives; every other tensor is cast to float64 here. Training
-    the model (ad.RMSProp) copies the view once, still float32.
+    read-only float32 view of it, at whatever byte offset the file gives
+    it (the autodiff module docstring says how it is multiplied), which
+    keeps the file's pages mapped while the model lives; every other
+    tensor is cast to float64 here. Training the model (ad.RMSProp) copies
+    the view once, still float32.
 
     While the model lives, replace its file only by renaming a new file over
     it, as save_checkpoint does: the view keeps the old file's contents.

@@ -50,11 +50,15 @@ def strip_unvoiced(
     # window alone would, so the gate decisions match a per-window loop.
     gate = energy_threshold * global_rms
     full = x.size - x.size % window
-    rows = np.sqrt(np.mean(power[:full].reshape(-1, window), axis=1)) >= gate
-    kept = [x[:full].reshape(-1, window)[rows].ravel()]
-    if full < x.size and np.sqrt(np.mean(power[full:])) >= gate:
-        kept.append(x[full:])
-    out = np.concatenate(kept)
+    kept = np.flatnonzero(np.sqrt(np.mean(power[:full].reshape(-1, window), axis=1)) >= gate)
+    tail = x.size - full if full < x.size and np.sqrt(np.mean(power[full:])) >= gate else 0
+    del power  # every decision is made: the kept windows are gathered without it
+    out = np.empty(kept.size * window + tail)
+    windows = out[: kept.size * window].reshape(-1, window)
+    # every index is in range; "clip" writes out directly, "raise" buffers it
+    np.take(x[:full].reshape(-1, window), kept, axis=0, out=windows, mode="clip")
+    if tail:
+        out[-tail:] = x[full:]
     if not out.size:
         warnings.warn("strip_unvoiced: no window passed the energy gate")
     return Signal(out, signal.sample_rate)

@@ -733,7 +733,7 @@ class TestFactoredGrad:
     @pytest.mark.parametrize(
         "n_out, n_in",
         [
-            (193, 1280),  # 193 = 24 * 8 + 1: the last band would be one row
+            (193, 1280),  # 193 = 6 * 32 + 1: the last band is one row
             (128, 23936),  # dense1's input width
         ],
     )
@@ -1096,6 +1096,20 @@ class TestSplitWork:
             np.testing.assert_array_equal(g, w_)
 
 
+# a float32 weight's products, against the same products over its float64
+# copy: at most 5.2e-7 (forward) and 8.3e-7 (input grad) of their largest
+# entry under the SkylakeX and Haswell OpenBLAS kernels, at 1 to 200 rows
+FLOAT32_PRODUCT_TOL = 1e-6
+
+
+def assert_float32_product(got, want):
+    """got, a float32 weight's product, is within FLOAT32_PRODUCT_TOL of
+    its largest entry of want, the product over the float64 copy."""
+    assert got.dtype == want.dtype == np.float64
+    err = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+    assert err <= FLOAT32_PRODUCT_TOL, f"error {err:.2e} of the largest entry"
+
+
 @pytest.fixture(scope="class")
 def mapped_shape_weight():
     """A read-only float32 weight of the smallest in-dim casts_in_blocks
@@ -1108,8 +1122,10 @@ def mapped_shape_weight():
 
 
 class TestFloat32Weights:
-    """A float32 weight, as a mapped checkpoint holds, gives every bit of the
-    product over its float64 copy."""
+    """A float32 weight, as a mapped checkpoint holds, is multiplied in
+    float32: within float32 rounding of the product over its float64 copy,
+    and with the same bits on any number of CPUs and for an unaligned
+    weight, as a mapped one may be, and an aligned one alike."""
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 11, 14, 100, 200])
@@ -1117,11 +1133,14 @@ class TestFloat32Weights:
         w32, w64, b = mapped_shape_weight
         x = np.random.default_rng(rows).normal(size=(rows, w32.shape[1]))
         workers(1)
+        one = dense(Tensor(x), Tensor(w32), Tensor(b)).data
         want = dense(Tensor(x), Tensor(w64), Tensor(b)).data
         workers(width)
         weight = Tensor(w32)
         assert weight.data is w32
-        np.testing.assert_array_equal(dense(Tensor(x), weight, Tensor(b)).data, want)
+        got = dense(Tensor(x), weight, Tensor(b)).data
+        np.testing.assert_array_equal(got, one)
+        assert_float32_product(got, want)
 
     def test_gather_dense_equals_float64_weight(self, mapped_shape_weight):
         w32, w64, b = mapped_shape_weight
@@ -1130,7 +1149,27 @@ class TestFloat32Weights:
         dropped = ([0, 3, 13], [5, 7000, 23935])
         got = gather_dense(Tensor(x), index, Tensor(w32), Tensor(b), dropped, 1.25).data
         want = gather_dense(Tensor(x), index, Tensor(w64), Tensor(b), dropped, 1.25).data
-        np.testing.assert_array_equal(got, want)
+        assert_float32_product(got, want)
+
+    def test_unaligned_weight_gives_the_aligned_bits(self, mapped_shape_weight):
+        """A weight 3 bytes off alignment, as a mapped checkpoint's dense1
+        is, gives the bits of an aligned copy in the forward and the input
+        grad, through the same block copies."""
+        w32, _, b = mapped_shape_weight
+        raw = np.zeros(w32.nbytes + 3, np.uint8)
+        unaligned = np.frombuffer(raw, np.float32, w32.size, offset=3).reshape(w32.shape)
+        unaligned[...] = w32
+        assert not unaligned.flags.aligned and w32.flags.aligned
+        rng = np.random.default_rng(56)
+        x, probe = rng.normal(size=(12, w32.shape[1])), rng.normal(size=(12, w32.shape[0]))
+        runs = []
+        for w in (unaligned, w32):
+            xs = Tensor(x)
+            out = dense(xs, Tensor(w), Tensor(b))
+            weighted_sum(out, probe).backward()
+            runs.append((out.data, xs.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [1, 14])
     def test_dense_makes_no_float64_copy_of_the_weight(self, workers, rows):
@@ -1203,8 +1242,9 @@ class TestFloat32Weights:
 
 class TestFloat32Training:
     """A weight of a shape casts_in_blocks accepts stays float32 through
-    training: drawn into float32, cast in blocks by every product that reads
-    it, and stepped by RMSProp in float32 with a float32 cache."""
+    training: drawn into float32, multiplied in float32 by every product
+    that reads it, given a float32 grad, and stepped by RMSProp in float32
+    with a float32 cache."""
 
     def test_row_block_draw_equals_whole_draw_rounded(self):
         shape = (128, 1 << 14)
@@ -1235,9 +1275,10 @@ class TestFloat32Training:
         self, workers, count_splits, mapped_shape_weight, rows
     ):
         """g @ W over a C-ordered float32 W, as an input grad reads the
-        weight, is cast one _CAST_COLUMNS block at a time: 1 share and 2
-        give the same bits, within 1e-12 of the product over W's float64
-        copy. 23,936 columns end in a partial block."""
+        weight, is multiplied in float32 one _CAST_COLUMNS block at a time:
+        1 share and 2 give the same bits, within float32 rounding of the
+        product over W's float64 copy. 23,936 columns end in a partial
+        block."""
         w32, w64, _ = mapped_shape_weight
         g = np.random.default_rng(rows).normal(size=(rows, w32.shape[0]))
         workers(1)
@@ -1247,7 +1288,24 @@ class TestFloat32Training:
         two = autodiff._matmul(g, w32)
         assert limits and limits[0] >= 2
         np.testing.assert_array_equal(two, one)
-        np.testing.assert_allclose(one, g @ w64, rtol=0, atol=1e-12)
+        assert_float32_product(one, g @ w64)
+
+    def test_dense_weight_grad_is_a_float32_product(self):
+        """dense's weight grad for a float32 weight is the float32 product
+        of the rounded operands, which RMSProp's flat walk steps in float32."""
+        rng = np.random.default_rng(57)
+        w32 = rng.normal(size=(64, 1 << 14)).astype(np.float32)
+        x, probe = rng.normal(size=(3, 1 << 14)), rng.normal(size=(3, 64))
+        weight = Tensor(w32.copy())
+        weighted_sum(dense(Tensor(x), weight, Tensor(np.zeros(64))), probe).backward()
+        want = probe.T.astype(np.float32) @ x.astype(np.float32)
+        assert weight.grad.dtype == np.float32
+        np.testing.assert_array_equal(weight.grad, want)
+        opt = RMSProp([weight], lr=1e-3)
+        opt.step()
+        cache = want * (1.0 - 0.9) * want
+        np.testing.assert_array_equal(opt.cache[0], cache)
+        np.testing.assert_array_equal(weight.data, w32 - want * 1e-3 / (np.sqrt(cache) + 1e-8))
 
     def test_training_step_makes_no_float64_copy_of_the_weight(self, workers):
         """At dense1's input width, a gather_dense backward and an RMSProp
@@ -1278,7 +1336,7 @@ class TestFloat32Training:
     def test_band_and_flat_steps_round_the_grad_to_float32(self, workers, width):
         """A float32 weight's step on its factored grad and on the same
         grad made dense give the bits of the update chain run in float32
-        over the grad rounded to float32."""
+        over the float32 grad."""
         workers(width)
         n_out, n_in = 128, 23936
         start = np.random.default_rng(54).normal(size=(n_out, n_in)).astype(np.float32)
@@ -1290,7 +1348,8 @@ class TestFloat32Training:
                 opt.zero_grad()
                 TestFactoredGrad.backward(10, n_out, n_in, 1e-4, 55 + step, p)
             assert isinstance(banded._grad, autodiff._FactoredGrad)
-            g = flat.grad.astype(np.float32)  # read: flat steps the dense grad
+            g = flat.grad  # read: flat steps the dense grad
+            assert g.dtype == np.float32
             lr_t = 1e-3 / (1.0 + 0.1 * step)
             cache = cache * 0.9 + g * (1.0 - 0.9) * g
             want = want - g * lr_t / (np.sqrt(cache) + 1e-8)

@@ -162,7 +162,8 @@ def paper_model():
 class TestPaperSizeBits:
     """At paper size a sample's encoding does not depend on the other rows of
     a chunk of 2 or more, so the one path gives every bit of scoring batch
-    by batch. A 1-row chunk would move bits by up to about 2e-15."""
+    by batch. A 1-row chunk would move bits by up to about 1e-6, through
+    dense1's float32 product."""
 
     @pytest.mark.parametrize("count", [101, 150])  # 101: a 1-row last chunk
     def test_encodings_equal_one_encode_call(self, paper_model, count):

@@ -1,5 +1,7 @@
 """Tests for voiced-speech stripping, segmentation, and augmentation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,22 @@ class TestStripUnvoiced:
         # Each of the 5 voiced blocks straddles two window boundaries, so the
         # kept length may exceed the voiced span by at most one window per edge.
         assert mask.sum() <= len(out) <= mask.sum() + 2 * 5 * window
+
+    def test_gate_holds_one_signal_sized_array(self):
+        """The squared signal is dropped once every gate decision is made,
+        and the kept windows are gathered straight into the output: the
+        gate allocates about one signal's size, not the square, the kept
+        windows and their concatenation at once."""
+        x = tone(440.0, 8 * SR, amp=0.5).samples
+        x[:SR] = 0.0  # one silent second, 40 whole windows
+        tracemalloc.start()
+        try:
+            out = strip_unvoiced(Signal(x, SR))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.samples, x[SR:])
+        assert peak < 1.25 * x.nbytes
 
     def test_threshold_range_enforced(self):
         with pytest.raises(ValueError):
