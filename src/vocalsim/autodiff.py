@@ -40,16 +40,17 @@ as float32 for its whole life: DenseLayer draws it into float32, a
 checkpoint maps it (models.load_checkpoint), and RMSProp keeps it and its
 cache in float32. Every product with the whole weight runs in float32, the
 mixed precision of Micikevicius et al. 2018, "Mixed Precision Training":
-the float64 left operand is rounded to float32 once, and each share copies
-the weight block by block into one reused float32 buffer, multiplies in
-float32 and widens each product block to float64. (gather_dense's small
-products over the columns its dropped entries touch take those columns in
-float64.) The forward reads the
-weight transposed, one _SPLIT_COLUMNS block of output columns at a time;
-an input grad reads it as it is laid out, one _CAST_COLUMNS block of
-columns at a time. The copy is what keeps a mapped weight on the BLAS: its
-data sits at any byte offset in the file, and NumPy multiplies an
-unaligned array without the BLAS, slowly and through a copy of its own.
+the float64 left operand is rounded to float32 once, and each share
+multiplies the weight block by block where it lies, in float32, and widens
+each product block to float64. (gather_dense's small products over the
+columns its dropped entries touch take those columns in float64.) The
+forward reads the weight transposed, one _SPLIT_COLUMNS block of output
+columns at a time; an input grad reads it as it is laid out, one
+_CAST_COLUMNS block of columns at a time. The block grid, not the layout
+of the weight in memory, fixes the bits: a mapped weight is as aligned as
+an owned one (the container puts tensor data on 64-byte boundaries), and
+an unaligned one, as a version-1 file holds, is copied by NumPy one block
+at a time into the same product.
 Its weight grad is a float32 product of the rounded operands, which
 RMSProp steps as it is. So the products agree with those over the
 weight's float64 copy within float32 rounding (about 1e-6 of their
@@ -95,8 +96,10 @@ _SPLIT_COLUMNS = 64
 # rows 0.03 s either way). The layers below it (dense2's 1,024 x 1,024,
 # the head) are small and cheap, and stay float64
 _CAST_INNER = 1 << 14
-# an input grad g @ W over a float32 W copies W in blocks of this many
-# columns, on a grid from column 0 that worker shares never cut. At
+# an input grad g @ W over a float32 W is multiplied in blocks of this many
+# columns, on a grid from column 0 that worker shares never cut. The grid
+# keeps the bits: under OpenBLAS's Haswell kernel one product over a whole
+# share changes its bits with the share's width, a block's does not. At
 # 1,024 x 23,936 on one thread, blocks of 256 to 2,048 columns took
 # 0.027-0.034 s at 10 rows and 0.091-0.104 s at 200, 512 among the fastest
 _CAST_COLUMNS = 512
@@ -224,26 +227,25 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A float32 b that is a weight casts_in_blocks accepts is multiplied in
     float32 (see the module docstring) into a float64 result: a is rounded
-    to float32 once, and each share copies b block by block, its transpose
-    (the forward) in _cast_matmul and the weight itself (an input grad) in
-    _cast_columns. A block's product does not depend on the share that
-    holds it, so the bits do not depend on the CPU count. Any other float32
-    b is cast to float64 whole."""
+    to float32 once, and each share runs _block_products over its columns
+    of b in blocks _SPLIT_COLUMNS wide for its transpose (the forward) and
+    _CAST_COLUMNS wide for the weight itself (an input grad). A block's
+    product does not depend on the share that holds it, so the bits do not
+    depend on the CPU count. Any other float32 b is cast to float64 whole."""
     rows, inner = a.shape
     cols = b.shape[1]
     dtype = np.result_type(a, b)
-    unit, product = _SPLIT_COLUMNS, np.matmul
+    unit, blocked = _SPLIT_COLUMNS, False
     if a.dtype == np.float64 and b.dtype == np.float32:
         if b.flags.f_contiguous and casts_in_blocks((cols, inner)):
-            product = _cast_matmul
+            blocked = True
         elif b.flags.c_contiguous and casts_in_blocks((inner, cols)):
-            unit, product = _CAST_COLUMNS, _cast_columns
+            unit, blocked = _CAST_COLUMNS, True
         else:
             b = b.astype(np.float64)  # keeps b's memory order
-    blocked = product is not np.matmul
     if blocked:
         a = a.astype(np.float32)  # rounded once, for every share
-    units = -(-cols // unit)  # only _cast_columns takes a partial last unit
+    units = -(-cols // unit)  # only an input grad takes a partial last unit
     limit = 1
     unit_madds = rows * inner * unit
     if (blocked or cols % unit == 0) and unit_madds:
@@ -257,37 +259,19 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     def share(i, parts):
         span = _cut(units, i, parts)
         cut = slice(span.start * unit, min(span.stop * unit, cols))
-        product(a, b[:, cut], out=out[:, cut])
+        _block_products(a, b[:, cut], out[:, cut], unit if blocked else cols)
 
     _in_shares(share, limit)
     return out
 
 
-def _cast_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for a float32 a and a float32 b that is the transpose of
-    whole _SPLIT_COLUMNS-row blocks of a C-ordered weight: each block is
-    copied into one reused float32 buffer and multiplied in float32, and
-    only the product is widened, into its columns of out."""
-    buf = np.empty((_SPLIT_COLUMNS, b.shape[0]), np.float32)
-    for start in range(0, b.shape[1], _SPLIT_COLUMNS):
-        cols = slice(start, start + _SPLIT_COLUMNS)
-        buf[...] = b[:, cols].T
-        np.matmul(a, buf.T, out=out[:, cols], dtype=np.float32)
-
-
-def _cast_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for a float32 a and a float32 b, a column range of a
-    C-ordered weight that starts on a multiple of _CAST_COLUMNS: each block
-    of _CAST_COLUMNS columns (the last may be narrower) is copied into one
-    reused C-ordered float32 buffer and multiplied in float32, and only the
-    product is widened, into its columns of out."""
-    rows, cols = b.shape
-    buf = np.empty(rows * min(_CAST_COLUMNS, cols), np.float32)
-    for start in range(0, cols, _CAST_COLUMNS):
-        stop = min(start + _CAST_COLUMNS, cols)
-        block = buf[: rows * (stop - start)].reshape(rows, stop - start)
-        block[...] = b[:, start:stop]
-        np.matmul(a, block, out=out[:, start:stop], dtype=np.float32)
+def _block_products(a: np.ndarray, b: np.ndarray, out: np.ndarray, width: int) -> None:
+    """out = a @ b for a and b of one dtype, one product per block of
+    `width` columns of b (the last may be narrower), each block multiplied
+    where it lies in a's dtype; only the product is widened into out."""
+    for start in range(0, b.shape[1], width):
+        block = slice(start, start + width)
+        np.matmul(a, b[:, block], out=out[:, block], dtype=a.dtype)
 
 
 class _FactoredGrad:

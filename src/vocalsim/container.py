@@ -6,7 +6,11 @@ Layout, all integers unsigned 32-bit little-endian:
     magic "OSWT" | version | layer_count
     per layer:   kind code | tensor_count | tensors
     named section: entry_count, then per entry: name_len | utf-8 name | tensor
-    tensor:      ndim | dims... | row-major float32 little-endian data
+    tensor:      ndim | dims... | zero pad | row-major float32 little-endian data
+
+The pad puts each tensor's data a multiple of 64 bytes from the file's
+start, so a mapped tensor goes to the BLAS where it lies. Version-1 files,
+unpadded, still read: the version picks the alignment (_ALIGNMENT).
 
 Layer kind codes: conv1d=1, dense=2, relu=3, flatten=4.
 """
@@ -22,7 +26,9 @@ import numpy as np
 from .errors import DataError, replace_file
 
 MAGIC = b"OSWT"
-VERSION = 1
+VERSION = 2
+# the byte boundary each version puts tensor data on, from the file's start
+_ALIGNMENT = {1: 1, 2: 64}
 KIND_TO_CODE = {"conv1d": 1, "dense": 2, "relu": 3, "flatten": 4}
 CODE_TO_KIND = {v: k for k, v in KIND_TO_CODE.items()}
 _MAX_NDIM = 8
@@ -49,14 +55,14 @@ class LayerDesc:
         return self.tensors[1]
 
 
-def _pack_tensor(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Header and float32 data of one tensor; the data is written straight
-    from the array's buffer."""
+def _pack_tensor(arr: np.ndarray, pos: int) -> tuple[bytes, np.ndarray]:
+    """Header and pad, then float32 data, of one tensor whose header starts
+    at byte pos; the data is written straight from the array's buffer."""
     arr = np.asarray(arr, dtype="<f4")
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
     head = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head, arr
+    return head + bytes(-(pos + len(head)) % _ALIGNMENT[VERSION]), arr
 
 
 class _Reader:
@@ -85,12 +91,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack_from("<I", self.buf, self.skip(4))[0]
 
-    def tensor(self) -> tuple[tuple[int, ...], int]:
-        """The dims of the next tensor and the offset of its data."""
+    def tensor(self, align: int) -> tuple[tuple[int, ...], int]:
+        """The dims of the next tensor and the offset of its aligned data."""
         ndim = self.u32()
         if ndim > _MAX_NDIM:
             raise DataError(f"{self.path}: implausible tensor rank {ndim}")
         dims = struct.unpack_from(f"<{ndim}I", self.buf, self.skip(4 * ndim))
+        self.skip(-self.pos % align)
         return dims, self.skip(4 * math.prod(dims))
 
 
@@ -107,18 +114,25 @@ def write_container(
     is replaced, never rewritten under it. A failed write leaves the old
     file as it was."""
     named = named or {}
-    parts = [MAGIC, struct.pack("<II", VERSION, len(layers))]
+    parts, pos = [], 0  # pos: the bytes in parts
+
+    def put(*new) -> None:
+        nonlocal pos
+        parts.extend(new)
+        pos += sum(memoryview(part).nbytes for part in new)
+
+    put(MAGIC, struct.pack("<II", VERSION, len(layers)))
     for layer in layers:
-        parts.append(struct.pack("<II", KIND_TO_CODE[layer.kind], len(layer.tensors)))
+        put(struct.pack("<II", KIND_TO_CODE[layer.kind], len(layer.tensors)))
         for arr in layer.tensors:
-            parts.extend(_pack_tensor(np.asarray(arr)))
-    parts.append(struct.pack("<I", len(named)))
+            put(*_pack_tensor(arr, pos))
+    put(struct.pack("<I", len(named)))
     for name in sorted(named):
         raw = name.encode("utf-8")
         if not raw or len(raw) > _MAX_NAME:
             raise ValueError(f"bad tensor name {name!r}")
-        parts.append(struct.pack("<I", len(raw)) + raw)
-        parts.extend(_pack_tensor(np.asarray(named[name])))
+        put(struct.pack("<I", len(raw)) + raw)
+        put(*_pack_tensor(named[name], pos))
     with replace_file(path, "wb") as fh:
         fh.writelines(parts)
 
@@ -212,14 +226,15 @@ def _parse(r: _Reader) -> tuple[list, dict]:
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: not a weight container (bad magic)")
     version = r.u32()
-    if version != VERSION:
+    if version not in _ALIGNMENT:
         raise DataError(f"{path}: unsupported container version {version}")
+    align = _ALIGNMENT[version]
     layers = []
     for _ in range(r.u32()):
         code = r.u32()
         if code not in CODE_TO_KIND:
             raise DataError(f"{path}: unknown layer kind code {code}")
-        layers.append((CODE_TO_KIND[code], [r.tensor() for _ in range(r.u32())]))
+        layers.append((CODE_TO_KIND[code], [r.tensor(align) for _ in range(r.u32())]))
     named = {}
     for _ in range(r.u32()):
         name_len = r.u32()
@@ -229,7 +244,7 @@ def _parse(r: _Reader) -> tuple[list, dict]:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
-        named[name] = r.tensor()
+        named[name] = r.tensor(align)
     if r.pos != len(r.buf):
         raise DataError(f"{path}: {len(r.buf) - r.pos} trailing bytes after container")
     return layers, named

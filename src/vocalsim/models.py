@@ -463,9 +463,9 @@ def _spec_value(path, named: dict, name: str, kind: type):
 def load_checkpoint(path) -> SiameseModel:
     """The model a checkpoint holds. The file is mapped: a dense weight that
     ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
-    read-only float32 view of it, at whatever byte offset the file gives
-    it (the autodiff module docstring says how it is multiplied), which
-    keeps the file's pages mapped while the model lives; every other
+    read-only float32 view of it, 64-byte aligned in the file, multiplied
+    where it lies (the autodiff module docstring says how), which keeps
+    the file's pages mapped while the model lives; every other
     tensor is cast to float64 here. Training the model (ad.RMSProp) copies
     the view once, still float32.
 

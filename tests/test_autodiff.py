@@ -1152,9 +1152,10 @@ class TestFloat32Weights:
         assert_float32_product(got, want)
 
     def test_unaligned_weight_gives_the_aligned_bits(self, mapped_shape_weight):
-        """A weight 3 bytes off alignment, as a mapped checkpoint's dense1
-        is, gives the bits of an aligned copy in the forward and the input
-        grad, through the same block copies."""
+        """A weight 3 bytes off alignment, as dense1 of a version-1
+        checkpoint is when mapped, gives the bits of an aligned copy in the
+        forward and the input grad: the products run on the same block
+        grid."""
         w32, _, b = mapped_shape_weight
         raw = np.zeros(w32.nbytes + 3, np.uint8)
         unaligned = np.frombuffer(raw, np.float32, w32.size, offset=3).reshape(w32.shape)
@@ -1173,7 +1174,7 @@ class TestFloat32Weights:
 
     @pytest.mark.parametrize("rows", [1, 14])
     def test_dense_makes_no_float64_copy_of_the_weight(self, workers, rows):
-        workers(2)  # two shares at most, each with one 64-column block buffer
+        workers(2)  # two shares at most
         w32 = np.ones((512, 1 << 14), dtype=np.float32)
         x = np.ones((rows, 1 << 14))
         weight = Tensor(w32)
@@ -1211,15 +1212,12 @@ class TestFloat32Weights:
         got = dense(Tensor(x), weight, Tensor(b)).data
         np.testing.assert_array_equal(got, dense(Tensor(x), Tensor(w64), Tensor(b)).data)
 
-    def test_c_ordered_operand_is_cast_whole(self, monkeypatch):
+    def test_c_ordered_operand_is_cast_whole(self):
         """Only the transpose of a C-ordered weight, as the forward pass
-        reads it, is cast by _cast_matmul; a C-ordered float32 right operand
-        whose transpose the rule accepts, but not itself, is cast whole."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a C-ordered operand was cast in blocks")
-
-        monkeypatch.setattr(autodiff, "_cast_matmul", refuse)
+        reads it, is multiplied in float32 blocks of output columns; a
+        C-ordered float32 right operand whose transpose the rule accepts,
+        but not itself, is cast whole: its products have the bits of the
+        float64 product."""
         rng = np.random.default_rng(50)
         b = rng.normal(size=(1 << 14, 64)).astype(np.float32)
         assert autodiff.casts_in_blocks(b.T.shape) and b.flags.c_contiguous

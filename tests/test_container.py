@@ -367,3 +367,95 @@ def test_write_replaces_file_and_leaves_no_temp(tmp_path):
     np.testing.assert_array_equal(named["a"], np.zeros(3))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.oswt"]
     assert path.stat().st_ino != old_inode  # a new file, not a rewrite
+
+
+def walk_tensors(raw: bytes) -> list[tuple[int, bytes]]:
+    """The data offset and the pad before it of every tensor of a version-2
+    file, in file order, read by the layout the module docstring gives."""
+    assert raw[:4] == b"OSWT" and struct.unpack_from("<I", raw, 4)[0] == 2
+    pos, found = 8, []
+
+    def u32() -> int:
+        nonlocal pos
+        pos += 4
+        return struct.unpack_from("<I", raw, pos - 4)[0]
+
+    def tensor() -> None:
+        nonlocal pos
+        dims = [u32() for _ in range(u32())]
+        start, pos = pos, pos + (-pos % 64)
+        found.append((pos, raw[start:pos]))
+        pos += 4 * int(np.prod(dims))
+
+    for _ in range(u32()):
+        u32()
+        for _ in range(u32()):
+            tensor()
+    for _ in range(u32()):
+        name_len = u32()
+        pos += name_len
+        tensor()
+    assert pos == len(raw)
+    return found
+
+
+def shaped(rank: int, empty: bool) -> np.ndarray:
+    shape = (0, 3, 2)[:rank] if empty else (5, 3, 2)[:rank]
+    return np.arange(int(np.prod(shape)), dtype=np.float32).reshape(shape) + rank
+
+
+def layout_cases() -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
+    """Layers and named tensors of ranks 0 to 3, empty and not, under
+    names of 1 to 70 bytes."""
+    ranks = [(rank, empty) for rank in range(4) for empty in (False, True) if rank or not empty]
+    layers = [LayerDesc("dense", [shaped(*case) for case in ranks]), LayerDesc("relu")]
+    layers.append(LayerDesc("conv1d", [shaped(3, False), shaped(1, True), shaped(0, False)]))
+    named = {"n" * k: shaped(*ranks[k % len(ranks)]) for k in range(1, 71)}
+    named["é"] = shaped(2, False)  # 2 bytes of UTF-8
+    return layers, named
+
+
+def test_tensor_data_starts_on_64_byte_boundaries(tmp_path):
+    path = tmp_path / "aligned.oswt"
+    layers, named = layout_cases()
+    write_container(path, layers, named)
+    found = walk_tensors(path.read_bytes())
+    assert len(found) == sum(len(l.tensors) for l in layers) + len(named)
+    for offset, pad in found:
+        assert offset % 64 == 0 and len(pad) < 64
+        assert pad == bytes(len(pad))
+    # some pads are empty and some long: the names shift every offset
+    assert min(len(pad) for _, pad in found) == 0
+    assert max(len(pad) for _, pad in found) >= 60
+    for tensors in map_container(path)[0][0].tensors, map_container(path)[1].values():
+        assert all(t.ctypes.data % 64 == 0 for t in tensors)
+
+
+def assert_same_contents(got, want) -> None:
+    assert [l.kind for l in got[0]] == [l.kind for l in want[0]]
+    for a, b in zip(got[0], want[0]):
+        assert len(a.tensors) == len(b.tensors)
+        for x, y in zip(a.tensors, b.tensors):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+    assert list(got[1]) == list(want[1])
+    for name, x in want[1].items():
+        y = got[1][name]
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_version_1_file_reads_as_its_version_2_rewrite(tmp_path, monkeypatch):
+    layers, named = layout_cases()
+    old, new = tmp_path / "v1.oswt", tmp_path / "v2.oswt"
+    monkeypatch.setattr(container_module, "VERSION", 1)
+    write_container(old, layers, named)
+    monkeypatch.undo()
+    assert struct.unpack_from("<I", old.read_bytes(), 4)[0] == 1
+    write_container(new, *read_container(old))
+    assert struct.unpack_from("<I", new.read_bytes(), 4)[0] == 2
+    # the pad is all the rewrite adds: at most 63 bytes per tensor
+    tensors = sum(len(l.tensors) for l in layers) + len(named)
+    assert 0 < new.stat().st_size - old.stat().st_size <= 63 * tensors
+    for read in (read_container, map_container):
+        assert_same_contents(read(old), read(new))
+    assert tensor_names(old) == tensor_names(new) == sorted(named)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vocalsim import container
 from vocalsim.autodiff import RMSProp, Tensor, rmse_loss
 from vocalsim.container import read_container
 from vocalsim.errors import DataError, NumericError
@@ -284,12 +285,11 @@ class TestCheckpoint:
         b = loaded.predict_similarity(features(3), features(4))
         assert a == b
 
-    def test_format_is_pinned(self, tmp_path):
-        # every ModelSpec field stored, in this order, with these bytes; a
-        # checkpoint written before the spec tensors came from the dataclass
-        # fields had this sha256
-        from vocalsim.container import read_container
-
+    def test_format_is_pinned(self, tmp_path, monkeypatch):
+        # every ModelSpec field stored, in this order, with these bytes; the
+        # version-1 file, without the pad before tensor data, still has the
+        # sha256 of a checkpoint written before the spec tensors came from
+        # the dataclass fields, and loads to the same spec
         spec = ModelSpec(
             variant="fusion",
             head="score25",
@@ -301,16 +301,21 @@ class TestCheckpoint:
             fusion_width=3,
             init_seed=5,
         )
-        path = tmp_path / "model.oswt"
-        save_checkpoint(path, build_model(spec))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "fe1e46af4fb4278df870090a3c928fc680c3c09c93e28315e609e576542681a8"
-        _, named = read_container(path)
+        digests = {
+            2: "f2c7813c2d2bb422a099eb592dc71fd1b5d9b1d9098962e736b6e6e5dddc32cf",
+            1: "fe1e46af4fb4278df870090a3c928fc680c3c09c93e28315e609e576542681a8",
+        }
         params = [f"param/{i}" for i in (0, 1, *range(10, 16), *range(2, 10))]
         spec_fields = ["dense_width", "dropout", "filters", "fusion_width", "head"]
         spec_fields += ["init_seed", "kernel", "stride", "variant"]
-        assert list(named) == params + [f"spec/{name}" for name in spec_fields]
-        assert load_checkpoint(path).spec == spec
+        for version, want in digests.items():
+            monkeypatch.setattr(container, "VERSION", version)
+            path = tmp_path / f"model-v{version}.oswt"
+            save_checkpoint(path, build_model(spec))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+            _, named = read_container(path)
+            assert list(named) == params + [f"spec/{name}" for name in spec_fields]
+            assert load_checkpoint(path).spec == spec
 
     def test_missing_param_tensor_rejected(self, tmp_path):
         from vocalsim.container import read_container, write_container
@@ -396,6 +401,22 @@ def float32_copy(path) -> SiameseModel:
     model.dense1.weight.data = model.dense1.weight.data.copy()
     assert model.dense1.weight.data.flags.aligned
     return model
+
+
+def assert_encodes_as_an_owned_copy(model, path) -> None:
+    """model, mapped from a paper checkpoint, encodes 12 sets with the bits
+    of an owned float32 copy of the checkpoint at path, and allocates under
+    half its dense1 doing so."""
+    sets = [features(seed) for seed in range(12)]
+    want = float32_copy(path).encode_sets(sets)
+    tracemalloc.start()
+    try:
+        got = model.encode_sets(sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < model.dense1.weight.data.nbytes / 2
 
 
 # a mapped model's outputs against the float64 copies', whose dense1
@@ -531,25 +552,31 @@ class TestMappedCheckpoint:
         assert w.shape == (1024, 23936) and not w.flags.owndata
         assert peak < w.nbytes / 4
 
-    def test_unaligned_paper_dense1_encodes_as_an_aligned_copy(self, paper_checkpoint):
-        """A paper checkpoint's dense1 sits unaligned in the file, after
-        names of any length, and NumPy multiplies an unaligned array without
-        the BLAS, through a copy of the whole weight. The block copies keep
-        the products on the BLAS: 12 sets encode with the bits of an owned,
-        aligned float32 copy, and allocate well under the weight."""
+    def test_paper_dense1_is_mapped_aligned(self, paper_checkpoint):
+        """The container puts a paper checkpoint's dense1 on a 64-byte
+        boundary, so the mapped view goes to the BLAS where it lies: 12
+        sets encode with the bits of an owned float32 copy, and allocate
+        well under the weight."""
         model = load_checkpoint(paper_checkpoint)
         w = model.dense1.weight.data
+        assert w.shape == (1024, 23936) and w.ctypes.data % 64 == 0
+        assert not w.flags.owndata
+        assert_encodes_as_an_owned_copy(model, paper_checkpoint)
+
+    def test_unaligned_paper_dense1_encodes_as_an_aligned_copy(
+        self, tmp_path, monkeypatch, paper_checkpoint
+    ):
+        """A version-1 file, written without the pad, leaves dense1 3 bytes
+        off alignment; NumPy copies each unaligned block for the BLAS, so
+        the mapped view still encodes with the bits of an owned float32
+        copy, under the same memory bound."""
+        path = tmp_path / "paper-v1.oswt"
+        monkeypatch.setattr(container, "VERSION", 1)
+        container.write_container(path, *container.map_container(paper_checkpoint))
+        model = load_checkpoint(path)
+        w = model.dense1.weight.data
         assert w.shape == (1024, 23936) and w.flags.aligned is False
-        sets = [features(seed) for seed in range(12)]
-        want = float32_copy(paper_checkpoint).encode_sets(sets)
-        tracemalloc.start()
-        try:
-            got = model.encode_sets(sets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(got, want)
-        assert peak < w.nbytes / 2
+        assert_encodes_as_an_owned_copy(model, paper_checkpoint)
 
     def test_lone_set_is_its_row_of_a_two_set_chunk(self, paper_checkpoint):
         """encode_sets pads a lone set to two rows: a 1-row product takes
