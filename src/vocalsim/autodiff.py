@@ -1,9 +1,9 @@
 """Minimal reverse-mode differentiation engine.
 
-Tensors wrap float64 numpy arrays, except float32 weights (below), and
-record the graph; ops are fused at array granularity (one backward closure
-per op, not per scalar). Exactly the layer set the similarity networks
-need is provided: valid 1-D convolution,
+Tensors wrap float32 or float64 numpy arrays (anything else is taken as
+float64) and record the graph; ops are fused at array granularity (one
+backward closure per op, not per scalar). Exactly the layer set the
+similarity networks need is provided: valid 1-D convolution,
 dense, relu/tanh/sigmoid, inverted dropout, a row gather, a dense layer over
 gathered rows with dropout (gather_dense), flatten, concat, Euclidean
 distance, and an RMSE loss, plus an RMSProp optimizer with
@@ -25,40 +25,35 @@ closure holds the op's inputs and saved arrays and receives the node's grad
 as its argument, never the node itself. The graph therefore has no
 reference cycles, and dropping the loss frees every intermediate at once.
 
+dtypes: every layer's parameters are float32 (DenseLayer and Conv1dLayer
+draw them so, a checkpoint maps them, and RMSProp keeps them and their
+cache so), the mixed precision of Micikevicius et al. 2018, "Mixed
+Precision Training", with float32 products. An op with a weight (conv1d,
+dense, gather_dense) runs in its weight's dtype: a float64 input is
+rounded once. Every other op runs in its inputs' dtype, so the model runs
+in float32 from its stacked inputs to the head, and the RMSE loss widens
+to float64 against its float64 targets. A grad has its tensor's dtype
+(Tensor._accumulate casts a contribution once). Tensors built from float64
+arrays, as the finite-difference checks build them, run in float64 from
+start to finish. So float32 results agree with the same ops over float64
+copies within float32 rounding (about 1e-6 of their largest entry), not
+bit for bit.
+
 CPUs: each product in dense and gather_dense (forward, weight grad, input
 grad) and the RMSProp update of each large parameter is cut into one share
 per CPU and run on the package's workers (see workers.py). Products below
 two shares of _SPLIT_MADDS multiply-adds, and parameters below two
 _STEP_BLOCKs, run on the calling thread alone. A split changes no bit of
-any result: a product is split by output column, and a product over a
-float32 weight by whole blocks, so every output element is the same dot
-product computed by the same BLAS kernel, and the update is elementwise.
-conv1d's products stay on one thread.
-
-float32 weights: a weight of the shape casts_in_blocks() accepts is held
-as float32 for its whole life: DenseLayer draws it into float32, a
-checkpoint maps it (models.load_checkpoint), and RMSProp keeps it and its
-cache in float32. Every product with the whole weight runs in float32, the
-mixed precision of Micikevicius et al. 2018, "Mixed Precision Training":
-the float64 left operand is rounded to float32 once, and each share
-multiplies the weight block by block where it lies, in float32, and widens
-each product block to float64. (gather_dense's small products over the
-columns its dropped entries touch take those columns in float64.) The
-forward reads the weight transposed, one _SPLIT_COLUMNS block of output
-columns at a time; an input grad reads it as it is laid out, one
-_CAST_COLUMNS block of columns at a time. The block grid, not the layout
-of the weight in memory, fixes the bits: a mapped weight is as aligned as
-an owned one (the container puts tensor data on 64-byte boundaries), and
-an unaligned one, as a version-1 file holds, is copied by NumPy one block
-at a time into the same product.
-Its weight grad is a float32 product of the rounded operands, which
-RMSProp steps as it is. So the products agree with those over the
-weight's float64 copy within float32 rounding (about 1e-6 of their
-largest entry), not bit for bit, and have the same bits at any CPU count,
-for a mapped weight and an owned one alike. The rest of the model, the
-loss and the head stay float64. A float32 weight of any other shape is
-cast whole in each product that reads it, and RMSProp gives it an owned
-float64 copy once.
+any result: a split product is multiplied one block of columns at a time,
+on a grid from column 0 that shares never cut (_SPLIT_COLUMNS wide for a
+forward, _BLOCK_COLUMNS for a weight grad or an input grad), so every
+output element is the same product computed by the same
+BLAS kernel at any CPU count, and under OpenBLAS's Haswell kernel too; the
+update is elementwise. A weight is multiplied where it lies: a mapped one
+is as aligned as an owned one (the container puts tensor data on 64-byte
+boundaries), and an unaligned one, as a version-1 file holds, is copied by
+NumPy one block at a time into the same product. conv1d's products stay
+on one thread.
 
 Factored weight grads: gather_dense leaves the grad of a weight whose input
 dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
@@ -67,10 +62,10 @@ time into scratch and updates those rows of the weight and its cache, which
 are contiguous in memory. The bands lie on one grid of _BAND_ROWS rows from
 row 0 whatever the CPU count, and the dense grad is made band by band on the
 same grid, so the step has the bits of the dense grad's under any BLAS
-kernel. A float32 weight's factors are float32, and its bands are expanded
-in float32. The step takes only as many shares as fit their bands in
-_BAND_BUDGET, so its scratch does not grow with the CPU count. Reading
-.grad, or a second contribution to the same weight, makes the dense array.
+kernel. The factors have the weight's dtype, and so do the bands. The step
+takes only as many shares as fit their bands in _BAND_BUDGET, so its
+scratch does not grow with the CPU count. Reading .grad, or a second
+contribution to the same weight, makes the dense array.
 """
 
 import functools
@@ -79,31 +74,28 @@ import numpy as np
 
 from .workers import _cut, _in_shares
 
-_STEP_BLOCK = 32768  # RMSProp update block: 256 KB per float64 operand
+_STEP_BLOCK = 32768  # RMSProp update block: 128 KB per float32 operand
 # least multiply-adds per share of a split product: the smallest power of two
 # at which a two-way split of a 200-row product measured faster than one thread
 _SPLIT_MADDS = 1 << 24
-# a split product's shares start on multiples of this many output columns,
-# and only products whose column count is a multiple of it are split: the
-# BLAS computes a share's trailing columns with a narrower kernel whose sums
-# can differ in the last bit, so every share must end on a kernel boundary
+# a split product is multiplied in blocks of this many output columns, on a
+# grid from column 0 that worker shares never cut: the BLAS computes a
+# product's trailing columns with a narrower kernel whose sums can differ in
+# the last bit, so a block's bits must not depend on the share that holds it
 _SPLIT_COLUMNS = 64
-# a weight is held and multiplied in float32 only when its inner dimension
-# is at least this. Dense1 of the paper MFCC model (23,936 wide) is above
-# it: its float64 weight and RMSProp cache took 392 MB, and at 200 rows on
-# one thread (OpenBLAS) its float32 forward and input grad took 0.10-0.11
-# and 0.09 s against 0.15-0.20 and 0.14 s over a float64 weight (at 10
-# rows 0.03 s either way). The layers below it (dense2's 1,024 x 1,024,
-# the head) are small and cheap, and stay float64
-_CAST_INNER = 1 << 14
-# an input grad g @ W over a float32 W is multiplied in blocks of this many
-# columns, on a grid from column 0 that worker shares never cut. The grid
-# keeps the bits: under OpenBLAS's Haswell kernel one product over a whole
-# share changes its bits with the share's width, a block's does not. At
-# 1,024 x 23,936 on one thread, blocks of 256 to 2,048 columns took
-# 0.027-0.034 s at 10 rows and 0.091-0.104 s at 200, 512 among the fastest
-_CAST_COLUMNS = 512
-# DenseLayer draws a float32 weight this many rows at a time
+# an input grad g @ W, or a weight grad g.T @ x, is multiplied in blocks of
+# this many columns of its right operand, on a grid from column 0 that
+# worker shares never cut. The grid keeps the bits: under OpenBLAS's Haswell
+# kernel one product over a whole share changes its bits with the share's
+# width, a block's does not. At 1,024 x 23,936 in float32 on one thread, an
+# input grad in blocks of 256 to 2,048 columns took 0.027-0.034 s at 10 rows
+# and 0.091-0.104 s at 200, 512 among the fastest; a weight grad at 200 rows
+# took 0.082 s in blocks of 512 against 0.101 s in blocks of 64
+_BLOCK_COLUMNS = 512
+# conv1d works through a batch this many samples at a time: at conv1's
+# paper size a chunk's output grad is 1.5 MB in float32
+_CONV_SAMPLES = 16
+# a layer draws its float32 weight this many rows at a time
 _INIT_ROWS = 32
 # a factored grad is expanded in bands of this many whole rows of the
 # weight, on a grid from row 0 (the last band may be shorter)
@@ -133,7 +125,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward=None):
         data = np.asarray(data)
-        if data.dtype != np.float32 or not casts_in_blocks(data.shape):
+        if data.dtype != np.float32:
             data = data.astype(np.float64, copy=False)
         self.data = data
         self._grad = None
@@ -154,7 +146,11 @@ class Tensor:
     def _accumulate(self, g) -> None:
         """Add one backward contribution. The first becomes the grad buffer
         itself and later ones are added into it in place, so a contribution
-        must be an array (or a _FactoredGrad) that nothing reads afterwards."""
+        must be an array (or a _FactoredGrad) that nothing reads afterwards.
+        A grad has its tensor's dtype: an array of another dtype is cast to
+        it once, here."""
+        if isinstance(g, np.ndarray):
+            g = g.astype(self.data.dtype, copy=False)
         if self._grad is None:
             self._grad = g
         else:
@@ -204,74 +200,34 @@ class Constant(Tensor):
         pass
 
 
-def casts_in_blocks(shape) -> bool:
-    """Whether an (out, in) weight is held as float32 and multiplied in
-    float32 one block at a time: out must be a whole number of
-    _SPLIT_COLUMNS blocks, the forward's block, and in at least
-    _CAST_INNER."""
-    return len(shape) == 2 and shape[0] % _SPLIT_COLUMNS == 0 and shape[1] >= _CAST_INNER
-
-
-def _grad_dtype(w: np.ndarray):
-    """The dtype of a weight's grad: float32 for a float32 weight of a
-    shape casts_in_blocks accepts, which is stepped in float32, else
-    float64."""
-    return np.float32 if w.dtype == np.float32 and casts_in_blocks(w.shape) else np.float64
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d a and b of one dtype, float64 or float32, or a float64
-    a and a float32 b, split by output column when every share carries at
-    least _SPLIT_MADDS multiply-adds: np.matmul writes each share's columns
-    of the output, with the bits of a @ b.
-
-    A float32 b that is a weight casts_in_blocks accepts is multiplied in
-    float32 (see the module docstring) into a float64 result: a is rounded
-    to float32 once, and each share runs _block_products over its columns
-    of b in blocks _SPLIT_COLUMNS wide for its transpose (the forward) and
-    _CAST_COLUMNS wide for the weight itself (an input grad). A block's
-    product does not depend on the share that holds it, so the bits do not
-    depend on the CPU count. Any other float32 b is cast to float64 whole."""
+def _matmul(a: np.ndarray, b: np.ndarray, unit: int = _SPLIT_COLUMNS) -> np.ndarray:
+    """a @ b for 2-d a and b of one dtype. A product of at least two shares
+    of _SPLIT_MADDS multiply-adds is cut into blocks of `unit` columns of b
+    on a grid from column 0 (the last block may be narrower), one product
+    per block where it lies, and shares of whole blocks run on the workers;
+    a smaller one is one product. A block's product does not depend on the
+    share that holds it, so the bits do not depend on the CPU count. A
+    forward, which reads a weight's transpose, takes blocks of
+    _SPLIT_COLUMNS; a weight grad or an input grad, whose right operand is
+    read as it is laid out, takes _BLOCK_COLUMNS."""
     rows, inner = a.shape
     cols = b.shape[1]
-    dtype = np.result_type(a, b)
-    unit, blocked = _SPLIT_COLUMNS, False
-    if a.dtype == np.float64 and b.dtype == np.float32:
-        if b.flags.f_contiguous and casts_in_blocks((cols, inner)):
-            blocked = True
-        elif b.flags.c_contiguous and casts_in_blocks((inner, cols)):
-            unit, blocked = _CAST_COLUMNS, True
-        else:
-            b = b.astype(np.float64)  # keeps b's memory order
-    if blocked:
-        a = a.astype(np.float32)  # rounded once, for every share
-    units = -(-cols // unit)  # only an input grad takes a partial last unit
-    limit = 1
-    unit_madds = rows * inner * unit
-    if (blocked or cols % unit == 0) and unit_madds:
-        # each share holds at least this many whole units of columns
-        least = -(-_SPLIT_MADDS // unit_madds)
-        limit = units // least
-    if limit < 2 and not blocked:
+    units = -(-cols // unit)
+    # each share holds at least this many whole blocks
+    least = -(-_SPLIT_MADDS // max(rows * inner * unit, 1))
+    limit = units // least
+    if limit < 2:
         return a @ b
-    out = np.empty((rows, cols), dtype)
+    out = np.empty((rows, cols), a.dtype)
 
     def share(i, parts):
         span = _cut(units, i, parts)
-        cut = slice(span.start * unit, min(span.stop * unit, cols))
-        _block_products(a, b[:, cut], out[:, cut], unit if blocked else cols)
+        for start in range(span.start * unit, min(span.stop * unit, cols), unit):
+            block = slice(start, start + unit)
+            np.matmul(a, b[:, block], out=out[:, block])
 
     _in_shares(share, limit)
     return out
-
-
-def _block_products(a: np.ndarray, b: np.ndarray, out: np.ndarray, width: int) -> None:
-    """out = a @ b for a and b of one dtype, one product per block of
-    `width` columns of b (the last may be narrower), each block multiplied
-    where it lies in a's dtype; only the product is widened into out."""
-    for start in range(0, b.shape[1], width):
-        block = slice(start, start + width)
-        np.matmul(a, b[:, block], out=out[:, block], dtype=a.dtype)
 
 
 class _FactoredGrad:
@@ -328,14 +284,24 @@ def as_tensor(x) -> Tensor:
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool = False) -> Tensor:
-    """Valid (no padding) cross-correlation, optionally followed by relu.
+    """Valid (no padding) cross-correlation, optionally followed by relu,
+    in the weight's dtype.
 
     x: (B, C, L); weight: (F, C, K); bias: (F,).
     Output length is (L - K)//stride + 1. The output is a (B, F, T) view of a
     (B, T, F) buffer. relu=True rectifies that buffer in place, which equals
     relu(conv1d(...)) without a second output-sized array. The input is read
     fastest as such a view, the (B, C, L) transpose of a C-contiguous
-    (B, L, C) array; any layout gives the same bits.
+    (B, L, C) array of the weight's dtype; any layout gives the same bits.
+
+    No tap matrix is made (kn2row, Vasudevan, Anderson and Gregg 2017): with
+    X the channels-last (B, L, C) input and W_k the (F, C) weights of tap k,
+    y = sum_k X[:, k + stride*t] W_k^T, each term a product of every sample
+    on its own, summed k = 0..K-1. The weight grad and the input grad are K
+    such products each. The batch is worked through _CONV_SAMPLES samples
+    at a time, so the scratch beside the output and the input grad stays a
+    few MB however large the batch, and a sample's output does not depend
+    on the other samples.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -351,62 +317,68 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, relu: bool 
     if L < K:
         raise ValueError(f"input length {L} shorter than kernel {K}")
     T = (L - K) // stride + 1
-    # im2col once: the (B*T, C*K) tap matrix feeds the forward GEMM and,
-    # kept by the closure, the weight-grad GEMM. Tap k of every (row, time)
-    # is one slab copy of channel runs from the channels-last (B, L, C)
-    # layout, which a stacked input and a conv output both have
-    x_blc = x.data.transpose(0, 2, 1)
-    taps_mat = np.empty((B * T, C * K))
-    taps = taps_mat.reshape(B, T, C, K)
-    for k in range(K):
-        taps[:, :, :, k] = x_blc[:, k : k + stride * T : stride, :]
-    w_mat = w.reshape(F, C * K)
-    out = taps_mat @ w_mat.T
-    out += b
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    y = out.reshape(B, T, F).transpose(0, 2, 1)
+    # channels-last and in the weight's dtype, as a stacked input and a conv
+    # output already are (then nothing is copied); a float64 input is
+    # rounded once. Tap k of every output step is the strided view taps[k]
+    xs = np.ascontiguousarray(x.data.transpose(0, 2, 1), dtype=w.dtype)
+    taps = [xs[:, k : k + stride * T : stride] for k in range(K)]
+    w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C, F): W_k^T
+    chunks = [slice(start, start + _CONV_SAMPLES) for start in range(0, B, _CONV_SAMPLES)]
+    out = np.empty((B, T, F), w.dtype)
+    for chunk in chunks:
+        o = out[chunk]
+        np.matmul(taps[0][chunk], w_taps[0], out=o)
+        for k in range(1, K):
+            o += taps[k][chunk] @ w_taps[k]
+        o += b
+        if relu:
+            np.maximum(o, 0.0, out=o)
+    y = out.transpose(0, 2, 1)
 
     def backward(grad):
-        # the output grad in the output buffer's (B*T, F) layout; relu's mask
-        # is read back from the rectified output (out > 0 iff its input > 0)
-        gy_mat = np.empty((B * T, F))
-        gy_btf = gy_mat.reshape(B, T, F)
-        if relu:
-            np.multiply(grad.transpose(0, 2, 1), out.reshape(B, T, F) > 0.0, out=gy_btf)
-        else:
-            gy_btf[...] = grad.transpose(0, 2, 1)
-        weight._accumulate((gy_mat.T @ taps_mat).reshape(F, C, K))
-        bias._accumulate(gy_mat.sum(axis=0))
-        if isinstance(x, Constant):
-            return
-        # input grad: one GEMM gives every tap's grad, then each tap k adds
-        # into the input positions t*stride + k, in the order k = 0..K-1
-        g_taps = (gy_mat @ w_mat).reshape(B, T, C, K)
-        gx = np.zeros((B, L, C))
-        for k in range(K):
-            gx[:, k : k + stride * T : stride, :] += g_taps[:, :, :, k]
-        x._accumulate(gx.transpose(0, 2, 1))
+        # each chunk's output grad in the output buffer's (samples, T, F)
+        # layout; relu's mask is read back from the rectified output (out > 0
+        # iff its input > 0)
+        gy_all = np.empty((min(B, _CONV_SAMPLES), T, F), w.dtype)
+        gw = np.zeros((K, F, C), w.dtype)
+        gb = np.zeros(F, w.dtype)
+        gx = None if isinstance(x, Constant) else np.zeros((B, L, C), w.dtype)
+        for chunk in chunks:
+            gy = gy_all[: len(out[chunk])]
+            if relu:
+                np.multiply(grad[chunk].transpose(0, 2, 1), out[chunk] > 0.0, out=gy)
+            else:
+                gy[...] = grad[chunk].transpose(0, 2, 1)
+            gb += gy.sum(axis=(0, 1))
+            for k in range(K):
+                gw[k] += (gy.transpose(0, 2, 1) @ taps[k][chunk]).sum(axis=0)
+                if gx is not None:
+                    # tap k's grad adds into the input steps stride*t + k
+                    gx[chunk, k : k + stride * T : stride] += gy @ w_taps[k].T
+        weight._accumulate(np.ascontiguousarray(gw.transpose(1, 2, 0)))
+        bias._accumulate(gb)
+        if gx is not None:
+            x._accumulate(gx.transpose(0, 2, 1))
 
     return Tensor(y, parents=(x, weight, bias), backward=backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map y = x W.T + b of each row. x: (B, n); weight: (m, n); bias: (m,)."""
+    """Affine map y = x W.T + b of each row, in the weight's dtype.
+    x: (B, n); weight: (m, n); bias: (m,)."""
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ValueError("weight must be (out, in), bias (out,)")
     if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
         raise ValueError(f"input must be (rows, {w.shape[1]}), got {x.data.shape}")
-    out = _matmul(x.data, w.T)
+    xs = x.data.astype(w.dtype, copy=False)  # a float64 input is rounded once
+    out = _matmul(xs, w.T)
     out += b
 
     def backward(grad):
-        dtype = _grad_dtype(w)
-        gw = _matmul(grad.T.astype(dtype, copy=False), x.data.astype(dtype, copy=False))
-        weight._accumulate(gw)
+        weight._accumulate(_matmul(grad.T, xs, _BLOCK_COLUMNS))
         bias._accumulate(grad.sum(axis=0))
-        x._accumulate(_matmul(grad, w))
+        x._accumulate(_matmul(grad, w, _BLOCK_COLUMNS))
 
     return Tensor(out, parents=(x, weight, bias), backward=backward)
 
@@ -443,7 +415,7 @@ def dropout(x: Tensor, rate: float, rng, training: bool = True) -> Tensor:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return Tensor(x.data.copy(), parents=(x,), backward=x._accumulate)
-    scale = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    scale = ((rng.random(x.data.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
 
     def backward(grad):
         x._accumulate(grad * scale)
@@ -472,7 +444,7 @@ def gather(x: Tensor, index) -> Tensor:
 def _sum_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """(n, ...) sums out[index[i]] += rows[i], added in row order: the same
     sums in the same order as np.add.at, without its per-element cost."""
-    out = np.zeros((n,) + rows.shape[1:])
+    out = np.zeros((n,) + rows.shape[1:], rows.dtype)
     for row, dst in enumerate(index):
         out[dst] += rows[row]
     return out
@@ -501,8 +473,7 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     the input grad scale * (G @ W), less the same entries' terms. When n is
     a multiple of _SPLIT_COLUMNS the weight grad is left as those factors
     (a _FactoredGrad) for RMSProp to expand band by band; the correction is
-    computed here, whole. A float32 weight's factors are rounded to float32
-    (the correction once its float64 product is made).
+    computed here, whole. Everything runs in the weight's dtype.
     """
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -513,25 +484,22 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     if index.ndim != 1:
         raise ValueError(f"gather index must be 1-d, got {index.ndim}-d")
     rows, cols = (np.asarray(a, dtype=np.intp) for a in (dropped or ([], [])))
-    xs = x.data * scale
+    # in the weight's dtype, the product rounded once
+    xs = x.data.astype(w.dtype)
+    xs *= scale
     touched, at = np.unique(cols, return_inverse=True)
     # the dropped entries of the R rows as an (R, touched) matrix: the
     # products over xs count them, the composition does not
-    dropped_y = np.zeros((len(index), len(touched)))
+    dropped_y = np.zeros((len(index), len(touched)), w.dtype)
     dropped_y[rows, at] = xs[index[rows], cols]
-    # W's touched columns, gathered once for the forward and the backward
-    # and multiplied in float64: the products over them are small
-    w_touched = w[:, touched].astype(np.float64, copy=False)
+    w_touched = w[:, touched]  # gathered once for the forward and the backward
     out = _matmul(xs, w.T)[index]
     out += b
     out -= _matmul(dropped_y, w_touched.T)
 
     def backward(grad):
         g = _sum_rows(grad, index, len(xs))
-        dtype = _grad_dtype(w)
-        g_w, xs_w = g.astype(dtype, copy=False), xs.astype(dtype, copy=False)
-        correction = _matmul(grad.T, dropped_y).astype(dtype, copy=False)
-        gw = _FactoredGrad(g_w, xs_w, touched, correction)
+        gw = _FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y))
         weight._accumulate(gw if w.shape[1] % _SPLIT_COLUMNS == 0 else gw.dense())
         bias._accumulate(grad.sum(axis=0))
         if isinstance(x, Constant):
@@ -540,7 +508,7 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
         pulled = _matmul(grad, w_touched)
         dropped_g = np.zeros_like(pulled)
         dropped_g[rows, at] = pulled[rows, at]
-        gx = _matmul(g, w)
+        gx = _matmul(g, w, _BLOCK_COLUMNS)
         gx[:, touched] -= _sum_rows(dropped_g, index, len(xs))
         gx *= scale
         x._accumulate(gx)
@@ -639,9 +607,10 @@ def glorot_uniform(rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np
     return rng.uniform(-limit, limit, size=shape)
 
 
-def glorot_float32(rng, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
-    """glorot_uniform(rng, shape, fan_in, fan_out).astype(np.float32)
-    without its float64 array: the rows are drawn _INIT_ROWS at a time, and
+def glorot_float32(rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    """glorot_uniform(rng, shape, fan_in, fan_out).astype(np.float32), every
+    layer's weight, without its float64 array: the rows (the first axis)
+    are drawn _INIT_ROWS at a time, and
     rng.uniform takes its draws in order, so each block has the bits of
     its rows of the whole draw. An rng with a glorot_float32 method of its
     own makes the array itself: models._Unfilled hands out an unwritten
@@ -658,14 +627,14 @@ def glorot_float32(rng, shape: tuple[int, int], fan_in: int, fan_out: int) -> np
 
 class Conv1dLayer:
     """Parameter holder for a valid 1-D convolution (defaults: 64 filters,
-    kernel 3, stride 1)."""
+    kernel 3, stride 1); zero bias."""
 
     def __init__(self, in_channels: int, filters: int = 64, kernel: int = 3,
                  stride: int = 1, rng=None):
         rng = rng or np.random.default_rng(0)
         fan_in, fan_out = in_channels * kernel, filters * kernel
-        self.weight = Tensor(glorot_uniform(rng, (filters, in_channels, kernel), fan_in, fan_out))
-        self.bias = Tensor(np.zeros(filters))
+        self.weight = Tensor(glorot_float32(rng, (filters, in_channels, kernel), fan_in, fan_out))
+        self.bias = Tensor(np.zeros(filters, np.float32))
         self.stride = stride
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
@@ -679,15 +648,12 @@ class Conv1dLayer:
 
 
 class DenseLayer:
-    """Parameter holder for an affine layer; weight (out, in), zero bias.
-    A weight of a shape casts_in_blocks accepts is drawn into float32."""
+    """Parameter holder for an affine layer; weight (out, in), zero bias."""
 
     def __init__(self, in_dim: int, out_dim: int, rng=None):
         rng = rng or np.random.default_rng(0)
-        shape = (out_dim, in_dim)
-        draw = glorot_float32 if casts_in_blocks(shape) else glorot_uniform
-        self.weight = Tensor(draw(rng, shape, in_dim, out_dim))
-        self.bias = Tensor(np.zeros(out_dim))
+        self.weight = Tensor(glorot_float32(rng, (out_dim, in_dim), in_dim, out_dim))
+        self.bias = Tensor(np.zeros(out_dim, np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return dense(x, self.weight, self.bias)
@@ -715,12 +681,9 @@ class RMSProp:
     theta <- theta - lr_t * g / (sqrt(cache) + EPSILON), with the module's
     RHO = 0.9 and EPSILON = 1e-8.
 
-    A float32 weight of a shape casts_in_blocks accepts keeps float32 data,
-    copied once if it is read-only (mapped from a checkpoint), and a float32
-    cache; every other parameter is float64, cast once if it is not, with a
-    float64 cache. A parameter's grad has its dtype (dense and gather_dense
-    make a float32 weight's grad in float32), and the update runs in that
-    dtype.
+    Each parameter keeps its dtype, and its cache has it: a read-only one
+    (mapped from a checkpoint) is copied once. A parameter's grad has its
+    dtype too (see Tensor._accumulate), and the update runs in that dtype.
 
     step() walks each parameter in blocks of _STEP_BLOCK elements and
     updates cache and parameter in place, so no parameter-sized temporary is
@@ -746,13 +709,10 @@ class RMSProp:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         for p in self.params:
-            if p.data.dtype == np.float32 and casts_in_blocks(p.data.shape):
-                # a weight mapped from a checkpoint is read-only; the update
-                # writes an owned copy
-                if not p.data.flags.writeable:
-                    p.data = p.data.copy()
-            elif p.data.dtype != np.float64:
-                p.data = p.data.astype(np.float64)
+            # a parameter mapped from a checkpoint is read-only; the update
+            # writes an owned copy
+            if not p.data.flags.writeable:
+                p.data = p.data.copy()
         self.lr = lr
         self.decay = decay
         self.cache = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]

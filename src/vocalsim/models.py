@@ -149,11 +149,12 @@ class SiameseModel:
     # ---- input staging -------------------------------------------------
 
     def stack_inputs(self, feature_sets: list[FeatureSet]) -> dict[str, Tensor]:
-        """Batch feature sets into the tensors the model reads, as Constant
-        leaves: no grad is computed for them. A conv branch reads each matrix
-        as channels x length, its transpose: the (B, C, L) view of the
-        (B, L, C) stack of the matrices as they are, the layout conv1d reads
-        fastest. The fusion layer reads the text matrix flattened. Raises
+        """Batch feature sets into the tensors the model reads, as float32
+        Constant leaves: the model runs in float32 from here to the head,
+        and no grad is computed for them. A conv branch reads each matrix as
+        channels x length, its transpose: the (B, C, L) view of the (B, L, C)
+        stack of the matrices as they are, the layout conv1d reads without
+        a copy. The fusion layer reads the text matrix flattened. Raises
         DataError when a needed field is missing or misshaped."""
         if not feature_sets:
             raise ValueError("need at least one feature set")
@@ -171,7 +172,7 @@ class SiameseModel:
         value = getattr(fs, name)
         if value is None:
             raise DataError(f"feature set lacks the {name} matrix")
-        value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float32)
         if value.shape != FEATURE_SHAPES[name]:
             raise DataError(f"{name} matrix must be {FEATURE_SHAPES[name]}, got {value.shape}")
         return value
@@ -289,8 +290,8 @@ class SiameseModel:
         """One encoding row per feature set, dropout off: the one inference
         encoder. Sets are encoded in chunks of at most ENCODE_BATCH, a lone
         set as two copies of itself: a 1-row product takes BLAS's
-        matrix-vector path, whose bits differ from the same row's in a
-        larger chunk (by up to about 1e-6 through a float32 dense1)."""
+        matrix-vector path, whose float32 bits differ from the same row's
+        in a larger chunk (by up to about 1e-6)."""
         encodings = []
         for start in range(0, len(feature_sets), ENCODE_BATCH):
             chunk = feature_sets[start : start + ENCODE_BATCH]
@@ -383,7 +384,7 @@ def detect_relapse(
             f"{bad} of {scores.size} similarity scores are not finite; "
             "the model or the features hold NaN or infinite values"
         )
-    mean = float(np.mean(scores))
+    mean = float(np.mean(scores, dtype=np.float64))
     return RelapseDecision(mean >= threshold, mean, int(scores.size))
 
 
@@ -407,7 +408,7 @@ def _unpack_scalar(tensor: np.ndarray) -> float:
 
 
 def save_checkpoint(path, model: SiameseModel) -> None:
-    """Store the spec and the parameters as named float32 tensors."""
+    """Store the spec and the float32 parameters as named tensors."""
     named: dict[str, np.ndarray] = {}
     for spec_field in dataclasses.fields(ModelSpec):
         value = getattr(model.spec, spec_field.name)
@@ -421,14 +422,10 @@ def save_checkpoint(path, model: SiameseModel) -> None:
 
 class _Unfilled:
     """Init rng for a model whose weights are about to be replaced by stored
-    tensors: hands out read-only zero-stride arrays of the asked shape and
-    dtype instead of drawing them, a float32 weight (ad.glorot_float32)
-    too, so that no weight-sized array is allocated, written or cast before
-    the stored tensor replaces it."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.broadcast_to(0.0, size)
+    tensors: hands every layer (ad.glorot_float32) a read-only zero-stride
+    float32 array of the asked shape instead of drawing it, so that no
+    weight-sized array is allocated or written before the stored tensor
+    replaces it."""
 
     @staticmethod
     def glorot_float32(shape):
@@ -461,13 +458,13 @@ def _spec_value(path, named: dict, name: str, kind: type):
 
 
 def load_checkpoint(path) -> SiameseModel:
-    """The model a checkpoint holds. The file is mapped: a dense weight that
-    ad.casts_in_blocks() accepts (in the paper MFCC model, dense1) stays a
-    read-only float32 view of it, 64-byte aligned in the file, multiplied
-    where it lies (the autodiff module docstring says how), which keeps
-    the file's pages mapped while the model lives; every other
-    tensor is cast to float64 here. Training the model (ad.RMSProp) copies
-    the view once, still float32.
+    """The model a checkpoint holds. The file is mapped: every parameter is
+    a read-only float32 view of it, in the dtype the model computes in and
+    64-byte aligned in the file, so nothing is cast or copied here, and
+    each weight is multiplied where it lies (the autodiff module docstring
+    says how). The views keep the file's pages mapped while the model
+    lives. Training the model (ad.RMSProp) copies each view once, still
+    float32.
 
     While the model lives, replace its file only by renaming a new file over
     it, as save_checkpoint does: the view keeps the old file's contents.
@@ -493,5 +490,5 @@ def load_checkpoint(path) -> SiameseModel:
             raise DataError(
                 f"{path}: tensor {key} has shape {stored.shape}, expected {p.data.shape}"
             )
-        p.data = stored if ad.casts_in_blocks(stored.shape) else stored.astype(np.float64)
+        p.data = stored
     return model

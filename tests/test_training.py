@@ -348,15 +348,19 @@ class TestDedupedBatch:
         ],
     )
     def test_matches_pairwise_reference(self, variant, dropout, reference, ids):
+        # the routes multiply in float32 over different row counts: under
+        # the SkylakeX and Haswell OpenBLAS kernels the losses were within
+        # 4.4e-8 of each other and every grad within 1.1e-6 of its largest
+        # entry
         features = feature_bank(6)
         pairs = id_pairs(*getattr(self, ids))
         model = self.model(variant, dropout)
         got_loss, got = self.grads(model, self.deduped, pairs, features)
         want_loss, want = self.grads(model, getattr(self, reference), pairs, features)
-        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        assert got_loss == pytest.approx(want_loss, rel=1e-7)
         for g, w in zip(got, want):
             assert np.any(w != 0.0)
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g, w, rtol=0, atol=2.5e-6 * np.max(np.abs(w)))
 
     def test_conv_runs_over_distinct_samples(self, monkeypatch):
         rows = []
