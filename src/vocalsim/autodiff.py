@@ -39,33 +39,38 @@ start to finish. So float32 results agree with the same ops over float64
 copies within float32 rounding (about 1e-6 of their largest entry), not
 bit for bit.
 
-CPUs: each product in dense and gather_dense (forward, weight grad, input
-grad) and the RMSProp update of each large parameter is cut into one share
-per CPU and run on the package's workers (see workers.py). Products below
-two shares of _SPLIT_MADDS multiply-adds, and parameters below two
-_STEP_BLOCKs, run on the calling thread alone. A split changes no bit of
-any result: a split product is multiplied one block of columns at a time,
-on a grid from column 0 that shares never cut (_SPLIT_COLUMNS wide for a
-forward, _BLOCK_COLUMNS for a weight grad or an input grad), so every
-output element is the same product computed by the same
-BLAS kernel at any CPU count, and under OpenBLAS's Haswell kernel too; the
-update is elementwise. A weight is multiplied where it lies: a mapped one
-is as aligned as an owned one (the container puts tensor data on 64-byte
+CPUs: only work that pays for a second CPU is split, and it runs in one
+share per CPU on the package's workers (see workers.py). That is two
+jobs: each product in dense and gather_dense (forward, weight grad, input
+grad) of at least two shares of _SPLIT_MADDS multiply-adds, and RMSProp's
+band step over a factored grad. At paper size on 2 CPUs with one BLAS
+thread, dense1's products ran 1.4-2.4x faster on 2 workers than on one,
+and its band step 1.5-2.2x, at 10 and at 200 distinct samples.
+Everything else runs on the calling thread: smaller products, conv1d's
+products, and the RMSProp walk of a plain grad, which is memory-bound and
+was slower split (40-42 ms on 2 workers against 35-39 ms on one, at 16 M
+float32 elements). A split changes no bit of any result: a split product is
+multiplied one block of columns at a time, on a grid from column 0 that
+shares never cut (_SPLIT_COLUMNS wide for a forward, _BLOCK_COLUMNS for a
+weight grad or an input grad), so every output element is the same
+product computed by the same BLAS kernel at any CPU count, and under
+OpenBLAS's Haswell kernel too; the band step's shares take whole bands of
+one grid. A weight is multiplied where it lies: a mapped one is as
+aligned as an owned one (the container puts tensor data on 64-byte
 boundaries), and an unaligned one, as a version-1 file holds, is copied by
-NumPy one block at a time into the same product. conv1d's products stay
-on one thread.
+NumPy one block at a time into the same product.
 
-Factored weight grads: gather_dense leaves the grad of a weight whose input
-dim is a multiple of _SPLIT_COLUMNS as its factors (_FactoredGrad), never as
-a weight-sized array. RMSProp.step expands it one band of whole rows at a
-time into scratch and updates those rows of the weight and its cache, which
-are contiguous in memory. The bands lie on one grid of _BAND_ROWS rows from
-row 0 whatever the CPU count, and the dense grad is made band by band on the
-same grid, so the step has the bits of the dense grad's under any BLAS
-kernel. The factors have the weight's dtype, and so do the bands. The step
-takes only as many shares as fit their bands in _BAND_BUDGET, so its
-scratch does not grow with the CPU count. Reading .grad, or a second
-contribution to the same weight, makes the dense array.
+Factored weight grads: gather_dense leaves its weight's grad as its factors
+(_FactoredGrad), never as a weight-sized array, at any input width.
+RMSProp.step expands it one band of whole rows at a time into scratch and
+updates those rows of the weight and its cache, which are contiguous in
+memory. The bands lie on one grid of _BAND_ROWS rows from row 0 whatever
+the CPU count, and the dense grad is made band by band on the same grid,
+so the step has the bits of the dense grad's under any BLAS kernel. The
+factors have the weight's dtype, and so do the bands. The step takes only
+as many shares as fit their bands in _BAND_BUDGET, so its scratch does not
+grow with the CPU count. Reading .grad, or a second contribution to the
+same weight, makes the dense array.
 """
 
 import functools
@@ -78,10 +83,17 @@ _STEP_BLOCK = 32768  # RMSProp update block: 128 KB per float32 operand
 # least multiply-adds per share of a split product: the smallest power of two
 # at which a two-way split of a 200-row product measured faster than one thread
 _SPLIT_MADDS = 1 << 24
-# a split product is multiplied in blocks of this many output columns, on a
+# a split forward is multiplied in blocks of this many output columns, on a
 # grid from column 0 that worker shares never cut: the BLAS computes a
 # product's trailing columns with a narrower kernel whose sums can differ in
-# the last bit, so a block's bits must not depend on the share that holds it
+# the last bit, so a block's bits must not depend on the share that holds it.
+# A forward block is that many rows of the weight, which an unaligned weight
+# (a version-1 file's dense1) has copied once per product, one block per
+# share at a time. The grid stays this narrow for that copy: 512-column
+# blocks kept the bits and ran faster on one thread (19-27 against 35-37 ms
+# at 10 rows, 78-80 against 92 ms at 200, dense1 at paper size), but an
+# unaligned paper dense1's encode then peaked at 102.7 MB, over the 49 MB
+# (half the weight) that it stays under with 64-column blocks
 _SPLIT_COLUMNS = 64
 # an input grad g @ W, or a weight grad g.T @ x, is multiplied in blocks of
 # this many columns of its right operand, on a grid from column 0 that
@@ -243,18 +255,11 @@ class _FactoredGrad:
         self.g, self.xs, self.touched, self.correction = g, xs, touched, correction
 
     def dense(self) -> np.ndarray:
-        """The whole grad, made band by band as RMSProp expands it, so each
-        row has the bits a step expands; split like a product, each share
-        carrying at least _SPLIT_MADDS multiply-adds."""
-        (u, m), n = self.g.shape, self.xs.shape[1]
-        gw = np.empty((m, n), self.xs.dtype)
-
-        def share(i, parts):
-            for band in self.bands(i, parts):
-                self.rows(band, gw[band])
-
-        least = -(-_SPLIT_MADDS // max(_BAND_ROWS * u * n, 1))
-        _in_shares(share, len(self.bands(0, 1)) // least)
+        """The whole grad, made on the calling thread band by band, on the
+        grid RMSProp expands it on, so each row has the bits a step expands."""
+        gw = np.empty((self.g.shape[1], self.xs.shape[1]), self.xs.dtype)
+        for band in self.bands(0, 1):
+            self.rows(band, gw[band])
         return gw
 
     def bands(self, i: int, parts: int) -> list[slice]:
@@ -470,10 +475,10 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
     entries' values: the composition's values up to rounding (the tests
     hold it to 1e-12 absolute), not its bits. The backward, with G the sum
     of each source row's output grads, takes the weight grad G.T @ xs and
-    the input grad scale * (G @ W), less the same entries' terms. When n is
-    a multiple of _SPLIT_COLUMNS the weight grad is left as those factors
-    (a _FactoredGrad) for RMSProp to expand band by band; the correction is
-    computed here, whole. Everything runs in the weight's dtype.
+    the input grad scale * (G @ W), less the same entries' terms. The
+    weight grad is left as those factors (a _FactoredGrad), whatever n, for
+    RMSProp to expand band by band; the correction is computed here, whole.
+    Everything runs in the weight's dtype.
     """
     w, b = weight.data, bias.data
     if w.ndim != 2 or b.shape != (w.shape[0],):
@@ -499,8 +504,7 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
 
     def backward(grad):
         g = _sum_rows(grad, index, len(xs))
-        gw = _FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y))
-        weight._accumulate(gw if w.shape[1] % _SPLIT_COLUMNS == 0 else gw.dense())
+        weight._accumulate(_FactoredGrad(g, xs, touched, _matmul(grad.T, dropped_y)))
         bias._accumulate(grad.sum(axis=0))
         if isinstance(x, Constant):
             return
@@ -685,23 +689,22 @@ class RMSProp:
     (mapped from a checkpoint) is copied once. A parameter's grad has its
     dtype too (see Tensor._accumulate), and the update runs in that dtype.
 
-    step() walks each parameter in blocks of _STEP_BLOCK elements and
-    updates cache and parameter in place, so no parameter-sized temporary is
-    made and each block's operands are still in cache for the next pass. A
-    parameter of at least two blocks is cut into one contiguous share per
-    worker (see the module docstring), each walked in blocks of its own slice
-    of the two _STEP_BLOCK scratch buffers; the update is elementwise, so the
-    bits are those of one walk.
+    step() walks each parameter with a plain grad on the calling thread, in
+    blocks of _STEP_BLOCK elements, and updates cache and parameter in
+    place, so no parameter-sized temporary is made and each block's
+    operands are still in cache for the next pass. The walk is memory-bound
+    and was slower split (see the module docstring).
 
     A parameter whose grad is factored (gather_dense's weight) is walked in
     bands of whole rows instead: each band of the grad is expanded in its
     dtype into a flat scratch buffer, and the band's rows of cache and
     parameter, which are contiguous, are walked in the same _STEP_BLOCK
     blocks with the same expression chain, so the dense grad is never made.
-    Its workers take shares of whole bands, few enough that their bands fit
-    in _BAND_BUDGET (see _band_shares); the bands lie on one grid whatever
-    the share count, the grid the dense grad is made on, which keeps every
-    grad element the bits of the dense grad's (see _FactoredGrad.dense).
+    The expansion is a product, so the workers take shares of whole bands,
+    few enough that their bands fit in _BAND_BUDGET (see _band_shares); the
+    bands lie on one grid whatever the share count, the grid the dense grad
+    is made on, which keeps every grad element the bits of the dense grad's
+    (see _FactoredGrad.dense).
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-5, decay: float = 1e-6):
@@ -734,22 +737,12 @@ class RMSProp:
             data, cache = p.data.reshape(-1), cache.reshape(-1)
             if isinstance(p._grad, _FactoredGrad):
                 task = functools.partial(self._band_share, data, cache, p._grad, lr_t)
-                limit = _band_shares(*p.data.shape)
+                _in_shares(task, _band_shares(*p.data.shape))
             else:
                 scratch = np.empty((2, _STEP_BLOCK), data.dtype)
                 # grad is copied only if strided
-                grad = p.grad.reshape(-1)
-                task = functools.partial(self._update_share, data, cache, grad, scratch, lr_t)
-                limit = data.size // _STEP_BLOCK
-            _in_shares(task, limit)
+                self._walk(data, cache, p.grad.reshape(-1), scratch, lr_t)
         self.step_count += 1
-
-    def _update_share(self, data, cache, grad, scratch, lr_t: float, i: int, parts: int) -> None:
-        """Update share i of parts of the flat data and cache in place, in
-        blocks as wide as the share's slice of the scratch buffers."""
-        size = scratch.shape[1] // parts
-        span = _cut(data.size, i, parts)
-        self._walk(data[span], cache[span], grad[span], scratch[:, i * size : (i + 1) * size], lr_t)
 
     def _band_share(self, data, cache, grad: _FactoredGrad, lr_t: float, i: int, parts: int) -> None:
         """Update share i of parts of the flat (m, n) data and cache in

@@ -171,16 +171,16 @@ def _build(buf, layout, make) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
 
 
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
-    """Parse a container file; tensors come back as float64 arrays that own
-    their data.
+    """Parse a container file; tensors come back as float32 arrays, the
+    dtype the file stores, that own their data.
 
-    The file is mapped read-only and each tensor is converted straight out
-    of the page cache, so no copy of the whole file is made. The map is
-    closed before returning, on error paths too.
+    The file is mapped read-only and each tensor is copied straight out of
+    the page cache, so no copy of the whole file is made. The map is closed
+    before returning, on error paths too.
     """
     buf = _open_map(path)
     try:
-        return _build(buf, _parse(_Reader(buf, str(path))), lambda v: v.astype(np.float64))
+        return _build(buf, _parse(_Reader(buf, str(path))), lambda v: v.astype(np.float32))
     finally:
         _close_map(buf)
 

@@ -1,13 +1,14 @@
 """The process's CPU workers: jobs cut into shares, one share per CPU.
 
 The package uses every CPU in the process's affinity mask. A job that can
-be cut into independent shares (a column range of a product, a range of a
-parameter, one variant unit of a recording's segments, one recording of a
-request) is run with _in_shares, or with _map_in_shares for a list of
-items: the calling thread computes one share and a private pool of
-threads, created on first use and again in a forked child, the others. A
-job below two shares, and every job when the mask holds one CPU, runs on
-the calling thread alone, and no pool is made for it.
+be cut into independent shares (a column range of a product, a range of
+bands of a factored weight grad, one variant unit of a recording's
+segments, one recording of a request) is run with _in_shares, or with
+_map_in_shares for a list of items: the calling thread computes one share
+and a private pool of threads, created on first use and again in a forked
+child, the others. A job below two shares, and every job when the mask
+holds one CPU, runs on the calling thread alone, and no pool is made for
+it.
 
 A share never splits again: a job started inside a share runs inline on
 that share's thread, as one share. So a share may call any function of
@@ -100,11 +101,10 @@ def _in_shares(task, limit: int) -> None:
         _workers().run(task, limit)
 
 
-def _cut(n: int, i: int, parts: int, unit: int = 1) -> slice:
-    """Share i of parts of range(n) in whole units: the shares are
-    contiguous, disjoint and, when unit divides n, cover range(n)."""
-    units = n // unit
-    return slice(i * units // parts * unit, (i + 1) * units // parts * unit)
+def _cut(n: int, i: int, parts: int) -> slice:
+    """Share i of parts of range(n): the shares are contiguous, disjoint and
+    cover range(n)."""
+    return slice(i * n // parts, (i + 1) * n // parts)
 
 
 def _map_in_shares(fn, items) -> list:

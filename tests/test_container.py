@@ -312,10 +312,10 @@ def test_read_arrays_are_owned_copies(tmp_path):
     layers, named = read_container(path)
     arrays = layers[0].tensors + [named["s"]]
     for arr in arrays:
-        assert arr.dtype == np.float64 and arr.flags.owndata and arr.flags.writeable
+        assert arr.dtype == np.float32 and arr.flags.owndata and arr.flags.writeable
     write_container(path, [LayerDesc("dense", [-w, np.zeros(3)])], {"s": np.float32(5.0)})
     path.unlink()
-    np.testing.assert_array_equal(arrays[0], w.astype(np.float64))
+    np.testing.assert_array_equal(arrays[0], w)
     np.testing.assert_array_equal(arrays[1], np.ones(3))
     assert float(arrays[2]) == 2.0
 
