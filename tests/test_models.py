@@ -388,13 +388,14 @@ def paper_checkpoint(tmp_path_factory):
 
 
 def float64_copies(path) -> SiameseModel:
-    """The checkpoint's model with every parameter read_container's owned
-    float64 copy: every op then runs in float64, on the float32 inputs
-    stack_inputs gives."""
+    """The checkpoint's model with every parameter a float64 copy of the
+    float32 tensor read_container gives: every op then runs in float64, on
+    the float32 inputs stack_inputs gives."""
     model = load_checkpoint(path)
     _, named = read_container(path)
     for i, p in enumerate(model.params()):
-        p.data = named[f"param/{i}"]
+        p.data = named[f"param/{i}"].astype(np.float64)
+    assert all(p.data.dtype == np.float64 for p in model.params())
     return model
 
 
