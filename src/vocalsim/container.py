@@ -13,6 +13,9 @@ start, so a mapped tensor goes to the BLAS where it lies. Version-1 files,
 unpadded, still read: the version picks the alignment (_ALIGNMENT).
 
 Layer kind codes: conv1d=1, dense=2, relu=3, flatten=4.
+
+read_container, the one reader, returns every tensor as a read-only float32
+view of the mapped file; tensor_names reads the headers alone.
 """
 
 import math
@@ -154,57 +157,34 @@ def _close_map(buf) -> None:
         buf.close()
 
 
-def _build(buf, layout, make) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
-    """The layers and named tensors of a parsed layout, each tensor made by
-    make(view) from a float32 view of its data in buf."""
-
-    def tensor(spec):
-        dims, offset = spec
-        # one expression, so no name holds the view past make
-        return make(np.frombuffer(buf, "<f4", math.prod(dims), offset).reshape(dims))
-
-    layers, named = layout
-    return (
-        [LayerDesc(kind, [tensor(t) for t in tensors]) for kind, tensors in layers],
-        {name: tensor(t) for name, t in named.items()},
-    )
-
-
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
-    """Parse a container file; tensors come back as float32 arrays, the
-    dtype the file stores, that own their data.
-
-    The file is mapped read-only and each tensor is copied straight out of
-    the page cache, so no copy of the whole file is made. The map is closed
-    before returning, on error paths too.
-    """
-    buf = _open_map(path)
-    try:
-        return _build(buf, _parse(_Reader(buf, str(path))), lambda v: v.astype(np.float32))
-    finally:
-        _close_map(buf)
-
-
-def map_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
     """Parse a container file; tensors come back as read-only float32 views
-    of the mapped file, so reading one costs only the pages it touches.
+    of the mapped file, so none is copied or cast and reading one costs only
+    the pages it touches.
 
     The map stays open while any view lives and is closed when the last one
     is freed; a file that fails to parse has its map closed before the
-    DataError is raised. write_container replaces a file by renaming a new
-    one over it, so a view keeps the contents it was mapped with. The map is
-    shared with the file: a file rewritten in place while a view lives
-    changes what the view reads, and a truncated one raises SIGBUS when the
-    view reads a page past the new end. Replace a mapped file only by
-    rename.
+    DataError is raised. The map is shared with the file: a file rewritten
+    in place while a view lives changes what the view reads, and a truncated
+    one raises SIGBUS when the view reads a page past the new end. So a
+    file that may be mapped is replaced only by renaming a new one over it,
+    as every writer here does (errors.replace_file); a view keeps the
+    contents it was mapped with.
     """
     buf = _open_map(path)
     try:
-        layout = _parse(_Reader(buf, str(path)))
+        layers, named = _parse(_Reader(buf, str(path)))
     except BaseException:
         _close_map(buf)
         raise
-    return _build(buf, layout, lambda v: v)
+
+    def view(dims, offset):
+        return np.frombuffer(buf, "<f4", math.prod(dims), offset).reshape(dims)
+
+    return (
+        [LayerDesc(kind, [view(*t) for t in tensors]) for kind, tensors in layers],
+        {name: view(*t) for name, t in named.items()},
+    )
 
 
 def tensor_names(path) -> list[str]:

@@ -27,6 +27,7 @@ MANIFEST_FIELDS = (
     "split",
 )
 SPLITS = ("train", "val", "test")
+PHQ_MAX = 24  # the highest PHQ-8 score
 VAL_FRACTION = 0.1
 TEST_FRACTION = 0.1
 SPLIT_SEED = 13  # seeds the shuffle that deals the auto rows
@@ -45,8 +46,8 @@ class SubjectRecord:
     def __post_init__(self):
         if self.phq_binary not in (0, 1):
             raise ValueError(f"phq_binary must be 0 or 1, got {self.phq_binary}")
-        if not 0 <= self.phq_score <= 24:
-            raise ValueError(f"phq_score must be in 0..24, got {self.phq_score}")
+        if not 0 <= self.phq_score <= PHQ_MAX:
+            raise ValueError(f"phq_score must be in 0..{PHQ_MAX}, got {self.phq_score}")
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Constant, Conv1dLayer, DenseLayer, Tensor
-from .container import map_container, write_container
+from .container import read_container, write_container
 from .errors import DataError, NumericError
 from .mfcc import NUM_COEFFS, NUM_FRAMES
+from .pairs import MODE_CLASSES
 from .textfeat import NUM_DIMS, NUM_WORDS
 from .vggish import EMBED_DIM, NUM_PATCHES
 
@@ -28,7 +29,7 @@ VARIANT_FIELDS = {
     "fusion": ("mfcc", "vggish", "text"),
 }
 VARIANTS = tuple(VARIANT_FIELDS)
-HEADS = {"binary": 2, "score25": 25}
+HEADS = MODE_CLASSES  # a head has one output per class of its pair mode
 # the (rows, columns) of each FeatureSet matrix, as its extractor returns it
 FEATURE_SHAPES = {
     "mfcc": (NUM_FRAMES, NUM_COEFFS),  # frames x coefficients
@@ -458,20 +459,20 @@ def _spec_value(path, named: dict, name: str, kind: type):
 
 
 def load_checkpoint(path) -> SiameseModel:
-    """The model a checkpoint holds. The file is mapped: every parameter is
-    a read-only float32 view of it, in the dtype the model computes in and
-    64-byte aligned in the file, so nothing is cast or copied here, and
-    each weight is multiplied where it lies (the autodiff module docstring
-    says how). The views keep the file's pages mapped while the model
-    lives. Training the model (ad.RMSProp) copies each view once, still
-    float32.
+    """The model a checkpoint holds, read by container.read_container: every
+    parameter is a read-only float32 view of the mapped file, in the dtype
+    the model computes in and 64-byte aligned in the file, so nothing is
+    cast or copied here, and each weight is multiplied where it lies (the
+    autodiff module docstring says how). The views keep the file's pages
+    mapped while the model lives. Training the model (ad.RMSProp) copies
+    each view once, still float32.
 
     While the model lives, replace its file only by renaming a new file over
     it, as save_checkpoint does: the view keeps the old file's contents.
     Rewriting the file in place (copying over it, or opening it for writing)
     changes the weights the model scores with, and truncating it kills the
     process with SIGBUS when the model next reads a page past the end."""
-    _, named = map_container(path)
+    _, named = read_container(path)
     values = {
         field.name: _spec_value(path, named, field.name, field.type)
         for field in dataclasses.fields(ModelSpec)

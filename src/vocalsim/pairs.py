@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, read_text, replace_file
-from .manifest import SPLITS
+from .manifest import PHQ_MAX, SPLITS
 
 PAIRS_PER_SAMPLE = 8
+# each pair mode's label classes: similar or not, or a score difference
+MODE_CLASSES = {"binary": 2, "score25": PHQ_MAX + 1}
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,8 @@ class SampleRef:
     def __post_init__(self):
         if self.phq_binary not in (0, 1):
             raise ValueError(f"phq_binary must be 0 or 1, got {self.phq_binary}")
-        if not 0 <= self.phq_score <= 24:
-            raise ValueError(f"phq_score must be in 0..24, got {self.phq_score}")
+        if not 0 <= self.phq_score <= PHQ_MAX:
+            raise ValueError(f"phq_score must be in 0..{PHQ_MAX}, got {self.phq_score}")
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
 
@@ -63,12 +65,10 @@ class PairSet:
 
 
 def pair_class(sample: SampleRef, mode: str) -> int:
-    """The class identity pairing balances on: binary label or 0..24 score."""
-    if mode == "binary":
-        return sample.phq_binary
-    if mode == "score25":
-        return sample.phq_score
-    raise ValueError(f"unknown pair mode {mode!r}")
+    """The class identity pairing balances on: binary label or 0..PHQ_MAX score."""
+    if mode not in MODE_CLASSES:
+        raise ValueError(f"unknown pair mode {mode!r}")
+    return sample.phq_binary if mode == "binary" else sample.phq_score
 
 
 def _make_record(anchor: SampleRef, partner: SampleRef, mode: str) -> PairRecord:
@@ -96,7 +96,7 @@ def make_pairs(
     """
     if pairs_per_sample < 1:
         raise ValueError("pairs_per_sample must be positive")
-    if mode not in ("binary", "score25"):
+    if mode not in MODE_CLASSES:
         raise ValueError(f"unknown pair mode {mode!r}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -186,7 +186,7 @@ def read_pairs_csv(path) -> PairSet:
             label_score = int(score)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad label_score: {exc}") from exc
-        if not 0 <= label_score <= 24:
+        if not 0 <= label_score <= PHQ_MAX:
             raise DataError(f"{path}:{lineno}: label_score out of range")
         out.for_split(split).append(
             PairRecord(left, right, binary == "similar", label_score, split)

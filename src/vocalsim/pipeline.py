@@ -268,7 +268,8 @@ def feature_sets(named: dict, source) -> dict:
 
 
 def features_from_cache(cache_path) -> dict:
-    """Read a feature cache back into FeatureSets keyed by sample id."""
+    """Read a feature cache back into FeatureSets keyed by sample id, each
+    matrix a read-only float32 view of the mapped cache (read_container)."""
     _, named = read_container(cache_path)
     features = feature_sets(named, cache_path)
     if not features:

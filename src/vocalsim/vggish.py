@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import glorot_uniform
+from .autodiff import glorot_float32
 from .container import LayerDesc, read_container, write_container
 from .dsp import (
     FRAME_BLOCK,
@@ -222,16 +222,16 @@ def make_test_network(seed: int = 1202) -> list[LayerDesc]:
     """
     rng = np.random.default_rng(seed)
     flat = 16 * (PATCH_LENGTH - 4)  # two k=3 valid convs shave 4 frames
-    conv1 = glorot_uniform(rng, (32, 64, 3), 64 * 3, 32 * 3)
-    conv2 = glorot_uniform(rng, (16, 32, 3), 32 * 3, 16 * 3)
-    dense = glorot_uniform(rng, (EMBED_DIM, flat), flat, EMBED_DIM)
+    conv1 = glorot_float32(rng, (32, 64, 3), 64 * 3, 32 * 3)
+    conv2 = glorot_float32(rng, (16, 32, 3), 32 * 3, 16 * 3)
+    dense = glorot_float32(rng, (EMBED_DIM, flat), flat, EMBED_DIM)
     return [
-        LayerDesc("conv1d", [conv1.astype(np.float32), np.zeros(32, dtype=np.float32)]),
+        LayerDesc("conv1d", [conv1, np.zeros(32, dtype=np.float32)]),
         LayerDesc("relu"),
-        LayerDesc("conv1d", [conv2.astype(np.float32), np.zeros(16, dtype=np.float32)]),
+        LayerDesc("conv1d", [conv2, np.zeros(16, dtype=np.float32)]),
         LayerDesc("relu"),
         LayerDesc("flatten"),
-        LayerDesc("dense", [dense.astype(np.float32), np.zeros(EMBED_DIM, dtype=np.float32)]),
+        LayerDesc("dense", [dense, np.zeros(EMBED_DIM, dtype=np.float32)]),
     ]
 
 

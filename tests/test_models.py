@@ -563,7 +563,7 @@ class TestMappedCheckpoint:
         copy, under the same memory bound."""
         path = tmp_path / "paper-v1.oswt"
         monkeypatch.setattr(container, "VERSION", 1)
-        container.write_container(path, *container.map_container(paper_checkpoint))
+        container.write_container(path, *container.read_container(paper_checkpoint))
         model = load_checkpoint(path)
         w = model.dense1.weight.data
         assert w.shape == (1024, 23936) and w.flags.aligned is False

@@ -19,7 +19,9 @@ from vocalsim.errors import DataError, replace_file, replace_text
 from vocalsim.manifest import load_manifest, read_wav, write_wav
 from vocalsim.dsp import Signal
 from vocalsim.mfcc import extract_mfcc
-from vocalsim.models import VARIANT_FIELDS
+from vocalsim.metrics import evaluate
+from vocalsim.models import VARIANT_FIELDS, FeatureSet, build_model
+from vocalsim.pairs import read_pairs_csv
 from vocalsim.preprocess import (
     STRIP_THRESHOLD,
     STRIP_WINDOW_MS,
@@ -28,6 +30,7 @@ from vocalsim.preprocess import (
     strip_unvoiced,
 )
 from vocalsim.textfeat import extract_text, load_transcript
+from vocalsim.training import train
 from vocalsim.vggish import extract_vggish, identity_pca, make_test_network, save_embedding_file
 from vocalsim.pipeline import (
     extract_corpus_features,
@@ -708,6 +711,43 @@ class TestCacheReload:
         records = [r for r in load_manifest(manifest) if r.subject_id != "s0"]
         with pytest.raises(DataError, match="s0"):
             load_feature_table(result.paths["cache"], records)
+
+    def test_cached_features_are_read_only_views_that_train_as_copies(self, tmp_path):
+        """features_from_cache hands out read-only float32 views of the
+        mapped cache. train() and evaluate() on them give the loss, weight
+        and report bits of the same calls on writable owned copies, so
+        nothing writes into the cached features."""
+        manifest = build_corpus(tmp_path, subjects=8, seconds=8.0)
+        config = fast_config(manifest, tmp_path / "run", variant="fusion")
+        result = run_pipeline(config)
+        views = features_from_cache(result.paths["cache"])
+        fields = VARIANT_FIELDS["fusion"]
+        for fs in views.values():
+            for name in fields:
+                matrix = getattr(fs, name)
+                assert matrix.dtype == np.float32 and not matrix.flags.writeable
+        copies = {
+            sid: FeatureSet(**{name: np.array(getattr(fs, name)) for name in fields})
+            for sid, fs in views.items()
+        }
+        pair_set = read_pairs_csv(result.paths["pairs"])
+        assert pair_set.train and pair_set.val and pair_set.test
+
+        def run(features):
+            model = build_model(config.model_spec())
+            history = train(
+                model,
+                pair_set.train,
+                pair_set.val,
+                features,
+                config.train_config(),
+                np.random.default_rng(config.seed),
+            )
+            report = evaluate(model, pair_set.test, features)
+            losses = [loss.hex() for loss in history.train_losses + history.val_losses]
+            return losses, [p.data.tobytes() for p in model.params()], report.to_json()
+
+        assert run(views) == run(copies)
 
     def test_foreign_tensor_name_rejected(self, tmp_path):
         from vocalsim.container import write_container
