@@ -49,16 +49,13 @@ and its band step 1.5-2.2x, at 10 and at 200 distinct samples.
 Everything else runs on the calling thread: smaller products, conv1d's
 products, and the RMSProp walk of a plain grad, which is memory-bound and
 was slower split (40-42 ms on 2 workers against 35-39 ms on one, at 16 M
-float32 elements). A split changes no bit of any result: a split product is
-multiplied one block of columns at a time, on a grid from column 0 that
-shares never cut (_SPLIT_COLUMNS wide for a forward, _BLOCK_COLUMNS for a
-weight grad or an input grad), so every output element is the same
-product computed by the same BLAS kernel at any CPU count, and under
+float32 elements). A split changes no bit of any result: every split
+product is multiplied one block of _BLOCK_COLUMNS columns at a time, on a
+grid from column 0 that shares never cut, so every output element is the
+same product computed by the same BLAS kernel at any CPU count, and under
 OpenBLAS's Haswell kernel too; the band step's shares take whole bands of
 one grid. A weight is multiplied where it lies: a mapped one is as
-aligned as an owned one (the container puts tensor data on 64-byte
-boundaries), and an unaligned one, as a version-1 file holds, is copied by
-NumPy one block at a time into the same product.
+aligned as an owned one (the container aligns every tensor it returns).
 
 Factored weight grads: gather_dense leaves its weight's grad as its factors
 (_FactoredGrad), never as a weight-sized array, at any input width.
@@ -83,27 +80,22 @@ _STEP_BLOCK = 32768  # RMSProp update block: 128 KB per float32 operand
 # least multiply-adds per share of a split product: the smallest power of two
 # at which a two-way split of a 200-row product measured faster than one thread
 _SPLIT_MADDS = 1 << 24
-# a split forward is multiplied in blocks of this many output columns, on a
-# grid from column 0 that worker shares never cut: the BLAS computes a
-# product's trailing columns with a narrower kernel whose sums can differ in
-# the last bit, so a block's bits must not depend on the share that holds it.
-# A forward block is that many rows of the weight, which an unaligned weight
-# (a version-1 file's dense1) has copied once per product, one block per
-# share at a time. The grid stays this narrow for that copy: 512-column
-# blocks kept the bits and ran faster on one thread (19-27 against 35-37 ms
-# at 10 rows, 78-80 against 92 ms at 200, dense1 at paper size), but an
-# unaligned paper dense1's encode then peaked at 102.7 MB, over the 49 MB
-# (half the weight) that it stays under with 64-column blocks
-_SPLIT_COLUMNS = 64
-# an input grad g @ W, or a weight grad g.T @ x, is multiplied in blocks of
-# this many columns of its right operand, on a grid from column 0 that
-# worker shares never cut. The grid keeps the bits: under OpenBLAS's Haswell
-# kernel one product over a whole share changes its bits with the share's
-# width, a block's does not. At 1,024 x 23,936 in float32 on one thread, an
-# input grad in blocks of 256 to 2,048 columns took 0.027-0.034 s at 10 rows
-# and 0.091-0.104 s at 200, 512 among the fastest; a weight grad at 200 rows
-# took 0.082 s in blocks of 512 against 0.101 s in blocks of 64
-_BLOCK_COLUMNS = 512
+# a split product (a forward x @ W.T, an input grad g @ W, a weight grad
+# g.T @ x) is multiplied in blocks of this many columns of its right
+# operand, on a grid from column 0 that worker shares never cut: the BLAS
+# computes a product's trailing columns with a narrower kernel whose sums
+# can differ in the last bit, so a block's bits must not depend on the
+# share that holds it. Medians in ms of dense1 (1,024 x 23,936) and the
+# fusion layer (540 x 25,116) in float32, 2 workers, one BLAS thread, at
+# 10 / 14 / 200 rows, in blocks of 64, 256 and 512 columns:
+#                   64               256              512
+#   dense1 fwd      17.7/18.4/60.3   13.8/15.7/51.6   13.2/14.9/48.6
+#   dense1 in-grad  13.0/16.8/58.8   13.3/14.4/49.8   12.2/13.9/50.7
+#   fusion fwd       9.1/10.3/33.6    7.8/ 8.4/29.8   12.4/13.3/43.3
+#   fusion in-grad   6.9/ 8.7/35.0    6.4/ 6.8/29.3    5.9/ 6.8/24.7
+# 512 cuts the fusion layer's 540 outputs 512 + 28, so one share does
+# nearly all of its forward; 256 suits both layers
+_BLOCK_COLUMNS = 256
 # conv1d works through a batch this many samples at a time: at conv1's
 # paper size a chunk's output grad is 1.5 MB in float32
 _CONV_SAMPLES = 16
@@ -212,30 +204,29 @@ class Constant(Tensor):
         pass
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, unit: int = _SPLIT_COLUMNS) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-d a and b of one dtype. A product of at least two shares
-    of _SPLIT_MADDS multiply-adds is cut into blocks of `unit` columns of b
-    on a grid from column 0 (the last block may be narrower), one product
-    per block where it lies, and shares of whole blocks run on the workers;
-    a smaller one is one product. A block's product does not depend on the
-    share that holds it, so the bits do not depend on the CPU count. A
-    forward, which reads a weight's transpose, takes blocks of
-    _SPLIT_COLUMNS; a weight grad or an input grad, whose right operand is
-    read as it is laid out, takes _BLOCK_COLUMNS."""
+    of _SPLIT_MADDS multiply-adds is cut into blocks of _BLOCK_COLUMNS
+    columns of b on a grid from column 0 (the last block may be narrower),
+    one product per block where it lies, and shares of whole blocks run on
+    the workers; a smaller one is one product. A block's product does not
+    depend on the share that holds it, so the bits do not depend on the CPU
+    count."""
     rows, inner = a.shape
     cols = b.shape[1]
-    units = -(-cols // unit)
+    blocks = -(-cols // _BLOCK_COLUMNS)
     # each share holds at least this many whole blocks
-    least = -(-_SPLIT_MADDS // max(rows * inner * unit, 1))
-    limit = units // least
+    least = -(-_SPLIT_MADDS // max(rows * inner * _BLOCK_COLUMNS, 1))
+    limit = blocks // least
     if limit < 2:
         return a @ b
     out = np.empty((rows, cols), a.dtype)
 
     def share(i, parts):
-        span = _cut(units, i, parts)
-        for start in range(span.start * unit, min(span.stop * unit, cols), unit):
-            block = slice(start, start + unit)
+        span = _cut(blocks, i, parts)
+        stop = min(span.stop * _BLOCK_COLUMNS, cols)
+        for start in range(span.start * _BLOCK_COLUMNS, stop, _BLOCK_COLUMNS):
+            block = slice(start, start + _BLOCK_COLUMNS)
             np.matmul(a, b[:, block], out=out[:, block])
 
     _in_shares(share, limit)
@@ -381,9 +372,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out += b
 
     def backward(grad):
-        weight._accumulate(_matmul(grad.T, xs, _BLOCK_COLUMNS))
+        weight._accumulate(_matmul(grad.T, xs))
         bias._accumulate(grad.sum(axis=0))
-        x._accumulate(_matmul(grad, w, _BLOCK_COLUMNS))
+        x._accumulate(_matmul(grad, w))
 
     return Tensor(out, parents=(x, weight, bias), backward=backward)
 
@@ -512,7 +503,7 @@ def gather_dense(x: Tensor, index, weight: Tensor, bias: Tensor, dropped=None,
         pulled = _matmul(grad, w_touched)
         dropped_g = np.zeros_like(pulled)
         dropped_g[rows, at] = pulled[rows, at]
-        gx = _matmul(g, w, _BLOCK_COLUMNS)
+        gx = _matmul(g, w)
         gx[:, touched] -= _sum_rows(dropped_g, index, len(xs))
         gx *= scale
         x._accumulate(gx)

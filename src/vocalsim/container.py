@@ -15,7 +15,8 @@ unpadded, still read: the version picks the alignment (_ALIGNMENT).
 Layer kind codes: conv1d=1, dense=2, relu=3, flatten=4.
 
 read_container, the one reader, returns every tensor as a read-only float32
-view of the mapped file; tensor_names reads the headers alone.
+view of the mapped file, or as a copy made at load where a version-1 file
+leaves it unaligned; tensor_names reads the headers alone.
 """
 
 import math
@@ -159,8 +160,10 @@ def _close_map(buf) -> None:
 
 def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
     """Parse a container file; tensors come back as read-only float32 views
-    of the mapped file, so none is copied or cast and reading one costs only
-    the pages it touches.
+    of the mapped file, so none is cast and reading one costs only the
+    pages it touches. A version-1 file's tensor off a 4-byte boundary is
+    copied once, here, to an owned read-only array: every tensor reaches
+    the BLAS aligned, and only a legacy file pays for it.
 
     The map stays open while any view lives and is closed when the last one
     is freed; a file that fails to parse has its map closed before the
@@ -179,7 +182,11 @@ def read_container(path) -> tuple[list[LayerDesc], dict[str, np.ndarray]]:
         raise
 
     def view(dims, offset):
-        return np.frombuffer(buf, "<f4", math.prod(dims), offset).reshape(dims)
+        arr = np.frombuffer(buf, "<f4", math.prod(dims), offset).reshape(dims)
+        if not arr.flags.aligned:  # only a version-1 file's
+            arr = arr.copy()
+            arr.flags.writeable = False
+        return arr
 
     return (
         [LayerDesc(kind, [view(*t) for t in tensors]) for kind, tensors in layers],

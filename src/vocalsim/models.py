@@ -460,12 +460,12 @@ def _spec_value(path, named: dict, name: str, kind: type):
 
 def load_checkpoint(path) -> SiameseModel:
     """The model a checkpoint holds, read by container.read_container: every
-    parameter is a read-only float32 view of the mapped file, in the dtype
-    the model computes in and 64-byte aligned in the file, so nothing is
-    cast or copied here, and each weight is multiplied where it lies (the
-    autodiff module docstring says how). The views keep the file's pages
+    parameter is a read-only float32 array in the dtype the model computes
+    in, a view of the mapped file (a version-1 file's unaligned tensors are
+    aligned copies, made at load), so nothing is cast or copied here, and
+    each weight is multiplied where it lies. The views keep the file's pages
     mapped while the model lives. Training the model (ad.RMSProp) copies
-    each view once, still float32.
+    each parameter once, still float32.
 
     While the model lives, replace its file only by renaming a new file over
     it, as save_checkpoint does: the view keeps the old file's contents.

@@ -880,19 +880,22 @@ class TestSplitWork:
     for bit, and the pool survives errors and forks."""
 
     @staticmethod
-    def dense_run(x, w, b, probe):
+    def dense_run(x, w, b, probe, limits):
+        """dense's output and grads, and how many split jobs its forward
+        added to limits (count_splits' list)."""
         xs, ws, bs = Tensor(x), Tensor(w), Tensor(b)
         out = dense(xs, ws, bs)
+        forward = len(limits)
         weighted_sum(out, probe).backward()
-        return out.data, xs.grad, ws.grad, bs.grad
+        return (out.data, xs.grad, ws.grad, bs.grad), forward
 
     @pytest.mark.parametrize(
         "rows, n_in, n_out",
         [
-            (32, 2048, 192),  # every product split
-            (32, 2048, 193),  # odd output count: the forward stays whole
+            (32, 2048, 512),  # every product split
+            (32, 2048, 193),  # one block of outputs: the forward stays whole
             (32, 1 << 16, 1),  # one output column: only the grads split
-            (1, 2048, 1024),  # one row
+            (1, 2048, 1024),  # one row: every product split
         ],
     )
     def test_dense_equals_one_thread(self, workers, count_splits, rows, n_in, n_out):
@@ -900,11 +903,14 @@ class TestSplitWork:
         x, w = rng.normal(size=(rows, n_in)), rng.normal(size=(n_out, n_in))
         b, probe = rng.normal(size=n_out), rng.normal(size=(rows, n_out))
         workers(1)
-        want = self.dense_run(x, w, b, probe)
+        want, _ = self.dense_run(x, w, b, probe, [])
         workers(2)
         limits = count_splits()
-        got = self.dense_run(x, w, b, probe)
-        assert any(limit >= 2 for limit in limits)
+        got, forward = self.dense_run(x, w, b, probe, limits)
+        # the forward splits when its outputs span two blocks or more; the
+        # weight grad and the input grad split in every case
+        assert forward == (n_out > autodiff._BLOCK_COLUMNS)
+        assert len(limits) == forward + 2 and min(limits) >= 2
         for g, w_ in zip(got, want):
             np.testing.assert_array_equal(g, w_)
 
@@ -912,8 +918,8 @@ class TestSplitWork:
     def test_gather_dense_equals_one_thread(self, workers, count_splits, dropped):
         rng = np.random.default_rng(41)
         index = rng.integers(0, 6, size=40)
-        x, w = rng.normal(size=(6, 4096)), rng.normal(size=(192, 4096))
-        b, probe = rng.normal(size=192), rng.normal(size=(40, 192))
+        x, w = rng.normal(size=(6, 4096)), rng.normal(size=(512, 4096))
+        b, probe = rng.normal(size=512), rng.normal(size=(40, 512))
 
         def run():
             xs, ws, bs = Tensor(x), Tensor(w), Tensor(b)
@@ -931,6 +937,30 @@ class TestSplitWork:
         assert sum(limit >= 2 for limit in limits) == 2
         for g, w_ in zip(got, want):
             np.testing.assert_array_equal(g, w_)
+
+    def test_paper_fusion_forward_splits_into_even_shares(self, workers, count_splits, monkeypatch):
+        # the paper fusion layer's 540 outputs are two whole blocks and a
+        # partial one: two shares of whole blocks, their column counts at
+        # most one block apart, with the one-share bits
+        rng = np.random.default_rng(49)
+        x, w, b = (rng.normal(size=shape).astype(np.float32) for shape in [(10, 2048), (540, 2048), 540])
+        workers(1)
+        want = dense(Tensor(x), Tensor(w), Tensor(b)).data
+        workers(2)
+        limits, spans, cut = count_splits(), [], autodiff._cut
+
+        def spy(n, i, parts):
+            spans.append(cut(n, i, parts))
+            return spans[-1]
+
+        monkeypatch.setattr(autodiff, "_cut", spy)
+        got = dense(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_array_equal(got, want)
+        block = autodiff._BLOCK_COLUMNS
+        assert limits == [3] and 540 % block
+        widths = [min(s.stop * block, 540) - s.start * block for s in spans]
+        assert len(widths) == 2 and sum(widths) == 540
+        assert max(widths) - min(widths) <= block
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_transposed_operands(self, workers, order):
@@ -960,14 +990,16 @@ class TestSplitWork:
     def test_one_cpu_makes_no_pool(self):
         assert pool._Workers(1)._pool is None
 
-    def test_chunk_error_reaches_caller_and_pool_survives(self, workers):
+    def test_chunk_error_reaches_caller_and_pool_survives(self, workers, count_splits):
         workers(2)
+        limits = count_splits()
         rng = np.random.default_rng(44)
-        a, b = rng.normal(size=(32, 512)), rng.normal(size=(500, 256))
+        a, b = rng.normal(size=(32, 512)), rng.normal(size=(500, 512))
         with pytest.raises(ValueError):
             autodiff._matmul(a, b)  # split by a's shape, so the shares fail
-        b = rng.normal(size=(512, 256))
+        b = rng.normal(size=(512, 512))
         np.testing.assert_array_equal(autodiff._matmul(a, b), a @ b)
+        assert limits == [2, 2]
 
     def test_worker_error_raised_after_every_share(self, workers):
         workers(2)
@@ -996,10 +1028,12 @@ class TestSplitWork:
             pool._workers().run(slow_worker, 2)
         assert finished == [0, 1]  # share 1 ended before the error was raised
 
-    def test_concurrent_callers_share_one_pool(self, workers, monkeypatch):
+    def test_concurrent_callers_share_one_pool(self, workers, monkeypatch, count_splits):
         # more calling threads than workers, switching often: each gets its
-        # own exact product, and the first use makes exactly one pool
+        # own exact product, split in two, and the first use makes exactly
+        # one pool
         workers(2)
+        limits = count_splits()
         made = []
         init = pool._Workers.__init__
 
@@ -1010,7 +1044,7 @@ class TestSplitWork:
         monkeypatch.setattr(pool._Workers, "__init__", counting_init)
         rng = np.random.default_rng(47)
         a = [rng.normal(size=(32, 512)) for _ in range(6)]
-        b = rng.normal(size=(512, 256))
+        b = rng.normal(size=(512, 512))
         results = [None] * len(a)
         start = threading.Barrier(len(a))
 
@@ -1031,23 +1065,27 @@ class TestSplitWork:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert made == [2]
+        assert limits == [2] * (5 * len(a))
         for k in range(len(a)):
             np.testing.assert_array_equal(results[k], a[k] @ b)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_splits_a_product(self, workers):
+    def test_forked_child_splits_a_product(self, workers, count_splits):
         workers(2)
+        limits = count_splits()
         rng = np.random.default_rng(45)
-        a, b = rng.normal(size=(32, 512)), rng.normal(size=(512, 256))
+        a, b = rng.normal(size=(32, 512)), rng.normal(size=(512, 512))
         want = a @ b
         autodiff._matmul(a, b)  # the parent's pool now has a thread
+        assert limits == [2]
         parent_workers = pool._workers_now
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 same = np.array_equal(autodiff._matmul(a, b), want)
-                code = 0 if same and pool._workers_now is not parent_workers else 1
+                split = limits == [2, 2]  # the child's copy of the list
+                code = 0 if same and split and pool._workers_now is not parent_workers else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30.0
@@ -1120,7 +1158,7 @@ def assert_float32_product(got, want, tol=FLOAT32_PRODUCT_TOL):
 @pytest.fixture(scope="class")
 def mapped_shape_weight():
     """A read-only float32 weight as wide as dense1 of a 64-filter MFCC
-    branch, 4 forward blocks tall, with its float64 copy."""
+    branch, one block of outputs tall, with its float64 copy."""
     rng = np.random.default_rng(47)
     w32 = rng.normal(size=(256, 23936)).astype(np.float32)
     w32.flags.writeable = False
@@ -1158,10 +1196,11 @@ class TestFloat32Weights:
         assert_float32_product(got, want)
 
     def test_unaligned_weight_gives_the_aligned_bits(self, mapped_shape_weight):
-        """A weight 3 bytes off alignment, as dense1 of a version-1
-        checkpoint is when mapped, gives the bits of an aligned copy in the
-        forward and the input grad: the products run on the same block
-        grid."""
+        """dense takes any float32 array: a weight 3 bytes off alignment
+        gives the bits of an aligned copy in the forward and the input grad,
+        because the products run on the same block grid. read_container
+        copies such a tensor of a version-1 file at load, so a checkpoint
+        never hands one over; a caller's own array may be one."""
         w32, _, b = mapped_shape_weight
         raw = np.zeros(w32.nbytes + 3, np.uint8)
         unaligned = np.frombuffer(raw, np.float32, w32.size, offset=3).reshape(w32.shape)
@@ -1233,10 +1272,10 @@ class TestFloat32Training:
         g = np.random.default_rng(rows).normal(size=(rows, w32.shape[0]))
         g32 = g.astype(np.float32)
         workers(1)
-        one = autodiff._matmul(g32, w32, autodiff._BLOCK_COLUMNS)
+        one = autodiff._matmul(g32, w32)
         workers(2)
         limits = count_splits()
-        two = autodiff._matmul(g32, w32, autodiff._BLOCK_COLUMNS)
+        two = autodiff._matmul(g32, w32)
         assert limits and limits[0] >= 2
         np.testing.assert_array_equal(two, one)
         assert_float32_product(one, g @ w64)

@@ -445,3 +445,10 @@ def test_version_1_file_reads_as_its_version_2_rewrite(tmp_path, monkeypatch):
     assert 0 < new.stat().st_size - old.stat().st_size <= 63 * tensors
     assert_same_contents(read_container(old), read_container(new))
     assert tensor_names(old) == tensor_names(new) == sorted(named)
+    # a version-1 tensor off its alignment is an aligned copy; version 2
+    # needs none, so every tensor is a view of the file
+    for path, all_views in (old, False), (new, True):
+        layers, named = read_container(path)
+        tensors = [t for layer in layers for t in layer.tensors] + list(named.values())
+        assert all(t.flags.aligned and not t.flags.writeable for t in tensors)
+        assert all(not t.flags.owndata for t in tensors) is all_views

@@ -557,16 +557,26 @@ class TestMappedCheckpoint:
     def test_unaligned_paper_dense1_encodes_as_an_aligned_copy(
         self, tmp_path, monkeypatch, paper_checkpoint
     ):
-        """A version-1 file, written without the pad, leaves dense1 3 bytes
-        off alignment; NumPy copies each unaligned block for the BLAS, so
-        the mapped view still encodes with the bits of an owned float32
-        copy, under the same memory bound."""
+        """A version-1 file, written without the pad, leaves dense1 off
+        alignment; read_container copies it once, at load, to an owned,
+        aligned, read-only array, and allocates no more than those copies
+        (plus the unfilled model). The copy then encodes with the bits of
+        an owned float32 copy, under the same memory bound as a view."""
         path = tmp_path / "paper-v1.oswt"
         monkeypatch.setattr(container, "VERSION", 1)
         container.write_container(path, *container.read_container(paper_checkpoint))
-        model = load_checkpoint(path)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         w = model.dense1.weight.data
-        assert w.shape == (1024, 23936) and w.flags.aligned is False
+        assert w.shape == (1024, 23936) and w.flags.aligned and w.flags.owndata
+        assert not w.flags.writeable
+        copied = sum(p.data.nbytes for p in model.params() if p.data.flags.owndata)
+        assert peak <= copied + (1 << 20)
         assert_encodes_as_an_owned_copy(model, paper_checkpoint)
 
     def test_lone_set_is_its_row_of_a_two_set_chunk(self, paper_checkpoint):
