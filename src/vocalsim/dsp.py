@@ -4,7 +4,9 @@ banks and log-DCT cepstra.
 All functions are pure and operate on plain numpy arrays (float64). The
 Hamming window has the standard coefficients, and every mel filter bank
 spans 0 Hz to the Nyquist frequency of SAMPLE_RATE, the one rate the
-feature extractors read.
+feature extractors read. `magnitude_blocks` is the one walk that checks,
+frames, windows and transforms a segment for both front ends (MFCC and
+log-mel); `dft_magnitude` is its per-frame reference.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ LOG_FLOOR = 1e-10  # floor under mel energies before taking logs
 SAMPLE_RATE = 16000
 SEGMENT_SECONDS = 7.6
 SEGMENT_SAMPLES = int(round(SEGMENT_SECONDS * SAMPLE_RATE))  # 121600
-# rows per block when a front end walks a segment's frames: each windowed
-# buffer and spectrum then stays near a megabyte
+# rows per block of magnitude_blocks: each windowed buffer and spectrum then
+# stays near a megabyte. It bounds memory only: no feature bit depends on it
 FRAME_BLOCK = 128
 
 
@@ -50,17 +52,6 @@ class Signal:
         return self.samples.size / self.sample_rate
 
 
-def check_segment(segment: Signal) -> None:
-    """Raise ValueError unless `segment` holds SEGMENT_SAMPLES samples at
-    SAMPLE_RATE, the one input the feature extractors read."""
-    if segment.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {segment.sample_rate}")
-    if len(segment) != SEGMENT_SAMPLES:
-        raise ValueError(
-            f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
-        )
-
-
 def frame_signal(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     """Slice a signal into overlapping frames of frame_len samples every hop samples.
 
@@ -77,17 +68,40 @@ def frame_signal(signal: Signal, frame_len: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(signal.samples, frame_len)[::hop]
 
 
-def windowed_frames(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.ndarray:
-    """Every frame times the window, zero-padded to n_fft: (n_frames, n_fft).
+def magnitude_blocks(segment: Signal, window: np.ndarray, hop: int, n_fft: int):
+    """Walk a segment's frames: yield (rows, magnitudes) one FRAME_BLOCK of
+    frames at a time, in order, where rows is the slice of frame indices
+    and magnitudes the (rows, n_fft//2 + 1) array of |rfft(frame * window,
+    n=n_fft)| for those frames of window.size samples every hop samples.
 
-    `frames` is a run of rows of `frame_signal`'s strided view. The products
-    go straight from it into the padded buffer, so neither the frames nor
-    the padding are copied again, and `np.fft.rfft(buffer, axis=1)` needs
-    no `n=`. Its spectra are the same bits as `rfft(frame * window,
-    n=n_fft)` frame by frame.
+    The first step raises ValueError unless `segment` holds SEGMENT_SAMPLES
+    samples at SAMPLE_RATE, the one input the feature extractors read. Each
+    block multiplies its rows of the strided frame view by the window
+    straight into a zero-padded buffer and takes one batched real FFT of
+    it, so no frame is copied or padded twice, and each row has the bits of
+    dft_magnitude(frame * window, n_fft). FFT rows are independent, so
+    FRAME_BLOCK bounds the buffer's memory and moves no bit.
     """
-    out = np.zeros((frames.shape[0], n_fft))
-    np.multiply(frames, window, out=out[:, : window.size])
+    if segment.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {segment.sample_rate}")
+    if len(segment) != SEGMENT_SAMPLES:
+        raise ValueError(
+            f"expected a segment of {SEGMENT_SAMPLES} samples, got {len(segment)}"
+        )
+    frames = frame_signal(segment, window.size, hop)
+    for start in range(0, len(frames), FRAME_BLOCK):
+        block = frames[start : start + FRAME_BLOCK]
+        magnitudes = np.abs(np.fft.rfft(_padded(block, window, n_fft), axis=1))
+        yield slice(start, start + len(block)), magnitudes
+
+
+def _padded(block: np.ndarray, window: np.ndarray, n_fft: int) -> np.ndarray:
+    """Each frame of `block` times the window, zero-padded to n_fft columns.
+    Only the FFT call holds it, so it is freed before abs allocates: kept in
+    the walk's frame across the yield, it raised each call's peak by half a
+    megabyte and slowed two threads extracting at once."""
+    out = np.zeros((len(block), n_fft))
+    np.multiply(block, window, out=out[:, : window.size])
     return out
 
 

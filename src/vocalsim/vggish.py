@@ -6,15 +6,12 @@ whole variants (see `pipeline.py`), so neither the frames nor the patches of
 a segment are cut into shares. Every row keeps its bits however the rows
 are cut.
 
-The front end walks the 758 frames in blocks of `dsp.FRAME_BLOCK` rows, the
-tail merged into the last block (`_mel_blocks`). A block windows its rows of
-the strided frame view straight into a zero-padded (rows, 512) buffer
-(`dsp.windowed_frames`), takes one batched real FFT of it, with the bits of
-`rfft(frame * window, n=512)` per frame, and projects the magnitudes onto
-the mel bank in one product. With at least 128 rows that product holds 2.1 M
-multiply-adds, twice the size (measured near 10^6) below which the BLAS
-takes a small-matrix kernel whose sums can differ in the last bit, so its
-rows are those of the product over all frames.
+The front end takes the magnitude spectra of the 758 frames from
+`dsp.magnitude_blocks` into one (758, 257) array and projects them onto the
+mel bank as one product over all frames. Every row is then a row of that
+one product, whatever `dsp.FRAME_BLOCK` is and whichever BLAS kernel runs
+it; a product per block of frames would give a row bits that depend on its
+block's row count.
 
 `embed` runs the whole patch stack through each layer as one stacked pass,
 as the VGGish reference runs its [examples, 96, 64] batch. A conv layer is
@@ -33,16 +30,7 @@ import numpy as np
 
 from .autodiff import glorot_float32
 from .container import LayerDesc, read_container, write_container
-from .dsp import (
-    FRAME_BLOCK,
-    LOG_FLOOR,
-    SEGMENT_SAMPLES,
-    Signal,
-    check_segment,
-    frame_signal,
-    mel_filterbank,
-    windowed_frames,
-)
+from .dsp import LOG_FLOOR, SEGMENT_SAMPLES, Signal, magnitude_blocks, mel_filterbank
 from .errors import DataError
 
 FRAME_LENGTH = 400  # 25 ms
@@ -74,21 +62,11 @@ def log_mel_spectrogram(segment: Signal) -> np.ndarray:
     Unlike the cepstral path this operates on magnitudes, not power, and uses
     the natural log with the shared 1e-10 floor.
     """
-    check_segment(segment)
     window, weights = _front_end_tables()
-    frames = frame_signal(segment, FRAME_LENGTH, HOP_LENGTH)
-    out = np.empty((len(frames), NUM_BANDS))
-    for rows in _mel_blocks(len(frames)):
-        magnitudes = np.abs(np.fft.rfft(windowed_frames(frames[rows], window, N_FFT), axis=1))
-        out[rows] = np.log(np.maximum(magnitudes @ weights.T, LOG_FLOOR))
-    return out
-
-
-def _mel_blocks(n_frames: int) -> list[slice]:
-    """Blocks of FRAME_BLOCK rows, the tail merged into the last block, so
-    no mel product has fewer than FRAME_BLOCK rows unless all frames do."""
-    starts = list(range(0, max(n_frames - FRAME_BLOCK, 0) + 1, FRAME_BLOCK))
-    return [slice(start, end) for start, end in zip(starts, starts[1:] + [n_frames])]
+    magnitudes = np.empty((NUM_FRAMES, N_FFT // 2 + 1))
+    for rows, block in magnitude_blocks(segment, window, HOP_LENGTH, N_FFT):
+        magnitudes[rows] = block
+    return np.log(np.maximum(magnitudes @ weights.T, LOG_FLOOR))
 
 
 def patchify(logmel: np.ndarray) -> np.ndarray:

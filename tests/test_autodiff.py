@@ -1158,11 +1158,13 @@ def assert_float32_product(got, want, tol=FLOAT32_PRODUCT_TOL):
 @pytest.fixture(scope="class")
 def mapped_shape_weight():
     """A read-only float32 weight as wide as dense1 of a 64-filter MFCC
-    branch, one block of outputs tall, with its float64 copy."""
+    branch, with its float64 copy. Its 384 outputs are a block and a half
+    of _BLOCK_COLUMNS, so a split forward has two blocks, the last one
+    partial."""
     rng = np.random.default_rng(47)
-    w32 = rng.normal(size=(256, 23936)).astype(np.float32)
+    w32 = rng.normal(size=(384, 23936)).astype(np.float32)
     w32.flags.writeable = False
-    return w32, w32.astype(np.float64), rng.normal(size=256)
+    return w32, w32.astype(np.float64), rng.normal(size=384)
 
 
 class TestFloat32Weights:
@@ -1382,19 +1384,24 @@ class TestFloat32Contracts:
         weighted_sum(out, probe).backward()
         return [out.data, xs.grad] + [p.grad for p in ps]
 
-    def check(self, workers, op, x, params, probe, tol):
+    def check(self, workers, count_splits, op, x, params, probe, tol):
+        """Returns the limit of each job the float32 run at 2 shares handed
+        to the workers."""
         workers(1)
         one = self.run(op, x, params, probe)
         workers(2)
+        limits = count_splits()
         two = self.run(op, x, params, probe)
+        splits = limits.copy()
         want = self.run(op, x.astype(np.float64), [p.astype(np.float64) for p in params], probe)
         for got, same, wide in zip(one, two, want):
             np.testing.assert_array_equal(same, got)
             assert_float32_product(got, wide, tol)
+        return splits
 
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv1d(self, workers, stride, relu):
+    def test_conv1d(self, workers, count_splits, stride, relu):
         rng = np.random.default_rng(61 + stride)
         # the channels-last layout a stacked input and a conv output have
         x = rng.normal(size=(20, 50, 16)).astype(np.float32).transpose(0, 2, 1)
@@ -1404,17 +1411,16 @@ class TestFloat32Contracts:
         def op(xs, w, b):
             return conv1d(xs, w, b, stride, relu)
 
-        self.check(workers, op, x, params, probe, FLOAT32_CONV_TOL)
+        self.check(workers, count_splits, op, x, params, probe, FLOAT32_CONV_TOL)
 
     @pytest.mark.parametrize("rows", [2, 14])
     def test_dense(self, workers, count_splits, mapped_shape_weight, rows):
         w32, _, b = mapped_shape_weight
         rng = np.random.default_rng(62 + rows)
         x = rng.normal(size=(rows, w32.shape[1])).astype(np.float32)
-        limits = count_splits()
-        self.check(workers, dense, x, [w32, b.astype(np.float32)], rng.normal(size=(rows, 256)),
-                   FLOAT32_PRODUCT_TOL)
-        assert sum(limit >= 2 for limit in limits) >= 3  # forward, weight grad, input grad
+        splits = self.check(workers, count_splits, dense, x, [w32, b.astype(np.float32)],
+                            rng.normal(size=(rows, w32.shape[0])), FLOAT32_PRODUCT_TOL)
+        assert len(splits) == 3 and min(splits) >= 2  # forward, weight grad, input grad
 
     def test_gather_dense(self, workers, count_splits, mapped_shape_weight):
         w32, _, b = mapped_shape_weight
@@ -1425,10 +1431,9 @@ class TestFloat32Contracts:
         def op(xs, w, bias):
             return gather_dense(xs, index, w, bias, dropped, 1.25)
 
-        limits = count_splits()
-        self.check(workers, op, x, [w32, b.astype(np.float32)], rng.normal(size=(14, 256)),
-                   FLOAT32_PRODUCT_TOL)
-        assert sum(limit >= 2 for limit in limits) >= 2  # forward, input grad
+        splits = self.check(workers, count_splits, op, x, [w32, b.astype(np.float32)],
+                            rng.normal(size=(14, w32.shape[0])), FLOAT32_PRODUCT_TOL)
+        assert len(splits) == 2 and min(splits) >= 2  # forward, input grad
 
     def test_paper_conv1_makes_no_tap_matrix(self):
         """conv1's forward and backward at its paper shape (200 samples of

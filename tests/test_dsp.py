@@ -2,8 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vocalsim import dsp, mfcc, vggish
 from vocalsim.dsp import (
     LOG_FLOOR,
+    SAMPLE_RATE,
+    SEGMENT_SAMPLES,
     Signal,
     apply_filterbank,
     dft_magnitude,
@@ -11,8 +14,15 @@ from vocalsim.dsp import (
     hamming_window,
     hz_to_mel,
     log_dct,
+    magnitude_blocks,
     mel_filterbank,
 )
+
+# each front end's (window, hop, n_fft)
+FRONT_ENDS = {
+    "mfcc": (hamming_window(mfcc.FRAME_LENGTH), mfcc.HOP_LENGTH, mfcc.N_FFT),
+    "log-mel": (vggish.periodic_hann(vggish.FRAME_LENGTH), vggish.HOP_LENGTH, vggish.N_FFT),
+}
 
 
 def naive_dft_magnitude(frame, n_fft):
@@ -93,6 +103,41 @@ class TestFraming:
         frames = frame_signal(Signal(x, 16000), 10, 7)
         for i, frame in enumerate(frames):
             npt.assert_array_equal(frame, x[i * 7 : i * 7 + 10])
+
+
+class TestMagnitudeBlocks:
+    @pytest.mark.parametrize("block", [7, 128, 1000])
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_rows_match_per_frame_oracle_bit_for_bit(self, monkeypatch, front_end, block):
+        """The blocks cover the frames once each, in order, FRAME_BLOCK rows
+        at a time, and every row has the bits of dft_magnitude of its
+        windowed frame."""
+        monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
+        window, hop, n_fft = FRONT_ENDS[front_end]
+        x = np.random.default_rng(31).normal(size=SEGMENT_SAMPLES)
+        n_frames = (SEGMENT_SAMPLES - window.size) // hop + 1
+        covered = 0
+        for rows, magnitudes in magnitude_blocks(Signal(x, SAMPLE_RATE), window, hop, n_fft):
+            assert rows == slice(covered, min(covered + block, n_frames))
+            assert magnitudes.shape == (rows.stop - rows.start, n_fft // 2 + 1)
+            for t, row in zip(range(rows.start, rows.stop), magnitudes):
+                frame = x[t * hop : t * hop + window.size]
+                np.testing.assert_array_equal(row, dft_magnitude(frame * window, n_fft))
+            covered = rows.stop
+        assert covered == n_frames
+
+    @pytest.mark.parametrize(
+        "samples, rate, message",
+        [
+            (SEGMENT_SAMPLES - 1, SAMPLE_RATE, "segment of 121600 samples, got 121599"),
+            (SEGMENT_SAMPLES + 1, SAMPLE_RATE, "segment of 121600 samples, got 121601"),
+            (SEGMENT_SAMPLES, 8000, "16000 Hz audio, got 8000"),
+        ],
+    )
+    def test_wrong_rate_or_length_rejected(self, samples, rate, message):
+        window, hop, n_fft = FRONT_ENDS["mfcc"]
+        with pytest.raises(ValueError, match=message):
+            next(magnitude_blocks(Signal(np.zeros(samples), rate), window, hop, n_fft))
 
 
 class TestHammingWindow:

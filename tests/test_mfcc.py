@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from vocalsim import dsp, mfcc
 from vocalsim import workers as pool
 from vocalsim.dsp import (
     LOG_FLOOR,
@@ -122,6 +123,19 @@ def test_near_silent_rows_match_composed_operations_bit_for_bit():
     floored = check_rows_bit_for_bit(near_silent_segment())
     # whole rows and parts of others reach the floor
     assert NUM_FILTERS in floored and any(0 < n < NUM_FILTERS for n in floored)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1000])
+@pytest.mark.parametrize("kind", ["noise", "near-silent"])
+def test_rows_do_not_depend_on_frame_block(monkeypatch, kind, block):
+    """dsp.FRAME_BLOCK bounds memory only: every row keeps its bits at any
+    block size."""
+    x = np.random.default_rng(9).normal(size=SEGMENT_SAMPLES) if kind == "noise" else near_silent_segment()
+    want = extract_mfcc(make_segment(x))
+    # a front end that imported the name would read its own copy of it
+    for module in (dsp, mfcc):
+        monkeypatch.setattr(module, "FRAME_BLOCK", block, raising=False)
+    np.testing.assert_array_equal(extract_mfcc(make_segment(x)), want)
 
 
 def test_augmented_variants_keep_shape():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vocalsim import dsp, vggish
 from vocalsim import workers as pool
 from vocalsim.container import LayerDesc, write_container
 from vocalsim.dsp import LOG_FLOOR, Signal, dft_magnitude, mel_filterbank
@@ -161,6 +162,18 @@ class TestLogMel:
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError):
             log_mel_spectrogram(Signal(np.zeros(SEGMENT_SAMPLES), 8000))
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("kind", ["noise", "near-silent"])
+    def test_rows_do_not_depend_on_frame_block(self, monkeypatch, kind, block):
+        """dsp.FRAME_BLOCK bounds memory only: every row keeps its bits at
+        any block size, under any BLAS kernel."""
+        x = np.random.default_rng(9).normal(size=SEGMENT_SAMPLES) if kind == "noise" else near_silent_segment()
+        want = log_mel_spectrogram(make_segment(x))
+        # a front end that imported the name would read its own copy of it
+        for module in (dsp, vggish):
+            monkeypatch.setattr(module, "FRAME_BLOCK", block, raising=False)
+        np.testing.assert_array_equal(log_mel_spectrogram(make_segment(x)), want)
 
 
 class TestPatchify:
