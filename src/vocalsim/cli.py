@@ -105,10 +105,10 @@ def _recording_sets(config, audio, transcript, tools, strip) -> list:
 def _cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
     make_dir(out_dir)
-    by_segment = _recording_units(_config(args), args.audio, args.strip, args.augment)
+    stem = Path(args.audio).stem
+    by_segment = _recording_units(_config(args), stem, args.audio, args.strip, args.augment)
     if not by_segment:
         raise DataError(f"{args.audio}: no segment is long enough to write")
-    stem = Path(args.audio).stem
     count = 0
     # each variant is written as its unit builds it, so one is held at a time
     for index, units in enumerate(by_segment):

@@ -3,7 +3,9 @@ dataclass of defaults, plus command-line overrides.
 
 Seed scoping: `seed` drives model initialization, pairing, and training
 shuffles; `split_seed` only the automatic manifest split; `augment_seed` only
-the augmentation noise. Feature caches therefore survive a `seed` change.
+the augmentation noise, which each recording draws from its own seed of
+`augment_seed` and its id (preprocess.recording_seed). Feature caches
+therefore survive a `seed` change.
 """
 
 from dataclasses import dataclass, fields

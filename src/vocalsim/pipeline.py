@@ -43,7 +43,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .container import read_container, tensor_names, write_container
-from .dsp import SAMPLE_RATE, SEGMENT_SECONDS
 from .errors import DataError, NumericError, make_dir, replace_text
 from .manifest import SPLITS, load_manifest, read_wav
 from .metrics import EvalReport, evaluate, render_confusion
@@ -56,21 +55,17 @@ from .models import (
     save_checkpoint,
 )
 from .pairs import PairSet, SampleRef, make_pairs, read_pairs_csv, write_pairs_csv
-from .preprocess import (
-    NOISE_ALPHAS,
-    PITCH_SEMITONES,
-    STRIP_THRESHOLD,
-    STRIP_WINDOW_MS,
-    segment,
-    segment_units,
-    strip_unvoiced,
-)
+from .preprocess import recording_seed, segment, segment_units, strip_unvoiced
 from .textfeat import Lexicon, extract_text, load_lexicon, load_synonyms, load_transcript
 from .training import TrainResult, train
 from .vggish import extract_vggish, identity_pca, load_embedding_file, make_test_network
 from .workers import _map_in_shares
 
 STATE_FILE = "stage_state.json"
+# hashed into the features digest: bump it whenever the same inputs (keys,
+# manifest, audio, transcripts, tool files) give other feature bits, so that
+# no workdir serves features the code no longer makes
+FEATURES_VERSION = 2
 
 
 @dataclass
@@ -159,14 +154,18 @@ def feature_tools(config: ExperimentConfig) -> tuple:
     return embed_net, pca, lexicon
 
 
-def _recording_units(config: ExperimentConfig, audio, strip: bool, augment: bool) -> list:
+def _recording_units(
+    config: ExperimentConfig, prefix: str, audio, strip: bool, augment: bool
+) -> list:
     """Read one recording, drop its unvoiced windows (when `strip`), and cut
     it into segments: each segment's variant units, with its noise and pitch
-    variants, seeded by the augment seed, only when `augment` is set."""
+    variants only when `augment` is set, their noise seeded by the augment
+    seed and the recording's id `prefix` (preprocess.recording_seed)."""
     signal = read_wav(audio, config.resample)
     if strip:
         signal = strip_unvoiced(signal)
-    return segment_units(segment(signal), config.augment_seed if augment else None)
+    seed = recording_seed(config.augment_seed, prefix) if augment else None
+    return segment_units(segment(signal), seed)
 
 
 def _featurize_unit(fields, tools: tuple, unit: tuple) -> dict:
@@ -207,7 +206,7 @@ def featurize_recording(
     a share, such as one recording of a predict-relapse request, the units
     run inline."""
     fields = VARIANT_FIELDS[config.variant]
-    by_segment = _recording_units(config, audio, strip, augment)
+    by_segment = _recording_units(config, prefix, audio, strip, augment)
     words = None
     if by_segment and "text" in fields:
         if not transcript:
@@ -340,23 +339,13 @@ def train_and_save(
 
 
 def _feature_parts(config: ExperimentConfig, records) -> list:
-    # the fixed segment format, gate, augmentation and text truncation are
-    # hashed where their removed keys were, as the keys' defaults printed,
-    # so caches made while those keys existed still match
     parts = [
         "features",
+        FEATURES_VERSION,
         config.variant,
-        SAMPLE_RATE,
         config.resample,
-        STRIP_THRESHOLD,
-        STRIP_WINDOW_MS,
-        SEGMENT_SECONDS,
         config.augment,
-        True,
         config.augment_seed,
-        ",".join(f"{a:g}" for a in NOISE_ALPHAS),
-        ",".join(f"{s:g}" for s in PITCH_SEMITONES),
-        "truncate",
         config.split_seed,
         Path(config.manifest),
     ]
@@ -376,22 +365,12 @@ def _pair_parts(config: ExperimentConfig, features_hash: str) -> list:
 
 
 def _train_parts(config: ExperimentConfig, pairs_hash: str) -> list:
-    return [
-        "train",
-        pairs_hash,
-        config.seed,
-        config.batch_size,
-        config.epochs,
-        config.lr,
-        config.decay,
-        config.patience,
-        config.dropout,
-        config.filters,
-        config.kernel,
-        config.stride,
-        config.dense_width,
-        config.fusion_width,
-    ]
+    """The pairs hash, then every field of the spec and the train config
+    as `name=value`."""
+    parts = ["train", pairs_hash]
+    for spec in (config.model_spec(), config.train_config()):
+        parts += [f"{name}={value}" for name, value in asdict(spec).items()]
+    return parts
 
 
 def _cached_stage(workdir, state, log, name, what, parts, outputs, build, load):
@@ -468,7 +447,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
             if not getattr(pair_set, split):
                 raise DataError(f"pairing produced no {split} pairs; check the {split} split")
 
-    def build_model():
+    def build_checkpoint():
         result = train_and_save(
             config, pair_set, features(), paths["checkpoint"], paths["history"]
         )
@@ -480,7 +459,7 @@ def run_pipeline(config: ExperimentConfig, log=None) -> PipelineResult:
 
     train_result = stage(
         "train", "checkpoint", _train_parts(config, state["pairs"]["hash"]),
-        [paths["checkpoint"], paths["history"]], build_model, lambda checkpoint: None,
+        [paths["checkpoint"], paths["history"]], build_checkpoint, lambda checkpoint: None,
     )
 
     def build_report():

@@ -2,6 +2,7 @@
 augmentation transforms (additive uniform noise, pitch lowering)."""
 
 import functools
+import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -122,10 +123,21 @@ def pitch_shift(signal: Signal, semitones: float) -> Signal:
     return Signal(shifted, signal.sample_rate)
 
 
+def recording_seed(seed: int, recording: str) -> int:
+    """The augment seed of one recording: 128 bits of the sha256 digest of
+    the int `seed` and the recording's id (its sample-id prefix) as UTF-8,
+    so no two recordings draw the same noise, and a recording's noise
+    depends on neither its place in a corpus nor the other recordings. A
+    digest, unlike hash(), is the same in every process."""
+    digest = hashlib.sha256(f"{seed}\x1f{recording}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:16], "little")
+
+
 def segment_seeds(seed: int, count: int) -> list:
-    """The noise seed of each of `count` segments: child i of the int `seed`
-    for segment i, so a segment's noise draws depend on its position alone,
-    not on processing order or on its neighbours."""
+    """The noise seed of each of `count` segments of one recording: child i
+    of the recording's int `seed` (recording_seed) for segment i, so a
+    segment's noise draws depend on its recording and position alone, not
+    on processing order or on its neighbours."""
     return np.random.SeedSequence(seed).spawn(count)
 
 
@@ -155,9 +167,9 @@ def variant_units(seg: Segment, child) -> list:
 
 
 def segment_units(segments: list[Segment], seed=None) -> list[list]:
-    """Each segment's variant units (variant_units): segment i gets child i
-    of `seed` (segment_seeds), or keeps its original alone when `seed` is
-    None."""
+    """Each segment's variant units (variant_units): segment i of the
+    recording gets child i of its `seed` (segment_seeds), or keeps its
+    original alone when `seed` is None."""
     children = [None] * len(segments) if seed is None else segment_seeds(seed, len(segments))
     return [variant_units(seg, child) for seg, child in zip(segments, children)]
 

@@ -76,7 +76,7 @@ def _target_matrix(pairs, head_size: int) -> np.ndarray:
     return targets
 
 
-def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int = 100) -> float:
+def evaluate_loss(model: SiameseModel, pairs, features, batch_size: int) -> float:
     """Mean per-sample RMSE loss over `pairs`, dropout off: the pairs are
     scored in one SiameseModel.pair_scores call, and the RMSE of each batch
     of `batch_size` pairs is weighted by its size, as train() sums them."""

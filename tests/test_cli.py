@@ -20,7 +20,7 @@ from vocalsim.dsp import Signal
 from vocalsim.manifest import load_manifest, read_wav, write_wav
 from vocalsim.models import ModelSpec, build_model, save_checkpoint
 from vocalsim.pipeline import extract_corpus_features
-from vocalsim.preprocess import augment_corpus, segment
+from vocalsim.preprocess import augment_corpus, recording_seed, segment
 
 RATE = 16000
 
@@ -216,7 +216,8 @@ class TestPreprocess:
         argv = ["preprocess", "--audio", str(wav), "--out-dir", str(out_dir), "--augment"]
         assert main(argv) == 0
         config = ExperimentConfig()
-        variants = augment_corpus(segment(read_wav(wav)), config.augment_seed)
+        seed = recording_seed(config.augment_seed, "long")  # the audio stem
+        variants = augment_corpus(segment(read_wav(wav)), seed)
         assert len(variants) == 14
         for i, seg in enumerate(variants):
             want = tmp_path / "want.wav"

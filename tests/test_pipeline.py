@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -26,6 +28,7 @@ from vocalsim.preprocess import (
     STRIP_THRESHOLD,
     STRIP_WINDOW_MS,
     augment_corpus,
+    recording_seed,
     segment,
     strip_unvoiced,
 )
@@ -125,7 +128,8 @@ class TestFeatureExtraction:
 def serial_features(config, records) -> dict:
     """The per-recording loop that corpus featurization must equal: in
     manifest order, each recording is read, stripped, cut and augmented
-    whole (augment_corpus), then featurized variant by variant."""
+    whole (augment_corpus, under the recording's seed), then featurized
+    variant by variant."""
     fields = VARIANT_FIELDS[config.variant]
     embed_net, pca, lexicon = pipeline.feature_tools(config)
     tensors = {}
@@ -136,7 +140,8 @@ def serial_features(config, records) -> dict:
             continue
         groups = [[seg] for seg in segments]
         if config.augment and record.split == "train":
-            variants = augment_corpus(segments, config.augment_seed)
+            seed = recording_seed(config.augment_seed, record.subject_id)
+            variants = augment_corpus(segments, seed)
             per = len(variants) // len(segments)
             groups = [variants[i * per : (i + 1) * per] for i in range(len(segments))]
         words = load_transcript(record.transcript_path) if "text" in fields else None
@@ -245,10 +250,10 @@ class TestCorpusShares:
         lock = threading.Lock()
         order = []  # ("read", subject) and ("ran", subject of the unit), as they happen
 
-        def read(config, audio, strip, augment):
+        def read(config, prefix, audio, strip, augment):
             with lock:
                 order.append(("read", Path(audio).stem))
-            return recording_units(config, audio, strip, augment)
+            return recording_units(config, prefix, audio, strip, augment)
 
         def run(fields, tools, unit):
             tensors = featurize_unit(fields, tools, unit)
@@ -367,6 +372,94 @@ class TestCorpusShares:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+def child_env() -> dict:
+    """The environment of a child Python that imports this package's source."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# Run in a child process: prints, as JSON, the segment-0 residual (original
+# minus noise-0.01) of recordings a and b as `preprocess --augment` writes
+# them, and the digest of each subject's tensors when the manifest lists it
+# first and last
+NOISE_PROBE = """
+import hashlib, json, sys
+from pathlib import Path
+import numpy as np
+from vocalsim.cli import main
+from vocalsim.config import ExperimentConfig
+from vocalsim.manifest import load_manifest, read_wav
+from vocalsim.pipeline import extract_corpus_features
+
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+residuals = []
+for stem in ("a", "b"):
+    argv = ["preprocess", "--audio", str(root / f"{stem}.wav"), "--out-dir", str(out)]
+    assert main(argv + ["--augment", "--no-strip"]) == 0
+    original, noisy = (
+        read_wav(out / f"{stem}-00000-{name}.wav").samples for name in ("original", "noise-0.01")
+    )
+    residuals.append(original - noisy)
+subjects = {}
+for order in ("first", "last"):
+    config = ExperimentConfig(manifest=str(root / f"{order}.csv"), variant="mfcc")
+    tensors = extract_corpus_features(config, load_manifest(config.manifest))
+    digests = {}
+    for name, tensor in tensors.items():
+        subject, _, variant, _ = name.split("/")
+        h = digests.setdefault(f"{subject} {variant}", hashlib.sha256())
+        h.update(tensor.tobytes())
+    subjects[order] = {key: h.hexdigest() for key, h in digests.items()}
+print(json.dumps({
+    "residual_gap": float(np.max(np.abs(residuals[0] - residuals[1]))),
+    "residuals": [hashlib.sha256(r.tobytes()).hexdigest() for r in residuals],
+    "subjects": subjects,
+}))
+"""
+
+
+class TestNoisePerRecording:
+    def test_recordings_draw_their_own_noise_in_any_order_and_process(self, tmp_path):
+        """Segment 0 of two recordings gets two noise vectors, a subject's
+        features do not depend on its place in the manifest, and both hold
+        under two hash seeds: the seed of a recording is a digest of its
+        id, not a salted hash()."""
+        tone_wav(tmp_path / "a.wav", 220, 8.0, seed=1)
+        tone_wav(tmp_path / "b.wav", 880, 8.0, seed=2)
+        transcript = "start_time\tstop_time\tspeaker\tvalue\n"
+        (tmp_path / "t.tsv").write_text(transcript, encoding="utf-8")
+        header = "subject_id,audio_path,transcript_path,phq_binary,phq_score,split\n"
+        # s0 and s1 share one recording, so only their noise can tell them apart
+        rows = ["s0,a.wav,t.tsv,0,2,train\n", "s1,a.wav,t.tsv,1,18,train\n"]
+        rows.append("s2,b.wav,t.tsv,0,3,train\n")
+        (tmp_path / "first.csv").write_text(header + "".join(rows), encoding="utf-8")
+        (tmp_path / "last.csv").write_text(header + "".join(rows[::-1]), encoding="utf-8")
+        probes = []
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", NOISE_PROBE, str(tmp_path), str(tmp_path / hash_seed)],
+                env=dict(child_env(), PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            probes.append(json.loads(done.stdout.splitlines()[-1]))
+        assert probes[0] == probes[1]  # the same noise under either hash seed
+        probe = probes[0]
+        # noise-0.01 residuals are 0.01 * Uniform[0, 1) draws plus 16-bit
+        # rounding: shared draws would differ by two rounding steps at most
+        assert probe["residual_gap"] > 1e-3
+        assert probe["residuals"][0] != probe["residuals"][1]
+        first, last = probe["subjects"]["first"], probe["subjects"]["last"]
+        assert first == last
+        assert first["s0 original"] == first["s1 original"]
+        for variant in ("noise-0.01", "noise-0.02", "noise-0.03"):
+            assert first[f"s0 {variant}"] != first[f"s1 {variant}"], variant
+            assert first[f"s0 {variant}"] != first["s0 original"], variant
+
+
 class TestPipeline:
     def test_full_run_produces_artifacts(self, tmp_path):
         manifest = build_corpus(tmp_path)
@@ -439,10 +532,10 @@ class TestPipeline:
         run_pipeline(fast_config(manifest, workdir), log=warm.append)
         state = json.loads((workdir / pipeline.STATE_FILE).read_text(encoding="utf-8"))
         assert {name: entry["hash"] for name, entry in state.items()} == {
-            "features": "ab00998513ebaa2ed4bfff168cf8fc349bbb1e2f29a4d83866001b872601edb9",
-            "pairs": "acea54dc05e22d328c878d7ba057178dc46bebeaaa0bbd74e684dcde94c1bf7c",
-            "train": "4042691749fe54b82d2bf70e500f6badb58f637e029a9fbb8fca198362a838c8",
-            "eval": "eb360fbc4b4aa2951c20792769c4df7628da7b975bf9e78f7462878cc0d1d105",
+            "features": "331d6ae2817916a9e0fced2edc8485c708e308d357545514efeb664f25d0036a",
+            "pairs": "245b413a46ef62f2aec69a1a558bd31843d4834a255343c9dce42730a96e1e3f",
+            "train": "c6314577d5b2fac9b8bead4ef80a040fe5962edd2f2bb7badb630a8b4d1ce10b",
+            "eval": "3a523c481f52c304954b807d823f589fc80a68891208ba65b11d4a2237fbf814",
         }
         assert cold == [
             "ingest: 8 subjects",
@@ -684,6 +777,66 @@ class TestCrashSafety:
         second = run_pipeline(fast_config(manifest, workdir))
         assert second.train_result is not None  # the stages ran again
         assert file_hash(second.paths["report"]) == file_hash(first.paths["report"])
+
+
+    def test_a_run_killed_anywhere_reruns_to_the_clean_runs_bytes(self, tmp_path):
+        """A cold run sent SIGKILL at any point, mid-write or between a
+        stage's write and its mark, leaves a workdir whose rerun gives every
+        artifact and the stage state the bytes of a clean cold run. Each
+        trial kills a child `vocalsim run` a seeded fraction of a stage's
+        time (as the clean run took it) after the log line of the stage
+        before, two trials in each of train and eval."""
+        manifest = build_corpus(tmp_path, seconds=8.0)
+        config = fast_config(manifest, tmp_path / "clean", augment=True)
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(
+            "".join(f"{key} = {value}\n" for key, value in dataclasses.asdict(config).items()),
+            encoding="utf-8",
+        )
+        stages = ("ingest", "features", "pairs", "train", "eval")
+
+        def run_child(workdir, kill_after=None) -> dict:
+            """The time each stage's log line came; with kill_after (stage,
+            delay), the child is killed `delay` seconds after that line."""
+            argv = [sys.executable, "-u", "-m", "vocalsim.cli", "run"]
+            argv += ["--config", str(config_file), "--set", f"workdir={workdir}"]
+            child = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                env=child_env(),
+            )
+            watchdog = threading.Timer(60.0, child.kill)  # a hung child fails the test
+            watchdog.start()
+            times = {}
+            try:
+                for line in child.stdout:
+                    times[line.partition(":")[0]] = time.monotonic()
+                    if kill_after and line.startswith(f"{kill_after[0]}:"):
+                        time.sleep(kill_after[1])
+                        child.kill()
+                        break
+            finally:
+                watchdog.cancel()
+                child.kill()  # no-op on a child that has exited
+                child.wait()
+                child.stdout.close()
+            assert kill_after or child.returncode == 0
+            return times
+
+        def artifacts(workdir) -> dict:
+            names = ["cache/features-mfcc.oswt", "pairs.csv", "checkpoint.oswt"]
+            names += ["history.json", "report.json", "confusion.txt", pipeline.STATE_FILE]
+            return {name: file_hash(workdir / name) for name in names}
+
+        times = run_child(tmp_path / "clean")
+        want = artifacts(tmp_path / "clean")
+        rng = np.random.default_rng(5)
+        for trial, stage in enumerate(("features", "pairs", "train", "train", "eval", "eval")):
+            before = stages[stages.index(stage) - 1]
+            delay = rng.uniform() * (times[stage] - times[before])
+            workdir = tmp_path / f"killed-{trial}"
+            run_child(workdir, (before, delay))
+            run_pipeline(dataclasses.replace(config, workdir=str(workdir)))
+            assert artifacts(workdir) == want, (stage, delay)
 
 
 class TestCacheReload:
